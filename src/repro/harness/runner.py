@@ -88,7 +88,7 @@ class Runner:
         self.compile_cache = compile_cache
         #: dispatch engine for every machine this runner builds (see
         #: ``repro.vm.dispatch.DISPATCH_MODES``); None defers to the
-        #: REPRO_DISPATCH environment default, i.e. classic
+        #: REPRO_DISPATCH environment default, else threaded
         self.dispatch = dispatch
         self._compiled: Dict[Tuple[str, Tuple[Tuple[str, object], ...]], Assembly] = {}
 

@@ -254,13 +254,14 @@ def collect(
     byte-identical to one collected before fault injection existed.
 
     ``dispatch`` selects the VM dispatch engine (``classic`` | ``threaded``
-    | ``threaded-nofuse``).  The engines are bit-identical in every number
-    that enters the artifact, so the simulated data never shifts; a
-    non-classic engine additionally stamps a top-level ``dispatch`` key
-    carrying the measured wall-clock speedup vs classic
-    (``dispatch.speedup`` — host telemetry, the one deliberately
-    nondeterministic entry).  Classic/default collections carry no such
-    key, so their artifacts stay byte-identical to pre-knob layouts.
+    | ``threaded-nofuse``; None is the default, threaded).  The engines are
+    bit-identical in every number that enters the artifact, so the
+    simulated data never shifts; a non-classic engine named explicitly
+    additionally stamps a top-level ``dispatch`` key carrying the measured
+    wall-clock speedup vs classic (``dispatch.speedup`` — host telemetry,
+    the one deliberately nondeterministic entry).  Classic and default
+    collections carry no such key, so their artifacts stay byte-identical
+    to pre-knob layouts.
 
     ``store`` is an optional :class:`repro.store.ExperimentStore`: every
     cell is first looked up content-addressed (``sha256(COMPILER_VERSION,

@@ -17,10 +17,12 @@ registry attached and writes ``BENCH_<seq>.json`` (sequence auto-increments
 per output directory).  ``compare`` diffs two artifacts under the tolerance
 policy documented in :mod:`repro.metrics.baseline` and exits 1 when any
 regression (or coverage loss) is found — that exit code *is* the CI gate.
-``run --dispatch threaded`` collects through the threaded engine (the
-simulated numbers are bit-identical by construction) and additionally
-stamps the measured wall-clock ratio vs classic into the artifact as the
-top-level ``dispatch`` block (``dispatch.speedup``).  ``dispatch-smoke``
+The threaded engine is the default; ``--dispatch classic`` collects
+through the classic loop, the differential oracle (the simulated numbers
+are bit-identical by construction).  ``run --dispatch threaded`` (named
+explicitly) additionally stamps the measured wall-clock ratio vs classic
+into the artifact as the top-level ``dispatch`` block
+(``dispatch.speedup``); a run with the engine unset carries no such block.  ``dispatch-smoke``
 measures that ratio stand-alone and exits 1 below ``--min-speedup`` — the
 CI wall-clock gate for the threaded engine.
 """

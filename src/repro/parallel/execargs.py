@@ -93,8 +93,9 @@ def add_execution_args(parser, *, fault_prefix: str = "fault",
     parser.add_argument("--no-compile-cache", action="store_true",
                         help="compile from scratch; do not read or write the cache")
     parser.add_argument("--dispatch", default=None, choices=DISPATCH_MODES,
-                        help="VM dispatch engine (default: classic, or "
-                             "$REPRO_DISPATCH); engines are bit-identical in "
+                        help="VM dispatch engine (default: threaded, or "
+                             "$REPRO_DISPATCH; classic is the differential "
+                             "oracle); engines are bit-identical in "
                              "simulated cycles — only host wall clock differs")
     if include_faults:
         from ..faults.cli import add_fault_arguments

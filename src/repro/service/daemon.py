@@ -308,6 +308,7 @@ def _run_job_subprocess(config: dict) -> dict:
     set by drain), ``_kill_at_start`` (chaos ``job_kill`` site).
     """
     from ..parallel.pool import _pool_context
+    from ..store import lease
 
     deadline = config.pop("_deadline", None)
     cancel = config.pop("_cancel", None)
@@ -316,7 +317,10 @@ def _run_job_subprocess(config: dict) -> dict:
     ctx = _pool_context()
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_job_worker, args=(child_conn, config))
-    proc.start()
+    # never fork while another thread holds the store's write lock in a
+    # lease transaction: the child would inherit a phantom writer
+    with lease.FORK_LOCK:
+        proc.start()
     child_conn.close()
     # parent-side half of the both-sides setpgid idiom: whichever of
     # parent/child runs first makes the child a group leader, so the

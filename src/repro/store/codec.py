@@ -47,6 +47,9 @@ def cell_key(
         profile,
         benchmark,
         repr(canon),
+        # an unset engine hashes as "classic" on purpose, although threaded
+        # is the default now: the engines are bit-identical, so records
+        # stored while classic was the default stay addressable
         dispatch or "classic",
         repr(seed),
     ):

@@ -16,13 +16,22 @@ both believe they acquired.  The loser of an acquisition race retries
 with :meth:`backoff_delay` — deterministic jittered exponential backoff
 (the jitter is a hash of holder id and attempt, so two daemons desynchronize
 without any global randomness).
+
+Each transition also holds :data:`FORK_LOCK`, which a thread that forks
+holds around the fork (the daemon's job subprocesses): a child forked
+while its parent holds the store's write lock inherits SQLite's
+in-process lock state and sees a phantom writer forever, so its own
+appends fail with ``database is locked``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import sqlite3
+import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -31,6 +40,21 @@ from .schema import StoreError, apply_migrations
 #: default lease lifetime; holders renew at ttl/3 so two missed renewals
 #: still leave headroom before expiry
 DEFAULT_TTL = 15.0
+
+#: held by every lease write transaction and by any thread while it forks:
+#: a process never forks with a lease transaction open
+FORK_LOCK = threading.Lock()
+
+
+def _fresh_fork_lock() -> None:
+    # the forking thread held the lock across the fork; the child's copy
+    # would stay held forever
+    global FORK_LOCK
+    FORK_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_fork_lock)
 
 
 class LeaseLost(StoreError):
@@ -85,6 +109,20 @@ class WriterLease:
 
     # ---------------------------------------------------------- transitions
 
+    @contextmanager
+    def _transaction(self):
+        """One ``BEGIN IMMEDIATE`` transaction under :data:`FORK_LOCK`:
+        committed when the block ends, rolled back when it raises."""
+        with FORK_LOCK:
+            self._conn.execute("BEGIN IMMEDIATE")
+            try:
+                yield
+                self._conn.execute("COMMIT")
+            except BaseException:
+                if self._conn.in_transaction:
+                    self._conn.execute("ROLLBACK")
+                raise
+
     def _row(self) -> sqlite3.Row:
         row = self._conn.execute(
             "SELECT holder, token, epoch, acquired_unix, expires_unix "
@@ -100,8 +138,7 @@ class WriterLease:
         fresh (incremented) token; re-acquiring our own live lease is a
         renewal and keeps the token stable."""
         now = time.time() if now is None else now
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self._transaction():
             row = self._row()
             current = row["holder"]
             expired = row["expires_unix"] is None or row["expires_unix"] <= now
@@ -114,7 +151,6 @@ class WriterLease:
                 epoch = int(row["epoch"]) + 1
                 acquired = now
             else:
-                self._conn.execute("COMMIT")
                 self.held = False
                 return False
             self._conn.execute(
@@ -122,11 +158,6 @@ class WriterLease:
                 "acquired_unix = ?, expires_unix = ? WHERE id = 1",
                 (self.holder, token, epoch, acquired, now + self.ttl),
             )
-            self._conn.execute("COMMIT")
-        except BaseException:
-            if self._conn.in_transaction:
-                self._conn.execute("ROLLBACK")
-            raise
         self.token = token
         self.held = True
         return True
@@ -135,41 +166,28 @@ class WriterLease:
         """Extend our lease; False (and ``held=False``) if someone stole
         it — the caller must stop writing immediately."""
         now = time.time() if now is None else now
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self._transaction():
             row = self._row()
             if row["holder"] != self.holder or int(row["token"]) != (self.token or 0):
-                self._conn.execute("COMMIT")
                 self.held = False
                 return False
             self._conn.execute(
                 "UPDATE writer_lease SET expires_unix = ? WHERE id = 1",
                 (now + self.ttl,),
             )
-            self._conn.execute("COMMIT")
-        except BaseException:
-            if self._conn.in_transaction:
-                self._conn.execute("ROLLBACK")
-            raise
         self.held = True
         return True
 
     def release(self) -> None:
         """Give the lease up voluntarily (daemon drain).  Only vacates the
         row if we still hold it; a thief's lease is left untouched."""
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self._transaction():
             row = self._row()
             if row["holder"] == self.holder and int(row["token"]) == (self.token or 0):
                 self._conn.execute(
                     "UPDATE writer_lease SET holder = NULL, acquired_unix = NULL, "
                     "expires_unix = NULL WHERE id = 1"
                 )
-            self._conn.execute("COMMIT")
-        except BaseException:
-            if self._conn.in_transaction:
-                self._conn.execute("ROLLBACK")
-            raise
         self.held = False
 
     def steal(self, now: Optional[float] = None) -> int:
@@ -177,8 +195,7 @@ class WriterLease:
         break-glass operations).  Returns the new fencing token; the prior
         holder's appends abort from this moment on."""
         now = time.time() if now is None else now
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self._transaction():
             row = self._row()
             token = int(row["token"]) + 1
             epoch = int(row["epoch"]) + 1
@@ -187,11 +204,6 @@ class WriterLease:
                 "acquired_unix = ?, expires_unix = ? WHERE id = 1",
                 (self.holder, token, epoch, now, now + self.ttl),
             )
-            self._conn.execute("COMMIT")
-        except BaseException:
-            if self._conn.in_transaction:
-                self._conn.execute("ROLLBACK")
-            raise
         self.token = token
         self.held = True
         return token

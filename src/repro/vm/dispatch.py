@@ -1,18 +1,24 @@
-"""Threaded-code dispatch for the measured (MIR) engine.
+"""Threaded-code dispatch for the measured (MIR) engine — the default.
 
 The classic executor (:meth:`repro.vm.machine.Machine._step_thread`) walks
 one giant if/elif chain per instruction and re-derives operands, cost
 constants and jump targets from the :class:`~repro.jit.mir.MInstr` on every
-cycle.  The PR 2/3 flamegraphs put >80% of host time in exactly that
-re-derivation.  This module removes it: at first execution of a function the
-machine translates its MIR once into a flat array of *pre-bound closures* —
-one per pc, with operand vregs, cost constants, resolved call records and
-jump targets burned in — and the driver loop shrinks to
-``pc = ops[pc](R, st)``.  For the core register/arith/branch subset the
-closures are *generated as Python source* and ``exec``-compiled
-(:func:`_make_single_gen`), so operands and constants are ``LOAD_FAST``
-locals with value-kind wrap/round math inlined; everything outside the
-subset keeps a hand-written closure.
+cycle.  This module removes that: each function's MIR is translated into a
+flat array of *pre-bound closures* — one per pc, with operand vregs, cost
+constants, resolved call records and jump targets bound in — and the driver
+loop shrinks to ``pc = ops[pc](R, st)``.  ``threaded`` is the default
+engine (:func:`resolve_dispatch`); ``classic`` stays selectable as the
+differential oracle.
+
+Translation is tiered, so cold code costs close to nothing (see
+:func:`build_ops`): a function gets hand-written closures when it first
+runs.  Once it has run :data:`_HOT_RUNS` times its length in instructions
+its core register/arith/branch ops get closures *generated as Python
+source* with the value-kind wrap/round math inlined
+(:func:`_make_single_gen`), and at :data:`_FUSE_RUNS` times its length its
+straight-line runs become superinstructions (:func:`_make_fused_gen`).  Generated source carries no
+per-instruction literal — operands are default arguments — so it is keyed
+by the shape of the instruction or run and compiled once per process.
 
 Equivalence contract (enforced by ``tests/test_dispatch_equivalence.py``):
 a threaded machine is **bit-identical** to a classic one in ``cycles``,
@@ -59,10 +65,13 @@ fault injector armed (every pc stays an attributable fire site).
 
 from __future__ import annotations
 
+import builtins
 import math
 import operator
 import os
+import re
 import struct
+from types import FunctionType
 
 from ..cil import cts
 from ..errors import VMError
@@ -86,9 +95,9 @@ ENV_VAR = "REPRO_DISPATCH"
 
 def resolve_dispatch(value=None) -> str:
     """Resolve a ``dispatch=`` knob value: explicit value, else the
-    ``REPRO_DISPATCH`` environment variable, else ``classic``."""
+    ``REPRO_DISPATCH`` environment variable, else ``threaded``."""
     if value is None:
-        value = os.environ.get(ENV_VAR) or "classic"
+        value = os.environ.get(ENV_VAR) or "threaded"
     if value not in DISPATCH_MODES:
         raise VMError(
             f"unknown dispatch engine {value!r} "
@@ -217,25 +226,30 @@ def fuse_plan(code, regions, branch_targets, faults_armed: bool,
 
 
 # ---------------------------------------------------------------------------
-# source-specialized closures
+# shape-keyed templates
 # ---------------------------------------------------------------------------
 #
 # The fusable opcode subset is hot enough that every residual host-level
 # call per retired instruction — an ``operator`` function, an ``i32``/``r4``
 # wrap, the second half of a composed pair — shows up directly in
-# wall-clock.  For these opcodes the builder generates the closure *source*
-# with operand slots, wrap arithmetic and jump targets inlined as literals,
-# then exec-compiles it once per (machine, function).  A fused pair becomes
-# one flat function body with the classic budget/burst predicate re-checked
-# between the halves.  The semantics are exactly those of the hand-written
+# wall-clock.  For these opcodes the translator generates the closure
+# *source* with the wrap arithmetic inlined.  The source holds no
+# per-instruction literal: register slots, jump targets, next pcs, costs,
+# partial cost sums and raise/resume pcs are parameters, bound as default
+# arguments (``LOAD_FAST`` locals) when a closure is made.  Its text, and so
+# its compiled code, depends only on the *shape* of the instruction or run
+# — opcode, value kind, CONV kind, position in the run, all-int costs — and
+# each shape is compiled once per process into ``_TEMPLATES``.  A template
+# is the code of a factory ``make(C, s, L)`` that reads the operands of
+# ``C[s:]`` (``L`` is the machine's loaded assembly, for raised exceptions)
+# and returns the closure: a cache hit builds no string and calls no
+# ``compile()``.  The semantics are exactly those of the hand-written
 # closures below; the differential suite holds the result to the classic
 # loop bit-for-bit.
 
 _F32 = struct.Struct("f")
-#: names every generated body may reference; bound as default arguments so
-#: lookups are LOAD_FAST, not LOAD_GLOBAL.  ``_loaded`` and ``_mkexc``
-#: (used by the raising DIV/REM fragments) are supplied per machine by
-#: :func:`build_ops` through the ``xenv`` parameter.
+#: names a generated body may reference; the ones it does are bound as
+#: default arguments so lookups are LOAD_FAST, not LOAD_GLOBAL
 _GEN_ENV = {
     "_fp": _F32.pack,
     "_fu": _F32.unpack,
@@ -244,11 +258,26 @@ _GEN_ENV = {
     "_NAN": float("nan"),
     "_copysign": math.copysign,
     "_fmod": math.fmod,
+    "_mkexc": make_exception,
     "type": type,
     "float": float,
     "int": int,
-    "abs": abs,
 }
+_GEN_GLOBALS = {"__builtins__": builtins, **_GEN_ENV}
+_ENV_USE = {name: re.compile(rf"\b{name}\b") for name in _GEN_ENV}
+
+#: operand parameters of element ``k`` of a template: letter -> factory
+#: expression (``I{k}`` is the element's MInstr, ``s`` the start pc)
+_PARAM_EXPR = {
+    "A": "I{k}.a",
+    "B": "I{k}.b",
+    "D": "I{k}.dst",
+    "T": "I{k}.target",
+    "C": "I{k}.cost",
+    "N": "s + {n}",  # next pc
+    "Q": "s + {k}",  # the element's own pc: raise and resume point
+}
+_PARAM = re.compile(r"\b([ABCDNPQT])(\d+)\b")
 
 _ARITH_SYM = {mir.ADD: "+", mir.SUB: "-", mir.MUL: "*"}
 _BIT_SYM = {mir.AND: "&", mir.OR: "|", mir.XOR: "^"}
@@ -288,132 +317,136 @@ def _nan_check(x, y):
     return f"(type({x}) is float and {x} != {x}) or (type({y}) is float and {y} != {y})"
 
 
-def _fragment(ins, nxt, sfx, raise_pre=()):
-    """Source fragment for one fusable instruction: ``(body, tail, env)``.
+def _shape(ins):
+    """The part of an instruction its generated source depends on."""
+    o = ins.op
+    return (o, ins.kind, ins.extra if o == mir.CONV else None)
+
+
+def _fragment(shape, k, sfx, raise_pre=()):
+    """Source fragment for element ``k`` of a template: ``(body, tail)``.
 
     ``body`` is the computation (falls through), ``tail`` the control
-    transfer (``return`` statements), ``env`` extra names to bind as
-    defaults.  ``raise_pre`` is spliced in front of every ``raise``
-    statement — fused runs use it to flush their hoisted bookkeeping and
-    record the raising pc before the exception unwinds.  Returns None for
-    opcodes outside the codegen subset — the caller falls back to the
-    hand-written closures, so the two layers can never disagree about
-    coverage silently.
+    transfer (``return`` statements).  Operands are the parameters
+    ``A{k}``, ``B{k}``, ``D{k}`` (destination), ``T{k}`` (branch target)
+    and ``N{k}`` (next pc); temporaries carry the suffix ``sfx``.
+    ``raise_pre`` is spliced in front of every ``raise`` statement — fused
+    runs use it to flush their hoisted bookkeeping and record the raising
+    pc before the exception unwinds.  Returns None for opcodes outside the
+    codegen subset — the caller keeps the hand-written closure, so the two
+    layers can never disagree about coverage silently.
     """
-    o = ins.op
-    a = ins.a
-    b = ins.b
-    d = ins.dst
-    kind = ins.kind
-    t = ins.target
+    o, kind, ck = shape
+    a = f"R[A{k}]"
+    b = f"R[B{k}]"
+    d = f"R[D{k}]"
+    t = f"T{k}"
+    nxt = f"N{k}"
     v = f"v{sfx}"
     x = f"x{sfx}"
     y = f"y{sfx}"
-    env = {}
     tail = [f"return {nxt}"]
 
     if o == mir.MOV:
         if kind == "r4":
-            body = [f"{v} = R[{a}]", f"if type({v}) is float:"]
+            body = [f"{v} = {a}", f"if type({v}) is float:"]
             body += ["    " + ln for ln in _r4_into(v, v)]
-            body.append(f"R[{d}] = {v}")
+            body.append(f"{d} = {v}")
         else:
-            body = [f"R[{d}] = R[{a}]"]
-        return body, tail, env
+            body = [f"{d} = {a}"]
+        return body, tail
 
     if o == mir.LDI:
-        imm = f"_i{sfx}"
-        env[imm] = a
-        return [f"R[{d}] = {imm}"], tail, env
+        return [f"{d} = A{k}"], tail
 
     if o in _ARITH_SYM:
-        expr = f"R[{a}] {_ARITH_SYM[o]} R[{b}]"
+        expr = f"{a} {_ARITH_SYM[o]} {b}"
         if kind == "i4":
-            body = [f"{v} = {expr}"] + _i32_into(v, f"R[{d}]")
+            body = [f"{v} = {expr}"] + _i32_into(v, d)
         elif kind == "i8":
-            body = [f"{v} = {expr}"] + _i64_into(v, f"R[{d}]")
+            body = [f"{v} = {expr}"] + _i64_into(v, d)
         elif kind == "r4":
-            body = [f"{v} = {expr}"] + _r4_into(v, f"R[{d}]")
+            body = [f"{v} = {expr}"] + _r4_into(v, d)
         else:
-            body = [f"R[{d}] = {expr}"]
-        return body, tail, env
+            body = [f"{d} = {expr}"]
+        return body, tail
 
     if o in _BIT_SYM:
-        return [f"R[{d}] = R[{a}] {_BIT_SYM[o]} R[{b}]"], tail, env
+        return [f"{d} = {a} {_BIT_SYM[o]} {b}"], tail
 
     if o == mir.SHL:
         if kind == "i4":
-            body = [f"{v} = R[{a}] << (R[{b}] & 31)"] + _i32_into(v, f"R[{d}]")
+            body = [f"{v} = {a} << ({b} & 31)"] + _i32_into(v, d)
         else:
-            body = [f"{v} = R[{a}] << (R[{b}] & 63)"] + _i64_into(v, f"R[{d}]")
-        return body, tail, env
+            body = [f"{v} = {a} << ({b} & 63)"] + _i64_into(v, d)
+        return body, tail
 
     if o == mir.SHR:
         mask = 31 if kind == "i4" else 63
-        return [f"R[{d}] = R[{a}] >> (R[{b}] & {mask})"], tail, env
+        return [f"{d} = {a} >> ({b} & {mask})"], tail
 
     if o == mir.SHRU:
         if kind == "i4":
-            body = [f"{v} = (R[{a}] & 4294967295) >> (R[{b}] & 31)"]
-            body += _i32_into(v, f"R[{d}]")
+            body = [f"{v} = ({a} & 4294967295) >> ({b} & 31)"]
+            body += _i32_into(v, d)
         else:
-            body = [f"{v} = (R[{a}] & 18446744073709551615) >> (R[{b}] & 63)"]
-            body += _i64_into(v, f"R[{d}]")
-        return body, tail, env
+            body = [f"{v} = ({a} & 18446744073709551615) >> ({b} & 63)"]
+            body += _i64_into(v, d)
+        return body, tail
 
     if o == mir.NEG:
         if kind == "i4":
-            body = [f"{v} = -R[{a}]"] + _i32_into(v, f"R[{d}]")
+            body = [f"{v} = -{a}"] + _i32_into(v, d)
         elif kind == "i8":
-            body = [f"{v} = -R[{a}]"] + _i64_into(v, f"R[{d}]")
+            body = [f"{v} = -{a}"] + _i64_into(v, d)
         else:
-            body = [f"R[{d}] = -R[{a}]"]
-        return body, tail, env
+            body = [f"{d} = -{a}"]
+        return body, tail
 
     if o == mir.NOT:
         into = _i32_into if kind == "i4" else _i64_into
-        return [f"{v} = ~R[{a}]"] + into(v, f"R[{d}]"), tail, env
+        return [f"{v} = ~{a}"] + into(v, d), tail
 
     if o == mir.CEQ or o == mir.CNE:
         eq, ne = ("1", "0") if o == mir.CEQ else ("0", "1")
         on_nan = "0" if o == mir.CEQ else "1"
         body = [
-            f"{x} = R[{a}]",
-            f"{y} = R[{b}]",
+            f"{x} = {a}",
+            f"{y} = {b}",
             f"if {_nan_check(x, y)}:",
-            f"    R[{d}] = {on_nan}",
+            f"    {d} = {on_nan}",
             f"elif {x} is {y} or {x} == {y}:",
-            f"    R[{d}] = {eq}",
+            f"    {d} = {eq}",
             "else:",
-            f"    R[{d}] = {ne}",
+            f"    {d} = {ne}",
         ]
-        return body, tail, env
+        return body, tail
 
     if o in _CMP_SYM:
         body = [
-            f"{x} = R[{a}]",
-            f"{y} = R[{b}]",
+            f"{x} = {a}",
+            f"{y} = {b}",
             f"if {_nan_check(x, y)}:",
-            f"    R[{d}] = 0",
+            f"    {d} = 0",
             "else:",
-            f"    R[{d}] = 1 if {x} {_CMP_SYM[o]} {y} else 0",
+            f"    {d} = 1 if {x} {_CMP_SYM[o]} {y} else 0",
         ]
-        return body, tail, env
+        return body, tail
 
     if o == mir.JMP:
-        return [], [f"return {t}"], env
+        return [], [f"return {t}"]
 
     if o == mir.JTRUE:
-        body = [f"{v} = R[{a}]"]
-        return body, [f"return {t} if ({v} is not None and {v} != 0) else {nxt}"], env
+        body = [f"{v} = {a}"]
+        return body, [f"return {t} if ({v} is not None and {v} != 0) else {nxt}"]
 
     if o == mir.JFALSE:
-        body = [f"{v} = R[{a}]"]
-        return body, [f"return {t} if ({v} is None or {v} == 0) else {nxt}"], env
+        body = [f"{v} = {a}"]
+        return body, [f"return {t} if ({v} is None or {v} == 0) else {nxt}"]
 
     if o == mir.JEQ or o == mir.JNE:
         want_eq = o == mir.JEQ
-        body = [f"{x} = R[{a}]", f"{y} = R[{b}]"]
+        body = [f"{x} = {a}", f"{y} = {b}"]
         tail = [
             f"if {_nan_check(x, y)}:",
             f"    return {nxt if want_eq else t}",
@@ -421,16 +454,16 @@ def _fragment(ins, nxt, sfx, raise_pre=()):
             f"    return {t if want_eq else nxt}",
             f"return {nxt if want_eq else t}",
         ]
-        return body, tail, env
+        return body, tail
 
     if o in _JCC_SYM:
-        body = [f"{x} = R[{a}]", f"{y} = R[{b}]"]
+        body = [f"{x} = {a}", f"{y} = {b}"]
         tail = [
             f"if {_nan_check(x, y)}:",
             f"    return {nxt}",
             f"return {t} if {x} {_JCC_SYM[o]} {y} else {nxt}",
         ]
-        return body, tail, env
+        return body, tail
 
     # --- raising opcodes: as singles the driver's pc already points at
     # the instruction; inside a fused run ``raise_pre`` records the exact
@@ -444,18 +477,18 @@ def _fragment(ins, nxt, sfx, raise_pre=()):
         if kind in ("i4", "i8"):
             into = _i32_into if kind == "i4" else _i64_into
             body = [
-                f"{x} = R[{a}]",
-                f"{y} = R[{b}]",
+                f"{x} = {a}",
+                f"{y} = {b}",
                 f"if {y} == 0:",
             ] + ["    " + ln for ln in raise_dbz] + [
                 f"{v} = ({x} if {x} >= 0 else -{x}) // ({y} if {y} >= 0 else -{y})",
                 f"if ({x} >= 0) != ({y} >= 0):",
                 f"    {v} = -{v}",
-            ] + into(v, f"R[{d}]")
-            return body, tail, env
+            ] + into(v, d)
+            return body, tail
         body = [
-            f"{x} = R[{a}]",
-            f"{y} = R[{b}]",
+            f"{x} = {a}",
+            f"{y} = {b}",
             f"if {y} == 0.0:",
             f"    if {x} == 0.0 or {x} != {x}:",
             f"        {q} = _NAN",
@@ -467,85 +500,70 @@ def _fragment(ins, nxt, sfx, raise_pre=()):
             f"    {q} = {x} / {y}",
         ]
         if kind == "r4":
-            body += _r4_into(q, f"R[{d}]")
+            body += _r4_into(q, d)
         else:
-            body.append(f"R[{d}] = {q}")
-        return body, tail, env
+            body.append(f"{d} = {q}")
+        return body, tail
 
     if o == mir.REM:
         if kind in ("i4", "i8"):
             body = [
-                f"{x} = R[{a}]",
-                f"{y} = R[{b}]",
+                f"{x} = {a}",
+                f"{y} = {b}",
                 f"if {y} == 0:",
             ] + ["    " + ln for ln in raise_dbz] + [
                 f"{v} = ({x} if {x} >= 0 else -{x}) // ({y} if {y} >= 0 else -{y})",
                 f"if ({x} >= 0) != ({y} >= 0):",
                 f"    {v} = -{v}",
-                f"R[{d}] = {x} - {v} * {y}",
+                f"{d} = {x} - {v} * {y}",
             ]
         else:
             body = [
-                f"{y} = R[{b}]",
-                f"R[{d}] = _fmod(R[{a}], {y}) if {y} != 0.0 else _NAN",
+                f"{y} = {b}",
+                f"{d} = _fmod({a}, {y}) if {y} != 0.0 else _NAN",
             ]
-        return body, tail, env
+        return body, tail
 
     if o == mir.CONV:
-        ck = ins.extra
         if ck == "r8":
-            return [f"R[{d}] = float(R[{a}])"], tail, env
+            return [f"{d} = float({a})"], tail
         if ck == "r4":
-            return [f"{v} = float(R[{a}])"] + _r4_into(v, f"R[{d}]"), tail, env
+            return [f"{v} = float({a})"] + _r4_into(v, d), tail
         if ck == "i4":
             body = [
-                f"{v} = R[{a}]",
+                f"{v} = {a}",
                 f"if type({v}) is float:",
-                f"    R[{d}] = -2147483648 if ({v} != {v} or {v} >= 2147483648.0"
+                f"    {d} = -2147483648 if ({v} != {v} or {v} >= 2147483648.0"
                 f" or {v} < -2147483648.0) else int({v})",
                 "else:",
-            ] + ["    " + ln for ln in _i32_into(v, f"R[{d}]")]
-            return body, tail, env
+            ] + ["    " + ln for ln in _i32_into(v, d)]
+            return body, tail
         if ck == "i8":
             body = [
-                f"{v} = R[{a}]",
+                f"{v} = {a}",
                 f"if type({v}) is float:",
-                f"    R[{d}] = -9223372036854775808 if ({v} != {v}"
+                f"    {d} = -9223372036854775808 if ({v} != {v}"
                 f" or {v} >= 9223372036854775808.0"
                 f" or {v} < -9223372036854775808.0) else int({v})",
                 "else:",
-            ] + ["    " + ln for ln in _i64_into(v, f"R[{d}]")]
-            return body, tail, env
+            ] + ["    " + ln for ln in _i64_into(v, d)]
+            return body, tail
         return None  # narrow int converts: keep the hand-written closure
 
     return None
 
 
-def _compile_gen(lines, env, xenv=None):
-    """exec-compile a generated closure body into a callable ``(R, st)``."""
-    ns = dict(_GEN_ENV)
-    if xenv:
-        ns.update(xenv)
-    ns.update(env)
-    args = "".join(f", {k}={k}" for k in ns)
-    src = "def op_(R, st{}):\n{}\n".format(
-        args, "\n".join("    " + ln for ln in lines)
-    )
-    exec(compile(src, "<dispatch-gen>", "exec"), ns)
-    return ns["op_"]
-
-
-def _make_single_gen(ins, pc, xenv=None):
-    """Source-specialized single closure, or None outside the subset."""
-    frag = _fragment(ins, pc + 1, "")
+def _single_source(shape):
+    """Body of a single-instruction template, or None outside the subset."""
+    frag = _fragment(shape, 0, "")
     if frag is None:
         return None
-    body, tail, env = frag
-    return _compile_gen([f"st.spent += {ins.cost!r}"] + body + tail, env, xenv)
+    body, tail = frag
+    return ["st.spent += C0"] + body + tail
 
 
-def _make_fused_gen(code, start, length, xenv=None):
-    """One flat function body for the run ``code[start : start + length]``.
+def _run_source(shapes, all_int):
+    """One flat function body for a fused run of ``shapes``.
 
     Cycle and instruction bookkeeping live in function locals (``sp``,
     ``ic``) for the whole run — one attribute load each at entry, one
@@ -553,13 +571,14 @@ def _make_fused_gen(code, start, length, xenv=None):
     classic budget *and burst* predicates (``st.total``/``st.budget``/
     ``st.burst`` are constant across the run — pure register ops never
     flush — so their hoisted copies see the same values the classic loop
-    reads per instruction)
-    and resumes at the plain closure for the next element when the
-    quantum would have ended there.  The cost additions happen in the
-    same order and grouping as classic's per-instruction ``spent +=``,
-    which keeps float-cost profiles bit-identical.
+    reads per instruction) and resumes at the plain closure for the next
+    element (pc ``Q{k}``) when the quantum would have ended there.  The
+    cost additions happen in the same order and grouping as classic's
+    per-instruction ``spent +=``, which keeps float-cost profiles
+    bit-identical.
     """
-    env = {}
+    length = len(shapes)
+    last = length - 1
     lines = [
         "spent = st.spent",
         "tot = st.total",
@@ -575,75 +594,133 @@ def _make_fused_gen(code, start, length, xenv=None):
     # per-element bookkeeping collapses to two stores at the exits.  The
     # ``spent`` int check matters: dynamic costs can have made it a float,
     # and float ``+=`` is order-sensitive, so only the per-element slow
-    # path reproduces classic's sums then.
-    all_int = all(type(code[start + k].cost) is int for k in range(length))
+    # path reproduces classic's sums then.  ``P{k}`` is the cost of
+    # elements 0..k.
     if all_int:
-        total_cost = sum(code[start + k].cost for k in range(length))
-        partial = 0
         fast = []
-        for k in range(length):
-            pc = start + k
-            partial += code[pc].cost
+        for k, shape in enumerate(shapes):
             frag = _fragment(
-                code[pc],
-                pc + 1,
-                str(k),
+                shape, k, str(k),
                 raise_pre=(
-                    f"st.spent = spent + {partial}",
+                    f"st.spent = spent + P{k}",
                     f"st.icount = ic + {k}",
-                    f"st.raise_pc = {pc}",
+                    f"st.raise_pc = Q{k}",
                 ),
             )
             if frag is None:
                 return None
-            body, tail, frag_env = frag
-            env.update(frag_env)
+            body, tail = frag
             fast += body
-            if k == length - 1:
-                fast += [
-                    f"st.spent = spent + {total_cost}",
-                    f"st.icount = ic + {length - 1}",
-                ] + tail
+            if k == last:
+                fast += [f"st.spent = spent + P{last}", f"st.icount = ic + {last}"]
+                fast += tail
         lines.append(
-            f"if spent.__class__ is int"
-            f" and tot + spent + {total_cost} < bud"
+            f"if spent.__class__ is int and tot + spent + P{last} < bud"
             f" and ic + {length} < bur:"
         )
         lines += ["    " + ln for ln in fast]
 
     # Slow path: per-element cost accumulation and predicate checks, in
     # exactly classic's order and grouping (bit-identical float sums).
-    for k in range(length):
-        pc = start + k
+    for k, shape in enumerate(shapes):
         frag = _fragment(
-            code[pc],
-            pc + 1,
-            f"s{k}",
-            raise_pre=(
-                "st.spent = sp",
-                "st.icount = ic",
-                f"st.raise_pc = {pc}",
-            ),
+            shape, k, f"s{k}",
+            raise_pre=("st.spent = sp", "st.icount = ic", f"st.raise_pc = Q{k}"),
         )
         if frag is None:
             return None
-        body, tail, frag_env = frag
-        env.update(frag_env)
+        body, tail = frag
         if k == 0:
-            lines.append(f"sp = spent + {code[pc].cost!r}")
+            lines.append("sp = spent + C0")
         else:
             lines += [
                 "if tot + sp >= bud or ic >= bur:",
                 "    st.spent = sp",
                 "    st.icount = ic",
-                f"    return {start + k}",
+                f"    return Q{k}",
                 "ic += 1",
-                f"sp += {code[pc].cost!r}",
+                f"sp += C{k}",
             ]
         lines += body
-        if k == length - 1:
+        if k == last:
             lines += ["st.spent = sp", "st.icount = ic"] + tail
-    return _compile_gen(lines, env, xenv)
+    return lines
+
+
+def _compile_factory(lines, length):
+    """Compile a template body into the code of its factory
+    ``make(C, s, L)``, which binds every parameter the body uses."""
+    text = "\n".join(lines)
+    params = sorted(set(_PARAM.findall(text)), key=lambda m: (int(m[1]), m[0]))
+    setup = [f"I{k} = C[s + {k}]" for k in range(length)]
+    binds = []
+    for letter, k in params:
+        k = int(k)
+        if letter == "P":
+            expr = " + ".join(f"I{j}.cost" for j in range(k + 1))
+        else:
+            expr = _PARAM_EXPR[letter].format(k=k, n=k + 1)
+        setup.append(f"{letter}{k} = {expr}")
+        binds.append(f"{letter}{k}={letter}{k}")
+    binds += [f"{name}={name}" for name, use in _ENV_USE.items() if use.search(text)]
+    if "_loaded" in text:
+        binds.append("_loaded=L")
+    src = "\n".join(
+        ["def make(C, s, L):"]
+        + ["    " + ln for ln in setup]
+        + ["    def op_(R, st, {}):".format(", ".join(binds))]
+        + ["        " + ln for ln in lines]
+        + ["    return op_"]
+    )
+    ns = dict(_GEN_GLOBALS)
+    exec(compile(src, "<dispatch-gen>", "exec"), ns)
+    return ns["make"].__code__
+
+
+#: template key -> factory code object, or None for a shape outside the
+#: codegen subset.  A single's key is its shape; a fused run's is
+#: ``(all_int, shapes)``.  Bounded: the oldest entry goes first.
+_TEMPLATES = {}
+_TEMPLATE_LIMIT = 4096
+_MISSING = object()
+
+
+def _factory(key, source, length):
+    """Factory code for template ``key``; compiles ``source()`` on a miss."""
+    factory = _TEMPLATES.get(key, _MISSING)
+    if factory is _MISSING:
+        lines = source()
+        factory = None if lines is None else _compile_factory(lines, length)
+        if len(_TEMPLATES) >= _TEMPLATE_LIMIT:
+            try:
+                del _TEMPLATES[next(iter(_TEMPLATES))]
+            except (KeyError, RuntimeError, StopIteration):
+                pass  # another thread evicted first
+        _TEMPLATES[key] = factory
+    return factory
+
+
+def _make_single_gen(code, pc, loaded):
+    """Shape-templated closure for ``code[pc]``, or None outside the subset."""
+    shape = _shape(code[pc])
+    factory = _factory(shape, lambda: _single_source(shape), 1)
+    if factory is None:
+        return None
+    return FunctionType(factory, _GEN_GLOBALS)(code, pc, loaded)
+
+
+def _make_fused_gen(code, start, length, loaded):
+    """Shape-templated superinstruction for ``code[start : start + length]``,
+    or None when an element is outside the subset."""
+    run = code[start:start + length]
+    shapes = tuple(map(_shape, run))
+    all_int = all(type(ins.cost) is int for ins in run)
+    factory = _factory(
+        (all_int, shapes), lambda: _run_source(shapes, all_int), length
+    )
+    if factory is None:
+        return None
+    return FunctionType(factory, _GEN_GLOBALS)(code, start, loaded)
 
 
 # ---------------------------------------------------------------------------
@@ -666,12 +743,13 @@ _JCC_OPS = {
 }
 
 
-def build_ops(machine, fn):
-    """Translate ``fn``'s MIR into the flat closure array for ``machine``.
+def _closure_builder(machine, fn):
+    """Return ``closure(pc)``: the hand-written closure for ``fn.code[pc]``
+    on ``machine``, wrapped for the observer's per-instruction hook when
+    one is attached.
 
-    Called lazily at the first frame binding of ``fn`` on this machine —
-    i.e. strictly after :meth:`Machine._link` resolved field slots and
-    call records in place.  The result is cached per ``(machine, fn)``.
+    Used strictly after :meth:`Machine._link` resolved field slots and
+    call records in place.
     """
     # imported here: machine.py imports this module at top level
     from .machine import _CONV_FNS, _box_matches, _int_div
@@ -695,12 +773,10 @@ def build_ops(machine, fn):
             f"call depth {depth} at limit {stack_limit}",
         )
 
-    gen_env = {"_loaded": loaded, "_mkexc": make_exception}
+    code = fn.code
 
-    def build(pc, ins):
-        gen = _make_single_gen(ins, pc, gen_env)
-        if gen is not None:
-            return gen
+    def build(pc):
+        ins = code[pc]
         o = ins.op
         cost = ins.cost
         a = ins.a
@@ -1401,30 +1477,99 @@ def build_ops(machine, fn):
 
         raise VMError(f"unhandled MIR op {mir.name(o)}")  # pragma: no cover
 
+    if obs_instr is None:
+        return build
+    return lambda pc: _observed(build(pc), obs_instr, fn, code[pc])
+
+
+def _observed(inner, obs_instr, fn, ins):
+    """Wrap ``inner`` so the observer's per-instruction hook fires first,
+    as it does in the classic loop (the hook stream stays order-identical)."""
+    def op_(R, st, inner=inner, o=ins.op, cost=ins.cost):
+        obs_instr(fn, o, cost)
+        return inner(R, st)
+    return op_
+
+
+# ---------------------------------------------------------------------------
+# tiered translation
+# ---------------------------------------------------------------------------
+#
+# Translation is tiered, driven only by execution counts.  A function
+# gets hand-written closures when it first runs (cheap: no source, no
+# compile).  Once it has retired ``_HOT_RUNS`` times as many instructions
+# as it has (every instruction ran that often on average), :func:`build_ops`
+# replaces them in place with shape-templated singles, and at
+# ``_FUSE_RUNS`` its straight-line runs with superinstructions.  Tiers
+# change between bindings, never inside a closure, and only change host
+# speed: every tier is bit-identical to classic.
+
+#: a function tiers up to templated singles once it has retired this many
+#: times as many instructions as its length, and to superinstructions at
+#: the second count: a single's few shapes are soon all compiled, while
+#: each run shape costs a compile that only a hot run pays back
+_HOT_RUNS = 50
+_FUSE_RUNS = 1000
+
+
+class Translation:
+    """One function's closures on one machine.
+
+    ``ops`` is the closure array the driver dispatches through, shared by
+    every activation of the function and rewritten in place at each
+    tier-up; ``heat`` is the number of instructions left before the next
+    tier-up (<= 0 once the function is in its last tier); ``tier`` counts
+    the tier-ups so far.
+    """
+
+    __slots__ = ("ops", "heat", "tier")
+
+    def __init__(self, ops) -> None:
+        self.ops = ops
+        self.heat = _HOT_RUNS * len(ops)
+        self.tier = 0
+
+
+def build_ops(machine, fn, tr=None):
+    """Translate ``fn`` for ``machine``; every translation goes through here.
+
+    Without ``tr``: a new :class:`Translation` of hand-written closures.
+    With ``tr`` (the function turned hot): tier it up in place.  The first
+    tier-up gives each op in the codegen subset its templated single, the
+    second each fusion run its superinstruction (``threaded`` only; not
+    with an observer, whose per-instruction hook needs per-instruction
+    closures, nor with a fault injector, see :func:`fuse_plan`).  Returns
+    the translation.
+    """
     code = fn.code
-    ops = [build(pc, ins) for pc, ins in enumerate(code)]
-
-    if obs_instr is not None:
-        # classic fires observer.instr before executing each instruction;
-        # wrap every closure so the hook stream is order-identical
-        def wrap(inner, o, cost):
-            def op_(R, st, inner=inner, o=o, cost=cost):
-                obs_instr(fn, o, cost)
-                return inner(R, st)
-            return op_
-
-        ops = [wrap(ops[pc], ins.op, ins.cost) for pc, ins in enumerate(code)]
-
-    if M.dispatch == "threaded" and observer is None:
-        targets = getattr(fn, "branch_targets", None)
-        if targets is None:
-            targets = mir.branch_targets(fn)
-        for i, length in fuse_plan(code, fn.regions, targets, faults is not None):
-            fused = _make_fused_gen(code, i, length, gen_env)
-            if fused is not None:
-                ops[i] = fused
-
-    return ops
+    if tr is None:
+        closure = _closure_builder(machine, fn)
+        return Translation([closure(pc) for pc in range(len(code))])
+    ops = tr.ops
+    loaded = machine.loaded
+    observer = machine.observer
+    fuse = machine.dispatch == "threaded" and observer is None
+    tr.tier += 1
+    if tr.tier == 1:
+        obs_instr = None if observer is None else observer.instr
+        for pc, ins in enumerate(code):
+            op = _make_single_gen(code, pc, loaded)
+            if op is not None:
+                if obs_instr is not None:
+                    op = _observed(op, obs_instr, fn, ins)
+                ops[pc] = op
+        if fuse:
+            tr.heat = (_FUSE_RUNS - _HOT_RUNS) * len(code)
+        return tr
+    targets = getattr(fn, "branch_targets", None)
+    if targets is None:
+        targets = mir.branch_targets(fn)
+    faults_armed = machine.faults is not None
+    for pc, length in fuse_plan(code, fn.regions, targets, faults_armed):
+        fused = _make_fused_gen(code, pc, length, loaded)
+        if fused is not None:
+            ops[pc] = fused
+    return tr
 
 
 # ---------------------------------------------------------------------------
@@ -1439,7 +1584,8 @@ def step_thread(machine, thread, budget: int) -> None:
     closures until a sentinel / the budget trips / a guest exception
     unwinds, flush ``spent`` and the instruction count per binding, and let
     the outer loop re-bind.  See the module docstring for the equivalence
-    contract.
+    contract.  The flush also counts the binding's instructions towards
+    the function's tier-up (:func:`build_ops`).
     """
     faults = machine.faults
     observer = machine.observer
@@ -1459,13 +1605,14 @@ def step_thread(machine, thread, budget: int) -> None:
         frame = frames[-1]
         st.frame = frame
         fn = frame.fn
-        ops = cache.get(id(fn))
-        if ops is None:
-            ops = build_ops(machine, fn)
-            cache[id(fn)] = ops
+        tr = cache.get(id(fn))
+        if tr is None:
+            tr = cache[id(fn)] = build_ops(machine, fn)
+        ops = tr.ops
         R = frame.R
         pc = frame.pc
         st.icount = 0
+        thrown = None
         try:
             if faults is not None and faults.pending is not None:
                 injected = faults.take_pending(thread)
@@ -1498,15 +1645,16 @@ def step_thread(machine, thread, budget: int) -> None:
                 st.raise_pc = -1
             else:
                 frame.pc = pc
-            machine.cycles += st.spent
-            st.total += st.spent
-            st.spent = 0
-            machine.instructions += st.icount
-            if observer is not None:
-                observer.throw(machine.cycles)
-            machine._throw(thread, guest.obj)
-            continue
+            thrown = guest.obj
         machine.cycles += st.spent
         st.total += st.spent
         st.spent = 0
         machine.instructions += st.icount
+        if tr.heat > 0:
+            tr.heat -= st.icount
+            if tr.heat <= 0:
+                build_ops(machine, fn, tr)
+        if thrown is not None:
+            if observer is not None:
+                observer.throw(machine.cycles)
+            machine._throw(thread, thrown)

@@ -105,6 +105,11 @@ class Machine:
         faults=None,
         dispatch=None,
     ) -> None:
+        """``dispatch`` picks the MIR executor: None means
+        ``$REPRO_DISPATCH``, else ``threaded`` (pre-bound closures that
+        tier up to generated code and superinstructions once hot);
+        ``classic`` is the fetch/decode loop kept as the differential
+        oracle.  Every engine gives the same simulated numbers."""
         self.loaded = loaded
         self.profile = profile
         self.costs = profile.costs
@@ -146,16 +151,18 @@ class Machine:
         self._next_tid = 1
         self.current: Optional[GuestThread] = None
         self._linked: set = set()
-        #: dispatch engine: "classic" (interpreted elif chain, the default),
-        #: "threaded" (pre-bound closures + superinstructions), or
-        #: "threaded-nofuse" (closures without pair fusion).  The threaded
-        #: engines shadow the _step_thread method with the closure driver;
-        #: both are bit-identical to classic in every simulated observable
-        #: (see tests/test_dispatch_equivalence.py).
+        #: dispatch engine: "threaded" (the default: pre-bound closures
+        #: that tier up to shape-templated code and superinstructions once
+        #: hot), "threaded-nofuse" (the same without superinstructions) or
+        #: "classic" (the interpreted elif chain, kept as the differential
+        #: oracle).  The threaded engines shadow the _step_thread method
+        #: with the closure driver; all three are bit-identical in every
+        #: simulated observable (see tests/test_dispatch_equivalence.py).
         self.dispatch = resolve_dispatch(dispatch)
         if self.dispatch != "classic":
-            #: per-function closure arrays, keyed by id(fn)
-            self._threaded_code: Dict[int, list] = {}
+            #: per-function translations (repro.vm.dispatch.Translation),
+            #: keyed by id(fn); emptied when run() returns
+            self._threaded_code: Dict[int, object] = {}
             self._step_thread = MethodType(step_thread, self)
         if observer is not None:
             observer.attach(self)
@@ -245,7 +252,15 @@ class Machine:
 
     def run(self, entry: Optional[MethodDef] = None, args: Optional[List] = None):
         """Run static constructors then the entry point on the main thread;
-        returns the entry's return value."""
+        returns the entry's return value.  The threaded engines' closure
+        translations are dropped when it returns, normally or by raising."""
+        try:
+            return self._run(entry, args)
+        finally:
+            if self.dispatch != "classic":
+                self._threaded_code.clear()
+
+    def _run(self, entry, args):
         entry = entry or self.loaded.entry_point
         if entry is None:
             raise VMError("assembly has no entry point")

@@ -252,3 +252,328 @@ def test_catch_observes_same_locals_under_every_engine(source, expected, label):
             assert prints[engine] == prints["classic"], (
                 f"{label} / {profile.name} / {engine}"
             )
+
+
+# ------------------------------------------------------ tier transitions
+#
+# A threaded function starts on hand-written closures and tiers up to
+# shape-templated singles and superinstructions once it is hot.  These
+# programs cross that threshold mid-run in every situation where a stale
+# or half-switched closure array would show: float cost sums, a throw from
+# inside a run that only exists after tier-up, live recursive and
+# concurrent activations, an armed fault injector, an observer.
+
+#: a kernel that tiers up during its first call and fuses its runs during
+#: a later one; the padding allocation puts the machine in the large
+#: working set, so every array access adds a float memory tax and the
+#: cycle sums are float from then on
+HOT_FLOAT_LOOP = """
+class P {
+    static double Kernel(double[] a, int n) {
+        double s = 0.0;
+        for (int i = 0; i < n; i++) {
+            int j = (i * 7 + 3) % a.Length;
+            a[j] = a[j] * 0.5 + i;
+            s = s + a[j] / 3.0;
+        }
+        return s;
+    }
+    static int Main() {
+        double[] pad = new double[7000];
+        double[] a = new double[64];
+        double total = 0.0;
+        for (int r = 0; r < 4; r++) { total = total + P.Kernel(a, 1000); }
+        Console.WriteLine(total);
+        return (int)(total / 1000.0) + pad.Length;
+    }
+}
+"""
+
+#: the divisor reaches zero long after Main has tiered up, inside a
+#: straight-line run of the try block: the throw comes from the interior
+#: of a superinstruction built by the tier-up, and the handler reads the
+#: locals that run had already written
+HOT_FUSED_THROW = """
+class P {
+    static int Main() {
+        int acc = 0; int caught = 0;
+        for (int i = 0; i < 3000; i++) {
+            int a = i + 40; int b = i * 3; int c = 0;
+            int d = 2500 - i;
+            try {
+                a = a + 1;
+                b = b * 3;
+                c = a + b;
+                acc = acc + c / d;
+                a = 999;
+            } catch (DivideByZeroException e) {
+                caught = a * 1000 + b * 10 + c;
+            }
+        }
+        return acc + caught;
+    }
+}
+"""
+
+#: one function with recursive activations and two guest threads in it
+#: while it tiers up (a small quantum interleaves the threads inside it)
+HOT_SHARED = """
+class Worker {
+    int seed;
+    int result;
+    virtual void Run() { result = P.Spin(seed, 2000); }
+}
+class P {
+    static int Spin(int seed, int n) {
+        int x = seed;
+        for (int i = 0; i < n; i++) { x = (x * 1103 + 12345) & 65535; }
+        if (n > 40) { x = x + P.Spin(x & 7, n / 2); }
+        return x;
+    }
+    static int Main() {
+        Worker w1 = new Worker(); w1.seed = 1;
+        Worker w2 = new Worker(); w2.seed = 2;
+        int t1 = Thread.Create(w1);
+        int t2 = Thread.Create(w2);
+        Thread.Start(t1);
+        Thread.Start(t2);
+        int own = P.Spin(3, 2000);
+        Thread.Join(t1);
+        Thread.Join(t2);
+        return own + w1.result + w2.result;
+    }
+}
+"""
+
+#: CLR 1.1 with fractional instruction costs: every cost sum is float
+#: from the first instruction, so fused runs take their per-element path
+FLOAT_COSTS = CLR11.with_costs(mov=0.75, reg_op=1.25)
+
+
+@pytest.fixture
+def tiering(monkeypatch):
+    """Record every tier-up and every superinstruction the engine builds."""
+    from repro.vm import dispatch
+
+    seen = {"tier_ups": 0, "fused": []}
+    build_ops = dispatch.build_ops
+    make_fused = dispatch._make_fused_gen
+
+    def counting_build_ops(machine, fn, tr=None):
+        if tr is not None:
+            seen["tier_ups"] += 1
+        return build_ops(machine, fn, tr)
+
+    def recording_make_fused(code, start, length, loaded):
+        op = make_fused(code, start, length, loaded)
+        if op is not None:
+            seen["fused"].append([ins.op for ins in code[start:start + length]])
+        return op
+
+    monkeypatch.setattr(dispatch, "build_ops", counting_build_ops)
+    monkeypatch.setattr(dispatch, "_make_fused_gen", recording_make_fused)
+    return seen
+
+
+def _engine_prints(assembly, profile, engines=("classic",) + ENGINES, **kwargs):
+    prints = {}
+    for engine in engines:
+        machine = Machine(LoadedAssembly(assembly), profile, dispatch=engine,
+                          **kwargs)
+        prints[engine] = machine_fingerprint(machine, machine.run())
+    return prints
+
+
+@pytest.mark.parametrize("profile", [CLR11, FLOAT_COSTS],
+                         ids=["memtax", "float_costs"])
+def test_tier_up_mid_run_float_costs(tiering, profile):
+    assembly = compile_source(HOT_FLOAT_LOOP, assembly_name="hot_float")
+    prints = _engine_prints(assembly, profile)
+    assert "." in prints["classic"]["cycles"]  # the sums really are float
+    assert tiering["tier_ups"] > 0 and tiering["fused"]
+    for engine in ENGINES:
+        assert prints[engine] == prints["classic"], engine
+
+
+def test_throw_from_interior_of_tiered_superinstruction(tiering, monkeypatch):
+    from repro.jit import mir
+
+    throw_sites = []
+    throw = Machine._throw
+
+    def recording_throw(machine, thread, exc_obj):
+        frame = thread.frames[-1]
+        throw_sites.append((frame.fn.full_name, frame.pc))
+        return throw(machine, thread, exc_obj)
+
+    monkeypatch.setattr(Machine, "_throw", recording_throw)
+    assembly = compile_source(HOT_FUSED_THROW, assembly_name="hot_throw")
+    expected = Interpreter(LoadedAssembly(assembly)).run()
+    # FLOAT_COSTS runs only the per-element path of each superinstruction
+    for profile in (NATIVE_C, CLR11, SSCLI10, FLOAT_COSTS):
+        prints, sites = {}, {}
+        for engine in ("classic",) + ENGINES:
+            del throw_sites[:]
+            machine = Machine(LoadedAssembly(assembly), profile, dispatch=engine)
+            prints[engine] = machine_fingerprint(machine, machine.run())
+            sites[engine] = list(throw_sites)
+        assert prints["classic"]["result"] == repr(expected), profile.name
+        assert len(sites["classic"]) == 1
+        for engine in ENGINES:
+            assert prints[engine] == prints["classic"], (profile.name, engine)
+            # the throw is attributed to the DIV itself, not the run start
+            assert sites[engine] == sites["classic"], (profile.name, engine)
+    # the DIV sits behind other elements of a run that tier-up fused
+    assert any(mir.DIV in ops[1:] for ops in tiering["fused"])
+
+
+def _spin(seed, n):
+    """HOT_SHARED's P.Spin in Python (the interpreter has no threads)."""
+    x = seed
+    for _ in range(n):
+        x = (x * 1103 + 12345) & 65535
+    if n > 40:
+        x = x + _spin(x & 7, n // 2)
+    return x
+
+
+def test_tier_up_with_recursive_and_concurrent_activations(tiering):
+    assembly = compile_source(HOT_SHARED, assembly_name="hot_shared")
+    expected = _spin(3, 2000) + _spin(1, 2000) + _spin(2, 2000)
+    for quantum in (1_500, 50_000):
+        prints = _engine_prints(assembly, CLR11, quantum=quantum)
+        assert prints["classic"]["result"] == repr(expected)
+        for engine in ENGINES:
+            assert prints[engine] == prints["classic"], (quantum, engine)
+    assert tiering["tier_ups"] > 0 and tiering["fused"]
+
+
+def test_tier_up_with_fault_injector_armed_never_fuses(tiering):
+    from repro.faults import MachineFaults
+
+    assembly = compile_source(HOT_FLOAT_LOOP, assembly_name="hot_faults")
+    prints = _engine_prints(assembly, CLR11,
+                            faults=MachineFaults(stack_limit=10_000))
+    for engine in ENGINES:
+        assert prints[engine] == prints["classic"], engine
+    assert tiering["tier_ups"] > 0
+    assert tiering["fused"] == []
+
+
+def test_tier_up_with_observer_attached(tiering):
+    from repro.observe import Observer
+
+    assembly = compile_source(HOT_FLOAT_LOOP, assembly_name="hot_observed")
+    plain = _engine_prints(assembly, CLR11, engines=("classic",))["classic"]
+    streams = {}
+    for engine in ("classic",) + ENGINES:
+        observer = Observer()
+        machine = Machine(LoadedAssembly(assembly), CLR11, dispatch=engine,
+                          observer=observer)
+        assert machine_fingerprint(machine, machine.run()) == plain, engine
+        streams[engine] = json.dumps(profile_to_dict(observer), sort_keys=True)
+    for engine in ENGINES:
+        assert streams[engine] == streams["classic"], engine
+    assert tiering["tier_ups"] > 0
+    assert tiering["fused"] == []  # per-instruction hooks: no fusion
+
+
+# -------------------------------------------------------- shape templates
+
+
+def _template_state():
+    from repro.vm.dispatch import ExecState
+
+    return ExecState(machine=None, thread=None, budget=10**9, burst=4096)
+
+
+def test_same_shape_shares_code_but_binds_its_own_operands():
+    from repro.jit import mir
+    from repro.vm.dispatch import _make_fused_gen, _make_single_gen
+
+    code = [
+        mir.MInstr(mir.ADD, dst=2, a=0, b=1, kind="i4", cost=3),
+        mir.MInstr(mir.ADD, dst=5, a=3, b=4, kind="i4", cost=7),
+        mir.MInstr(mir.JLT, a=5, b=2, target=0, cost=2),
+        mir.MInstr(mir.ADD, dst=0, a=3, b=1, kind="i4", cost=1),
+        mir.MInstr(mir.ADD, dst=6, a=0, b=5, kind="i4", cost=4),
+        mir.MInstr(mir.JLT, a=6, b=4, target=1, cost=5),
+    ]
+    first = _make_single_gen(code, 0, None)
+    second = _make_single_gen(code, 1, None)
+    assert first.__code__ is second.__code__
+    R = [2147483647, 1, None, 10, 20, None, None]
+    st = _template_state()
+    assert first(R, st) == 1 and R[2] == -2147483648 and st.spent == 3
+    assert second(R, st) == 2 and R[5] == 30 and st.spent == 10
+
+    run_a = _make_fused_gen(code, 0, 3, None)
+    run_b = _make_fused_gen(code, 3, 3, None)
+    assert run_a.__code__ is run_b.__code__
+    R = [1, 2, None, 3, 4, None, None]
+    st = _template_state()
+    # R2 = 3, R5 = 7; 7 < 3 is false: fall through to pc 3
+    assert run_a(R, st) == 3 and (R[2], R[5]) == (3, 7)
+    assert (st.spent, st.icount) == (12, 2)
+    # R0 = 5, R6 = 12; 12 < 4 is false: fall through to pc 6
+    assert run_b(R, st) == 6 and (R[0], R[6]) == (5, 12)
+    assert (st.spent, st.icount) == (22, 4)
+    R[4] = 100  # now 5 + 7 = 12 < 100: the branch goes to run_b's target
+    assert run_b(R, st) == 1
+
+
+# ------------------------------------------------------ released memory
+
+
+def test_translations_released_when_run_returns():
+    from repro.errors import ManagedException
+
+    throws = compile_source(
+        "class P { static int Main() { int z = 0; "
+        "for (int i = 0; i < 5000; i++) { z = z + i; } "
+        "throw new ArgumentException(\"done\"); } }",
+        assembly_name="release_throw",
+    )
+    for assembly, raises in ((compile_source(HOT_SHARED), False), (throws, True)):
+        machine = Machine(LoadedAssembly(assembly), CLR11)
+        assert machine.dispatch == "threaded"
+        if raises:
+            with pytest.raises(ManagedException):
+                machine.run()
+        else:
+            machine.run()
+        assert machine._threaded_code == {}
+
+
+def test_template_cache_holds_no_runtime_objects():
+    import gc
+    from types import CodeType
+
+    from repro.vm import dispatch
+    from repro.vm.threads import Frame
+
+    assembly = compile_source(HOT_FUSED_THROW, assembly_name="cache_refs")
+    Machine(LoadedAssembly(assembly), CLR11).run()
+    assert dispatch._TEMPLATES
+    forbidden = (Machine, LoadedAssembly, Frame)
+    seen = set()
+    pending = list(dispatch._TEMPLATES.values())
+    while pending:
+        obj = pending.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, forbidden), type(obj)
+        assert obj is None or isinstance(
+            obj, (CodeType, tuple, str, bytes, int, float)
+        ), type(obj)
+        pending.extend(gc.get_referents(obj))
+
+
+def test_threaded_is_the_default_engine(monkeypatch):
+    from repro.vm.dispatch import ENV_VAR, resolve_dispatch
+
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    assert resolve_dispatch() == "threaded"
+    monkeypatch.setenv(ENV_VAR, "classic")
+    assert resolve_dispatch() == "classic"

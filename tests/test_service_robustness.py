@@ -392,6 +392,39 @@ class TestGracefulDrain:
 
 
 class TestWriterLease:
+    def test_job_forked_during_lease_renewal_completes(self, tmp_path):
+        """A job forked while a renewal holds the store's write lock would
+        inherit SQLite's lock state, see a phantom writer and fail with
+        ``database is locked``; the fork now waits for the renewal to
+        commit."""
+        # a long ttl keeps the lease loop's own renewals out of the way
+        harness = DaemonHarness(tmp_path, lease_ttl=120.0)
+        inside, release = threading.Event(), threading.Event()
+        try:
+            lease = harness.service._lease
+            real_row = lease._row
+
+            def slow_row():
+                row = real_row()
+                inside.set()
+                release.wait(30)
+                return row
+
+            lease._row = slow_row  # the renewal stalls mid-transaction
+            renewal = threading.Thread(target=lease.renew)
+            renewal.start()
+            assert inside.wait(10), "renewal never opened its transaction"
+            job = harness.client.submit(_distinct("fork-during-renewal"))
+            time.sleep(0.5)  # the job's shepherd reaches its fork
+            release.set()
+            renewal.join(30)
+            assert harness.service._lease.held
+            view = harness.client.wait(job["id"])
+            assert view["status"] == "done", view["error"]
+        finally:
+            release.set()
+            harness.close()
+
     def test_acquire_renew_release_cycle(self, tmp_path):
         path = str(tmp_path / "lease.sqlite")
         a = WriterLease(path, holder="a", ttl=30.0)

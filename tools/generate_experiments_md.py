@@ -111,12 +111,15 @@ provably inert: cycle counts are bit-identical to a build without it.
 Every number below is collected with no plan armed.
 
 Methodology note on dispatch-engine invariance: the MIR executor has two
-interchangeable engines — the classic fetch/decode loop and a threaded-code
-engine (``dispatch=threaded``) that pre-binds each method body into an
-array of argument-specialized closures and fuses straight-line runs into
-superinstructions.  The engines differ only in *host* wall-clock (the
-threaded engine is the fast path; ``repro-bench dispatch-smoke`` gates a
->= 2x ratio on ``micro.arith`` in CI): every simulated observable —
+interchangeable engines — a threaded-code engine (``dispatch=threaded``,
+the default) and the classic fetch/decode loop, kept as the differential
+oracle (``--dispatch classic``).  The threaded engine translates by
+tier: a method gets pre-bound hand-written closures when it first runs,
+shape-templated generated closures once it has retired 50 times its length
+in instructions, and superinstructions for its straight-line runs at 1000
+times its length.  The engines differ only in *host*
+wall-clock (``repro-bench dispatch-smoke`` gates a >= 2x threaded/classic
+ratio on ``micro.arith`` in CI): every simulated observable —
 cycles including float cost-accumulation order, instruction counts,
 metrics snapshots, observe-profiles, and fault-fire sites — is asserted
 **bit-identical** between engines over every registered benchmark, all
@@ -128,7 +131,10 @@ classic budget/burst predicates in order
 (``tests/test_property_based.py``).  The dispatch engine is therefore not
 part of the experimental configuration; artifacts collected with
 ``--dispatch threaded`` only add a ``dispatch.speedup`` wall-clock
-telemetry block, leaving every simulated number byte-identical.
+telemetry block, leaving every simulated number byte-identical.  For the
+same reason the memo key below still hashes an unset engine as
+``classic``: records stored before threaded became the default stay
+addressable.
 
 Methodology note on memoized results: the experiment service
 (``repro-serve`` / ``repro-client``) and the store-backed CLI paths
