@@ -13,30 +13,12 @@ from . import mir
 from .passes.inline import _vreg_fields
 
 
-def _operand_vregs(ins: mir.MInstr):
-    out = []
-    for f in _vreg_fields(ins.op):
-        v = getattr(ins, f)
-        if isinstance(v, int) and v >= 0:
-            out.append(v)
-    if ins.dst >= 0:
-        out.append(ins.dst)
-    if ins.args:
-        out.extend(ins.args)
-    return out
-
-
 def finalize_costs(fn: mir.MIRFunction, profile) -> None:
     t = profile.costs
     config = profile.jit
     in_reg = fn.in_register
-
-    def mem_penalty(ins: mir.MInstr) -> int:
-        total = 0
-        for v in _operand_vregs(ins):
-            if v >= len(in_reg) or not in_reg[v]:
-                total += t.mem_operand
-        return total
+    n_reg = len(in_reg)
+    mem_operand = t.mem_operand
 
     for ins in fn.code:
         o = ins.op
@@ -108,4 +90,19 @@ def finalize_costs(fn: mir.MIRFunction, profile) -> None:
             base = 1
         if o == mir.DIV and config.cdq_emulation and k in ("i4", "i8"):
             base += 3 * t.mem_operand  # the emulated cdq load/shift sequence
-        ins.cost = base + mem_penalty(ins)
+        # memory penalty: one ``mem_operand`` per vreg operand (the
+        # vreg-holding fields among a/b/c, then dst, then args) not held in
+        # a register
+        penalty = 0
+        for f in _vreg_fields(o):
+            v = getattr(ins, f)
+            if isinstance(v, int) and v >= 0 and (v >= n_reg or not in_reg[v]):
+                penalty += mem_operand
+        v = ins.dst
+        if v >= 0 and (v >= n_reg or not in_reg[v]):
+            penalty += mem_operand
+        if ins.args:
+            for v in ins.args:
+                if v >= n_reg or not in_reg[v]:
+                    penalty += mem_operand
+        ins.cost = base + penalty

@@ -27,6 +27,7 @@ per-instruction cycle cost stamped by the cost-model pass.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional, Set, Tuple
 
 from .. import mir
@@ -50,27 +51,19 @@ def _loop_weights(fn: mir.MIRFunction) -> List[int]:
     return weights, spans
 
 
-def _live_ranges(fn: mir.MIRFunction, spans) -> Dict[int, Tuple[int, int]]:
-    """vreg -> (first def/use index, last use index), widened to enclosing
-    loop spans so a value used across a backedge stays live for the whole
-    loop."""
-    ranges: Dict[int, List[int]] = {}
-    for i, ins in enumerate(fn.code):
-        touched = list(_uses(ins))
-        if ins.dst >= 0:
-            touched.append(ins.dst)
-        for v in touched:
-            r = ranges.get(v)
-            if r is None:
-                ranges[v] = [i, i]
-            else:
-                r[1] = i
+def _live_ranges(ranges: Dict[int, List[int]], spans) -> Dict[int, Tuple[int, int]]:
+    """vreg -> its ``[first, last]`` touching indices in ``ranges``,
+    widened to enclosing loop spans so a value used across a backedge stays
+    live for the whole loop."""
+    boundaries = sorted({index for span in spans for index in span})
     out: Dict[int, Tuple[int, int]] = {}
     for v, (start, end) in ranges.items():
         # a value whose range crosses a loop boundary is live for the whole
         # loop (it flows around the backedge); one fully inside dies within
-        # a single iteration and keeps its short range
-        changed = True
+        # a single iteration and keeps its short range.  Only a range that
+        # holds some span's first or last index can cross that span.
+        first = bisect_left(boundaries, start)
+        changed = first < len(boundaries) and boundaries[first] <= end
         while changed:
             changed = False
             for s, e in spans:
@@ -85,38 +78,45 @@ def _live_ranges(fn: mir.MIRFunction, spans) -> Dict[int, Tuple[int, int]]:
 
 def enregister(fn: mir.MIRFunction, profile) -> None:
     config = profile.jit
-    fn.in_register = [False] * fn.n_vregs
-    weights_list, spans = _loop_weights(fn)
-
-    # constant-defined vregs become immediates when the emitter folds
-    defs: Dict[int, List[int]] = {}
-    for i, ins in enumerate(fn.code):
-        if ins.dst >= 0:
-            defs.setdefault(ins.dst, []).append(i)
-    immediates: Set[int] = set()
-    if config.constant_folding:
-        for v, dl in defs.items():
-            if all(
-                fn.code[k].op == mir.LDI and isinstance(fn.code[k].a, (int, float))
-                for k in dl
-            ):
-                immediates.add(v)
-                if v < len(fn.in_register):
-                    fn.in_register[v] = True
-
     if config.enreg_mode == "none" or config.reg_budget <= 0:
         # Rotor: not even immediates — constants go through the frame
         fn.in_register = [False] * fn.n_vregs
         fn.stats["enregistered"] = 0
         return
 
+    weights_list, spans = _loop_weights(fn)
+    # one walk: each vreg's loop-weighted access count, the first and last
+    # index that touches it (reads, then the write), and whether every
+    # definition is a numeric constant load
     usage: Dict[int, int] = {}
+    touched: Dict[int, List[int]] = {}
+    constant_defs: Set[int] = set()
+    other_defs: Set[int] = set()
     for i, ins in enumerate(fn.code):
         w = weights_list[i]
-        for v in _uses(ins):
-            usage[v] = usage.get(v, 0) + w
+        operands = _uses(ins)
         if ins.dst >= 0:
-            usage[ins.dst] = usage.get(ins.dst, 0) + w
+            operands.append(ins.dst)
+            if ins.op == mir.LDI and isinstance(ins.a, (int, float)):
+                constant_defs.add(ins.dst)
+            else:
+                other_defs.add(ins.dst)
+        for v in operands:
+            usage[v] = usage.get(v, 0) + w
+            r = touched.get(v)
+            if r is None:
+                touched[v] = [i, i]
+            else:
+                r[1] = i
+
+    # constant-defined vregs become immediates when the emitter folds
+    fn.in_register = [False] * fn.n_vregs
+    immediates: Set[int] = set()
+    if config.constant_folding:
+        immediates = constant_defs - other_defs
+        for v in immediates:
+            if v < fn.n_vregs:
+                fn.in_register[v] = True
 
     n_args = fn.n_args
     method = fn.method
@@ -135,7 +135,7 @@ def enregister(fn: mir.MIRFunction, profile) -> None:
             return False
         return True
 
-    ranges = _live_ranges(fn, spans)
+    ranges = _live_ranges(touched, spans)
     intervals = sorted(
         (
             (ranges[v][0], ranges[v][1], usage.get(v, 0), v)

@@ -9,10 +9,16 @@ without these passes execute the raw stack-shuffle MIR — the paper's
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from typing import Dict, List, Optional, Set
 
 from ...vm.values import i32, i64, r4 as round_r4
 from .. import mir
+
+
+#: ops after which a new basic block starts
+_BLOCK_ENDS = mir.TERMINATORS | mir.COND_JUMPS
 
 
 def block_starts(fn: mir.MIRFunction) -> Set[int]:
@@ -22,10 +28,10 @@ def block_starts(fn: mir.MIRFunction) -> Set[int]:
     for i, ins in enumerate(fn.code):
         if ins.target >= 0:
             starts.add(ins.target)
-        if ins.op == mir.SWITCH:
-            starts.update(ins.extra)
-        if ins.op in mir.TERMINATORS or ins.op in mir.COND_JUMPS:
+        if ins.op in _BLOCK_ENDS:
             starts.add(i + 1)
+        elif ins.op == mir.SWITCH:
+            starts.update(ins.extra)
     for region in fn.regions:
         starts.add(region.handler_start)
         starts.add(region.try_start)
@@ -47,46 +53,56 @@ _WRAP = {"i4": i32, "i8": i64, "r4": round_r4, "r8": float, "ref": lambda v: v}
 def _global_constants(fn: mir.MIRFunction) -> Dict[int, object]:
     """vreg -> constant for vregs that are provably constant everywhere:
     a single definition by LDI (or a MOV chain from one), not skippable by a
-    forward branch, with every use after the definition in code order."""
+    forward branch, with every use after the definition in code order.
+
+    One walk counts definitions and first uses; a second decides each
+    definition in code order.  That second walk reaches the MOV-chain
+    fixpoint: a MOV's source can only be constant if all its uses, the
+    MOV included, follow its definition, so the source is decided first.
+    """
     code = fn.code
-    defs: Dict[int, List[int]] = {}
+    n_defs: Dict[int, int] = {}
     first_use: Dict[int, int] = {}
     for i, ins in enumerate(code):
-        for v in _uses(ins):
-            if v not in first_use:
-                first_use[v] = i
+        # the reads of :func:`_uses`, inlined so that no list is built
+        o = ins.op
+        if o == mir.RET:
+            a = ins.a
+            if isinstance(a, int) and a >= 0:
+                first_use.setdefault(a, i)
+        elif o != mir.LDI:
+            for f in (ins.a, ins.b, ins.c):
+                if isinstance(f, int) and f >= 0:
+                    first_use.setdefault(f, i)
+        if ins.args:
+            for v in ins.args:
+                first_use.setdefault(v, i)
         if ins.dst >= 0:
-            defs.setdefault(ins.dst, []).append(i)
-    # positions spanned by a forward branch (conditionally skipped code)
-    spanned = [False] * len(code)
-    for j, ins in enumerate(code):
-        targets = []
-        if ins.target > j:
-            targets.append(ins.target)
-        if ins.op == mir.SWITCH:
-            targets.extend(t for t in ins.extra if t > j)
-        for t in targets:
-            for k in range(j + 1, min(t, len(code))):
-                spanned[k] = True
+            n_defs[ins.dst] = n_defs.get(ins.dst, 0) + 1
+    n = len(code)
     out: Dict[int, object] = {}
-    changed = True
-    while changed:
-        changed = False
-        for v, dl in defs.items():
-            if v in out or len(dl) != 1:
-                continue
-            k = dl[0]
-            if spanned[k]:
-                continue
-            if first_use.get(v, k + 1) <= k:
-                continue
-            ins = code[k]
-            if ins.op == mir.LDI and isinstance(ins.a, (int, float)) and ins.kind != "r4":
+    # code below ``reach`` is spanned by an earlier forward branch, so it
+    # may be skipped
+    reach = 0
+    for k, ins in enumerate(code):
+        v = ins.dst
+        if (
+            v >= 0
+            and k >= reach
+            and n_defs[v] == 1
+            and first_use.get(v, n) > k
+            and ins.kind != "r4"
+        ):
+            if ins.op == mir.LDI and isinstance(ins.a, (int, float)):
                 out[v] = ins.a
-                changed = True
-            elif ins.op == mir.MOV and isinstance(ins.a, int) and ins.a in out and ins.kind != "r4":
+            elif ins.op == mir.MOV and isinstance(ins.a, int) and ins.a in out:
                 out[v] = out[ins.a]
-                changed = True
+        if ins.target > k:
+            reach = max(reach, min(ins.target, n))
+        if ins.op == mir.SWITCH:
+            for t in ins.extra:
+                if t > k:
+                    reach = max(reach, min(t, n))
     return out
 
 
@@ -147,16 +163,14 @@ def constant_fold(fn: mir.MIRFunction, profile=None) -> None:
 
 def _uses(ins: mir.MInstr) -> List[int]:
     """vregs read by an instruction."""
-    out: List[int] = []
     o = ins.op
     if o == mir.LDI:
-        pass
+        out = []
+    elif o == mir.RET:
+        a = ins.a
+        out = [a] if isinstance(a, int) and a >= 0 else []
     else:
-        for f in (ins.a, ins.b, ins.c):
-            if isinstance(f, int) and f >= 0 and o != mir.RET:
-                out.append(f)
-        if o == mir.RET and isinstance(ins.a, int) and ins.a >= 0:
-            out.append(ins.a)
+        out = [f for f in (ins.a, ins.b, ins.c) if isinstance(f, int) and f >= 0]
     if ins.args:
         out.extend(ins.args)
     return out
@@ -184,12 +198,15 @@ def copy_propagate(fn: mir.MIRFunction, profile=None) -> None:
     for i, ins in enumerate(fn.code):
         if i in starts:
             copies.clear()
-        _replace_uses(ins, copies)
+        if copies:
+            _replace_uses(ins, copies)
         if ins.dst >= 0:
             # a write kills copies involving dst (either side)
-            copies.pop(ins.dst, None)
-            for k in [k for k, v in copies.items() if v == ins.dst]:
-                copies.pop(k)
+            if copies:
+                copies.pop(ins.dst, None)
+                if ins.dst in copies.values():
+                    for k in [k for k, v in copies.items() if v == ins.dst]:
+                        copies.pop(k)
             # r4 moves are value-changing (rounding); don't propagate through
             if ins.op == mir.MOV and isinstance(ins.a, int) and ins.kind != "r4":
                 copies[ins.dst] = ins.a
@@ -206,42 +223,50 @@ _PURE = frozenset(
 def dead_code_eliminate(fn: mir.MIRFunction, profile=None) -> None:
     """Remove pure instructions whose destination is never read.
 
-    Division stays (it can raise); memory/array/field/call ops stay.
-    Iterates to a fixpoint since removing one instruction can kill another.
+    Memory/array/field/call ops stay, and so do writes to arguments.
+    Division counts as pure, so a dead division is removed even though it
+    can raise (a known defect; fixing it moves compiled code).  Removing
+    one instruction can kill
+    another, so removal runs off read counts: a vreg whose count reaches
+    zero queues its definitions, and each removed definition releases its
+    own reads.  An instruction that reads its own destination keeps it
+    alive.  Indices are remapped once, after the last removal.
     """
-    changed = True
-    while changed:
-        changed = False
-        live: Set[int] = set()
-        for ins in fn.code:
-            live.update(_uses(ins))
-        new_code: List[mir.MInstr] = []
-        # removal shifts indices: build an index remap
-        remap: Dict[int, int] = {}
-        removed_any = False
-        for i, ins in enumerate(fn.code):
-            remap[i] = len(new_code)
-            if (
-                ins.op in _PURE
-                and ins.dst >= 0
-                and ins.dst not in live
-                and ins.dst >= fn.n_args  # never drop writes to args/locals? temps only
-            ):
-                removed_any = True
-                changed = True
-                continue
+    code = fn.code
+    n_args = fn.n_args
+    uses = list(map(_uses, code))
+    reads = Counter(chain.from_iterable(uses))
+    #: vreg -> indices of its removable definitions
+    defs: Dict[int, List[int]] = {}
+    for i, ins in enumerate(code):
+        if ins.op in _PURE and ins.dst >= 0 and ins.dst >= n_args:
+            defs.setdefault(ins.dst, []).append(i)
+    work = [v for v in defs if v not in reads]
+    if not work:
+        return
+    removed = [False] * len(code)
+    while work:
+        for i in defs[work.pop()]:
+            removed[i] = True
+            for v in uses[i]:
+                reads[v] -= 1
+                if not reads[v] and v in defs:
+                    work.append(v)
+    new_code: List[mir.MInstr] = []
+    remap: Dict[int, int] = {}
+    for i, ins in enumerate(code):
+        remap[i] = len(new_code)
+        if not removed[i]:
             new_code.append(ins)
-        if not removed_any:
-            break
-        remap[len(fn.code)] = len(new_code)
-        for ins in new_code:
-            if ins.target >= 0:
-                ins.target = remap[ins.target]
-            if ins.op == mir.SWITCH:
-                ins.extra = [remap[t] for t in ins.extra]
-        for region in fn.regions:
-            region.try_start = remap[region.try_start]
-            region.try_end = remap.get(region.try_end, len(new_code))
-            region.handler_start = remap[region.handler_start]
-            region.handler_end = remap.get(region.handler_end, len(new_code))
-        fn.code = new_code
+    remap[len(code)] = len(new_code)
+    for ins in new_code:
+        if ins.target >= 0:
+            ins.target = remap[ins.target]
+        if ins.op == mir.SWITCH:
+            ins.extra = [remap[t] for t in ins.extra]
+    for region in fn.regions:
+        region.try_start = remap[region.try_start]
+        region.try_end = remap.get(region.try_end, len(new_code))
+        region.handler_start = remap[region.handler_start]
+        region.handler_end = remap.get(region.handler_end, len(new_code))
+    fn.code = new_code

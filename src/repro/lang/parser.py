@@ -5,7 +5,8 @@ section 3.2): classes/structs with fields, constructors, static/instance/
 virtual methods; the full statement set including try/catch/finally and
 ``lock``; and the complete C# expression precedence ladder from assignment
 down to primary, including casts, ``new`` array/object creation and
-pre/post increment.
+pre/post increment.  The binary operators share one precedence table and
+one precedence-climbing loop.
 """
 
 from __future__ import annotations
@@ -36,6 +37,22 @@ TYPE_KEYWORDS = frozenset(
 
 _ASSIGN_OPS = frozenset(["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="])
 
+#: binary operator -> precedence, loosest first; ``||`` and ``&&`` build
+#: short-circuit :class:`~repro.lang.ast_nodes.Logical` nodes
+_BINARY_PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "|": 3,
+    "^": 4,
+    "&": 5,
+    "==": 6, "!=": 6,
+    "<": 7, ">": 7, "<=": 7, ">=": 7,
+    "<<": 8, ">>": 8,
+    "+": 9, "-": 9,
+    "*": 10, "/": 10, "%": 10,
+}
+_LOGICAL_AND = _BINARY_PRECEDENCE["&&"]
+
 
 class Parser:
     def __init__(self, source: str, filename: str = "<source>") -> None:
@@ -46,8 +63,9 @@ class Parser:
     # -- token plumbing ------------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+        tokens = self.tokens
+        i = self.pos + offset
+        return tokens[i] if i < len(tokens) else tokens[-1]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -60,12 +78,12 @@ class Parser:
         return ParseError(message, tok.line, tok.column)
 
     def at_punct(self, text: str, offset: int = 0) -> bool:
-        tok = self.peek(offset)
-        return tok.kind == PUNCT and tok.value == text
+        tok = self.peek(offset) if offset else self.tokens[self.pos]
+        return tok.value == text and tok.kind == PUNCT
 
     def at_keyword(self, word: str, offset: int = 0) -> bool:
-        tok = self.peek(offset)
-        return tok.kind == KEYWORD and tok.value == word
+        tok = self.peek(offset) if offset else self.tokens[self.pos]
+        return tok.value == word and tok.kind == KEYWORD
 
     def eat_punct(self, text: str) -> Token:
         if not self.at_punct(text):
@@ -477,7 +495,7 @@ class Parser:
         return left
 
     def parse_conditional(self) -> ast.Expr:
-        cond = self.parse_logical_or()
+        cond = self.parse_binary()
         if self.at_punct("?"):
             tok = self.next()
             then = self.parse_expression()
@@ -486,53 +504,21 @@ class Parser:
             return ast.Conditional(line=tok.line, cond=cond, then=then, other=other)
         return cond
 
-    def parse_logical_or(self) -> ast.Expr:
-        left = self.parse_logical_and()
-        while self.at_punct("||"):
-            tok = self.next()
-            right = self.parse_logical_and()
-            left = ast.Logical(line=tok.line, op="||", left=left, right=right)
-        return left
-
-    def parse_logical_and(self) -> ast.Expr:
-        left = self.parse_bit_or()
-        while self.at_punct("&&"):
-            tok = self.next()
-            right = self.parse_bit_or()
-            left = ast.Logical(line=tok.line, op="&&", left=left, right=right)
-        return left
-
-    def _binary_level(self, ops, sub):
-        left = sub()
-        while self.peek().kind == PUNCT and self.peek().value in ops:
-            tok = self.next()
-            right = sub()
-            left = ast.Binary(line=tok.line, op=str(tok.value), left=left, right=right)
-        return left
-
-    def parse_bit_or(self) -> ast.Expr:
-        return self._binary_level(("|",), self.parse_bit_xor)
-
-    def parse_bit_xor(self) -> ast.Expr:
-        return self._binary_level(("^",), self.parse_bit_and)
-
-    def parse_bit_and(self) -> ast.Expr:
-        return self._binary_level(("&",), self.parse_equality)
-
-    def parse_equality(self) -> ast.Expr:
-        return self._binary_level(("==", "!="), self.parse_relational)
-
-    def parse_relational(self) -> ast.Expr:
-        return self._binary_level(("<", ">", "<=", ">="), self.parse_shift)
-
-    def parse_shift(self) -> ast.Expr:
-        return self._binary_level(("<<", ">>"), self.parse_additive)
-
-    def parse_additive(self) -> ast.Expr:
-        return self._binary_level(("+", "-"), self.parse_multiplicative)
-
-    def parse_multiplicative(self) -> ast.Expr:
-        return self._binary_level(("*", "/", "%"), self.parse_unary)
+    def parse_binary(self, min_precedence: int = 1) -> ast.Expr:
+        """Precedence climbing over :data:`_BINARY_PRECEDENCE`: every
+        binary operator is left-associative, so the right operand only
+        takes operators that bind tighter than the one just read."""
+        left = self.parse_unary()
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            precedence = _BINARY_PRECEDENCE.get(tok.value) if tok.kind == PUNCT else None
+            if precedence is None or precedence < min_precedence:
+                return left
+            self.pos += 1
+            right = self.parse_binary(precedence + 1)
+            node = ast.Logical if precedence <= _LOGICAL_AND else ast.Binary
+            left = node(line=tok.line, op=tok.value, left=left, right=right)
 
     def _looks_like_cast(self) -> bool:
         """``(type) unary-expr`` — types are keywords or ``Ident[ranks]``
@@ -589,8 +575,11 @@ class Parser:
     def parse_postfix(self) -> ast.Expr:
         expr = self.parse_primary()
         while True:
-            tok = self.peek()
-            if self.at_punct("."):
+            tok = self.tokens[self.pos]
+            if tok.kind != PUNCT:
+                return expr
+            value = tok.value
+            if value == ".":
                 self.next()
                 name = self.eat_ident()
                 if self.at_punct("("):
@@ -605,19 +594,19 @@ class Parser:
                     expr = call
                 else:
                     expr = ast.Member(line=tok.line, target=expr, name=name)
-            elif self.at_punct("["):
+            elif value == "[":
                 self.next()
                 indices = [self.parse_expression()]
                 while self.accept_punct(","):
                     indices.append(self.parse_expression())
                 self.eat_punct("]")
                 expr = ast.Index(line=tok.line, target=expr, indices=indices)
-            elif self.at_punct("("):
+            elif value == "(":
                 args = self.parse_args()
                 expr = ast.Call(line=tok.line, callee=expr, args=args)
-            elif self.at_punct("++") or self.at_punct("--"):
+            elif value == "++" or value == "--":
                 self.next()
-                expr = ast.IncDec(line=tok.line, target=expr, op=str(tok.value), prefix=False)
+                expr = ast.IncDec(line=tok.line, target=expr, op=value, prefix=False)
             else:
                 return expr
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # token kinds
 EOF = "eof"
@@ -35,8 +35,10 @@ PUNCTUATION = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token; a named tuple, so building one costs a single
+    ``tuple.__new__`` on the lexer's hot path."""
+
     kind: str
     value: object
     line: int

@@ -1,5 +1,7 @@
 """Unit tests for the JIT pass pipeline on hand-built and compiled MIR."""
 
+import copy
+
 import pytest
 
 from repro.cil import assemble
@@ -135,6 +137,228 @@ class TestSimplifyPasses:
         expected = Interpreter(LoadedAssembly(assembly)).run()
         for profile in (CLR11, MONO023, SSCLI10, NATIVE_C):
             assert Machine(LoadedAssembly(assembly), profile).run() == expected
+
+
+def _reads(ins):
+    """vregs an instruction reads, spelled out independently of the pass."""
+    if ins.op == mir.LDI:
+        fields = []
+    elif ins.op == mir.RET:
+        fields = [ins.a]
+    else:
+        fields = [ins.a, ins.b, ins.c]
+    return [v for v in fields if isinstance(v, int) and v >= 0] + list(ins.args or [])
+
+
+_REFERENCE_PURE = (
+    {mir.MOV, mir.LDI} | mir.ARITH | mir.COMPARES
+    | {mir.NEG, mir.NOT, mir.CONV, mir.STRUCT_COPY, mir.LDLEN}
+)
+
+
+def reference_dce(fn):
+    """Dead-code elimination as a plain fixpoint: rescan the function,
+    drop every pure non-argument write nobody reads, remap indices, and
+    repeat until a round removes nothing."""
+    while True:
+        live = {v for ins in fn.code for v in _reads(ins)}
+        keep = [
+            not (ins.op in _REFERENCE_PURE and ins.dst >= fn.n_args and ins.dst not in live)
+            for ins in fn.code
+        ]
+        if all(keep):
+            return
+        remap, kept = {}, []
+        for i, ins in enumerate(fn.code):
+            remap[i] = len(kept)
+            if keep[i]:
+                kept.append(ins)
+        remap[len(fn.code)] = len(kept)
+        for ins in kept:
+            if ins.target >= 0:
+                ins.target = remap[ins.target]
+            if ins.op == mir.SWITCH:
+                ins.extra = [remap[t] for t in ins.extra]
+        for region in fn.regions:
+            region.try_start = remap[region.try_start]
+            region.try_end = remap.get(region.try_end, len(kept))
+            region.handler_start = remap[region.handler_start]
+            region.handler_end = remap.get(region.handler_end, len(kept))
+        fn.code = kept
+
+
+def _snapshot(fn):
+    return (
+        [(i.op, i.dst, i.a, i.b, i.c, i.args, i.target, i.extra) for i in fn.code],
+        [(r.try_start, r.try_end, r.handler_start, r.handler_end) for r in fn.regions],
+    )
+
+
+def _dce_matches_reference(fn):
+    expected = copy.deepcopy(fn)
+    reference_dce(expected)
+    dead_code_eliminate(fn)
+    assert _snapshot(fn) == _snapshot(expected)
+    return fn
+
+
+def _function(code, n_args=1, regions=()):
+    fn = mir.MIRFunction(full_name="T::F", n_args=n_args, code=code, regions=list(regions))
+    fn.n_vregs = 1 + max([n_args] + [i.dst for i in code] + [v for i in code for v in _reads(i)])
+    return fn
+
+
+class TestDeadCodeElimination:
+    def test_dead_mov_chain_removed(self):
+        fn = _dce_matches_reference(_function([
+            mir.MInstr(mir.LDI, dst=3, a=7),
+            mir.MInstr(mir.MOV, dst=4, a=3),
+            mir.MInstr(mir.MOV, dst=5, a=4),
+            mir.MInstr(mir.ADD, dst=6, a=5, b=0),
+            mir.MInstr(mir.MOV, dst=7, a=6),
+            mir.MInstr(mir.RET, a=0),
+        ]))
+        assert [i.op for i in fn.code] == [mir.RET]
+
+    def test_partly_live_chain_keeps_its_live_prefix(self):
+        fn = _dce_matches_reference(_function([
+            mir.MInstr(mir.LDI, dst=3, a=7),
+            mir.MInstr(mir.MOV, dst=4, a=3),
+            mir.MInstr(mir.MOV, dst=5, a=4),
+            mir.MInstr(mir.STSFLD, c=4, extra=("C", 0)),
+            mir.MInstr(mir.RET, a=-1),
+        ]))
+        assert [(i.op, i.dst) for i in fn.code] == [
+            (mir.LDI, 3), (mir.MOV, 4), (mir.STSFLD, -1), (mir.RET, -1),
+        ]
+
+    def test_self_referencing_instruction_kept(self):
+        code = [
+            mir.MInstr(mir.LDI, dst=1, a=1),
+            mir.MInstr(mir.LDI, dst=5, a=0),
+            mir.MInstr(mir.ADD, dst=5, a=5, b=1),
+            mir.MInstr(mir.RET, a=0),
+        ]
+        fn = _dce_matches_reference(_function(list(code)))
+        assert fn.code == code
+
+    def test_writes_to_arguments_kept(self):
+        fn = _dce_matches_reference(_function([
+            mir.MInstr(mir.LDI, dst=1, a=4),
+            mir.MInstr(mir.LDI, dst=2, a=4),
+            mir.MInstr(mir.RET, a=-1),
+        ], n_args=2))
+        assert [(i.op, i.dst) for i in fn.code] == [(mir.LDI, 1), (mir.RET, -1)]
+
+    def test_side_effects_kept(self):
+        fn = _dce_matches_reference(_function([
+            mir.MInstr(mir.LDI, dst=2, a=3),
+            mir.MInstr(mir.CALL, dst=4, extra=(None, False), args=[2]),
+            mir.MInstr(mir.LDFLD, dst=5, a=0, extra=("C", "f")),
+            mir.MInstr(mir.LDELEM, dst=6, a=0, b=2),
+            mir.MInstr(mir.RET, a=-1),
+        ]))
+        assert [i.op for i in fn.code] == [mir.LDI, mir.CALL, mir.LDFLD, mir.LDELEM, mir.RET]
+
+    @pytest.mark.xfail(strict=True, reason="known defect: DIV is in the pure set, so a dead "
+                       "division that would raise is removed (fixing it moves compiled code)")
+    def test_dead_division_kept(self):
+        src = """class P {
+            static int Div(int a, int b) { int x = a / b; return 3; }
+            static int Main() { return Div(1, 0); } }"""
+        assembly = compile_source(src)
+        with pytest.raises(Exception, match="DivideByZeroException"):
+            Machine(LoadedAssembly(assembly), CLR11).run()
+
+    def test_targets_switch_and_regions_remapped(self):
+        dead = lambda v: mir.MInstr(mir.LDI, dst=v, a=0)  # noqa: E731
+        code = [
+            dead(10),                                       # 0 removed
+            mir.MInstr(mir.LDI, dst=2, a=1),                # 1 -> 0
+            dead(11),                                       # 2 removed
+            mir.MInstr(mir.SWITCH, a=2, extra=[2, 5, 9]),   # 3 -> 1
+            mir.MInstr(mir.MOV, dst=12, a=2),               # 4 removed
+            mir.MInstr(mir.JEQ, a=2, b=0, target=0),        # 5 -> 2
+            dead(13),                                       # 6 removed (try start)
+            mir.MInstr(mir.STSFLD, c=2, extra=("C", 0)),    # 7 -> 3
+            mir.MInstr(mir.LEAVE, target=12),               # 8 -> 4
+            dead(14),                                       # 9 removed (handler)
+            mir.MInstr(mir.MOV, dst=15, a=2),               # 10 removed
+            mir.MInstr(mir.ENDFINALLY),                     # 11 -> 5
+            mir.MInstr(mir.RET, a=2),                       # 12 -> 6
+        ]
+        region = mir.MIRRegion("finally", try_start=6, try_end=9,
+                               handler_start=9, handler_end=13)
+        late = mir.MIRRegion("finally", try_start=12, try_end=20,
+                             handler_start=13, handler_end=20)
+        fn = _dce_matches_reference(_function(code, regions=[region, late]))
+        assert len(fn.code) == 7
+        assert fn.code[1].extra == [1, 2, 5]
+        assert fn.code[2].target == 0
+        assert fn.code[4].target == 6
+        assert (region.try_start, region.try_end, region.handler_start, region.handler_end) == (3, 5, 5, 7)
+        assert (late.try_start, late.try_end, late.handler_start, late.handler_end) == (6, 7, 7, 7)
+
+    def test_nothing_dead_leaves_function_untouched(self):
+        code = [mir.MInstr(mir.LDI, dst=2, a=1), mir.MInstr(mir.RET, a=2)]
+        fn = _function(list(code))
+        dead_code_eliminate(fn)
+        assert fn.code == code
+
+    @pytest.mark.parametrize("profile", [CLR11, MONO023], ids=lambda p: p.name)
+    def test_matches_reference_on_compiled_benchmarks(self, profile):
+        from repro.benchmarks.registry import get
+
+        for name in ("micro.arith", "scimark.lu", "grande.crypt", "micro.exception"):
+            assembly = compile_source(get(name).build_source())
+            for method in assembly.all_methods():
+                if not method.body:
+                    continue
+                fn = lower(method)
+                constant_fold(fn, profile)
+                copy_propagate(fn, profile)
+                _dce_matches_reference(fn)
+
+
+class TestGlobalConstants:
+    def consts(self, code, n_args=1):
+        from repro.jit.passes.simplify import _global_constants
+
+        return _global_constants(_function(code, n_args=n_args))
+
+    def test_mov_chain_resolved_in_code_order(self):
+        assert self.consts([
+            mir.MInstr(mir.LDI, dst=2, a=7),
+            mir.MInstr(mir.MOV, dst=3, a=2),
+            mir.MInstr(mir.MOV, dst=4, a=3),
+            mir.MInstr(mir.ADD, dst=5, a=4, b=3),
+            mir.MInstr(mir.RET, a=5),
+        ]) == {2: 7, 3: 7, 4: 7}
+
+    def test_redefined_used_early_and_r4_excluded(self):
+        assert self.consts([
+            mir.MInstr(mir.LDI, dst=2, a=1),
+            mir.MInstr(mir.LDI, dst=2, a=2),           # second def
+            mir.MInstr(mir.ADD, dst=3, a=4, b=0),      # reads v4 first
+            mir.MInstr(mir.LDI, dst=4, a=3),
+            mir.MInstr(mir.LDI, dst=5, a=1.5, kind="r4"),
+            mir.MInstr(mir.MOV, dst=6, a=2),           # source not constant
+            mir.MInstr(mir.LDI, dst=7, a=9),
+            mir.MInstr(mir.RET, a=3),
+        ]) == {7: 9}
+
+    def test_forward_branch_spans_exclude_skippable_defs(self):
+        assert self.consts([
+            mir.MInstr(mir.JTRUE, a=0, target=3),
+            mir.MInstr(mir.LDI, dst=2, a=1),           # skippable
+            mir.MInstr(mir.LDI, dst=3, a=2),           # skippable
+            mir.MInstr(mir.LDI, dst=4, a=3),           # the target: always runs
+            mir.MInstr(mir.SWITCH, a=0, extra=[4, 6]),
+            mir.MInstr(mir.LDI, dst=5, a=4),           # skippable by the switch
+            mir.MInstr(mir.LDI, dst=6, a=5),
+            mir.MInstr(mir.JMP, target=1),             # backward: spans nothing
+            mir.MInstr(mir.RET, a=-1),
+        ]) == {4: 3, 6: 5}
 
 
 class TestBoundsCheckPass:

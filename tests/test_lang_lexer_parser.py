@@ -6,6 +6,7 @@ from repro.errors import LexError, ParseError
 from repro.lang import parse, tokenize
 from repro.lang import ast_nodes as ast
 from repro.lang.tokens import (
+    CHAR_LIT,
     DOUBLE_LIT,
     EOF,
     FLOAT_LIT,
@@ -88,6 +89,117 @@ class TestLexer:
     def test_hex_without_digits(self):
         with pytest.raises(LexError, match="malformed hex"):
             tokenize("0x")
+
+    # -- literals at end of input (regressions: "" is in every string) ----
+
+    def test_zero_at_end_of_input(self):
+        toks = tokenize("x = 0")
+        assert [(t.kind, t.value) for t in toks[2:]] == [(INT_LIT, 0), (EOF, None)]
+
+    @pytest.mark.parametrize("source, kind", [
+        ("x = 0x10", INT_LIT), ("x = 0x10;", INT_LIT), ("x = 0x10L", LONG_LIT),
+    ])
+    def test_hex_at_end_of_input(self, source, kind):
+        literal = tokenize(source)[2]
+        assert (literal.kind, literal.value) == (kind, 16)
+
+    def test_decimal_at_end_of_input(self):
+        assert [t.kind for t in tokenize("1.5")] == [DOUBLE_LIT, EOF]
+        assert [t.kind for t in tokenize("7")] == [INT_LIT, EOF]
+
+    # -- positions ---------------------------------------------------------
+
+    def test_position_after_multiline_block_comment(self):
+        toks = tokenize("a /* one\n two\n  three */ b\n c")
+        assert [(t.value, t.line, t.column) for t in toks] == [
+            ("a", 1, 1), ("b", 3, 12), ("c", 4, 2), (None, 4, 3),
+        ]
+
+    def test_position_after_line_comment_at_end_of_input(self):
+        toks = tokenize("a\n  b // trailing")
+        assert [(t.kind, t.line, t.column) for t in toks] == [
+            (IDENT, 1, 1), (IDENT, 2, 3), (EOF, 2, 16),
+        ]
+
+    def test_position_after_raw_newline_char_literal(self):
+        toks = tokenize("'\n' x")
+        assert (toks[0].kind, toks[0].value) == (CHAR_LIT, 10)
+        assert (toks[1].line, toks[1].column) == (2, 3)
+
+    # -- number literals -----------------------------------------------------
+
+    @pytest.mark.parametrize("text, kind, value", [
+        (".5", DOUBLE_LIT, 0.5),
+        ("1e5", DOUBLE_LIT, 1e5),
+        ("1e+5", DOUBLE_LIT, 1e5),
+        ("2.5e-3", DOUBLE_LIT, 2.5e-3),
+        ("1.5f", FLOAT_LIT, 1.5),
+        ("2d", DOUBLE_LIT, 2.0),
+        ("10L", LONG_LIT, 10),
+        ("0xFFL", LONG_LIT, 255),
+        ("0XaB", INT_LIT, 171),
+        ("007", INT_LIT, 7),
+    ])
+    def test_number_literal(self, text, kind, value):
+        toks = tokenize(text)
+        assert [(t.kind, t.value) for t in toks] == [(kind, value), (EOF, None)]
+        assert type(toks[0].value) is type(value)
+
+    def test_l_suffix_on_floating_literal(self):
+        with pytest.raises(LexError, match=r"^1:4: L suffix on floating literal$"):
+            tokenize("1.0L")
+        with pytest.raises(LexError, match=r"^1:4: L suffix on floating literal$"):
+            tokenize("1e5L")
+
+    def test_exponent_needs_digits(self):
+        toks = tokenize("1e x")
+        assert [(t.kind, t.value) for t in toks[:-1]] == [(INT_LIT, 1), (IDENT, "e"), (IDENT, "x")]
+
+    def test_member_access_versus_fraction(self):
+        toks = tokenize("x.Length 1.5 a.5")
+        assert [(t.kind, t.value) for t in toks[:-1]] == [
+            (IDENT, "x"), (PUNCT, "."), (IDENT, "Length"),
+            (DOUBLE_LIT, 1.5),
+            (IDENT, "a"), (DOUBLE_LIT, 0.5),
+        ]
+
+    def test_integer_then_member(self):
+        toks = tokenize("1.ToString")
+        assert [(t.kind, t.value) for t in toks[:-1]] == [
+            (INT_LIT, 1), (PUNCT, "."), (IDENT, "ToString"),
+        ]
+
+    @pytest.mark.parametrize("op", ["<<=", ">>="])
+    def test_maximal_munch_shift_assign(self, op):
+        toks = tokenize(f"a{op}b")
+        assert [(t.kind, t.value, t.column) for t in toks[:-1]] == [
+            (IDENT, "a", 1), (PUNCT, op, 2), (IDENT, "b", 5),
+        ]
+
+    # -- errors carry line:column --------------------------------------------
+
+    @pytest.mark.parametrize("source, message", [
+        ("a\n  /* never\n ends", "3:6: unterminated block comment"),
+        ("/*/", "1:4: unterminated block comment"),
+        ('x = "abc', "1:9: unterminated string literal"),
+        ('x\n "ab\ncd"', "2:5: unterminated string literal"),
+        ('"a\\q"', "1:4: unknown escape \\q"),
+        ("''", "1:2: empty char literal"),
+        ("'ab'", "1:3: unterminated char literal"),
+        ("x\n  'a", "2:5: unterminated char literal"),
+        ("'\\n", "1:4: unterminated char literal"),
+        ("'\\z'", "1:3: unknown escape \\z"),
+        ("a @ b", "1:3: unexpected character '@'"),
+        ("0x;", "1:3: malformed hex literal"),
+    ])
+    def test_error_position(self, source, message):
+        with pytest.raises(LexError) as err:
+            tokenize(source)
+        assert str(err.value) == message
+
+    def test_unicode_identifier(self):
+        toks = tokenize("caf\u00e9 \u00e9t\u00e9")
+        assert [(t.kind, t.value) for t in toks[:-1]] == [(IDENT, "caf\u00e9"), (IDENT, "\u00e9t\u00e9")]
 
 
 class TestParser:
@@ -188,6 +300,49 @@ class TestParser:
         value = cls.methods[0].body.statements[0].value
         assert value.op == "+"
         assert value.right.op == "*"
+
+    def expr(self, text):
+        return self.first_class(f"class A {{ void F() {{ x = {text}; }} }}").methods[0].body.statements[0].expr.value
+
+    def test_full_binary_ladder(self):
+        ops = ["|", "^", "&", "==", "<", "<<", "+", "*"]  # loosest first
+        names = [ast.Name(line=1, ident=c) for c in "abcdefghi"]
+
+        # loosest first: each operator's right operand is the rest
+        expected = names[-1]
+        for op, left in reversed(list(zip(ops, names))):
+            expected = ast.Binary(line=1, op=op, left=left, right=expected)
+        assert self.expr("a | b ^ c & d == e < f << g + h * i") == expected
+        assert expected.right.right.right.right.right.right.right.op == "*"
+
+        # tightest first: each operator's left operand is the tree so far
+        expected = names[0]
+        for op, right in zip(reversed(ops), names[1:]):
+            expected = ast.Binary(line=1, op=op, left=expected, right=right)
+        assert self.expr("a * b + c << d < e == f & g ^ h | i") == expected
+        assert expected.left.left.left.left.left.left.left.op == "*"
+
+    @pytest.mark.parametrize("op", ["-", "/", "<<", "<", "==", "&&", "||"])
+    def test_left_associative(self, op):
+        value = self.expr(f"a {op} b {op} c")
+        assert value.op == op and value.right == ast.Name(line=1, ident="c")
+        assert value.left.op == op
+        assert (value.left.left.ident, value.left.right.ident) == ("a", "b")
+
+    def test_logical_operators_build_logical_nodes(self):
+        value = self.expr("a || b && c | d")
+        assert isinstance(value, ast.Logical) and value.op == "||"
+        assert isinstance(value.right, ast.Logical) and value.right.op == "&&"
+        assert isinstance(value.right.right, ast.Binary) and value.right.right.op == "|"
+
+    def test_binary_binds_tighter_than_conditional_and_assignment(self):
+        value = self.expr("c ? a + 1 : b - 2")
+        assert isinstance(value, ast.Conditional)
+        assert (value.then.op, value.other.op) == ("+", "-")
+
+    def test_binary_operand_line_is_operator_line(self):
+        value = self.expr("a\n +\n b")
+        assert value.line == 2
 
     def test_ternary(self):
         cls = self.first_class("class A { int F(bool b) { return b ? 1 : 2; } }")
