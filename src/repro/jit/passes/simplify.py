@@ -216,14 +216,15 @@ _PURE = frozenset(
     {mir.MOV, mir.LDI}
     | mir.ARITH
     | mir.COMPARES
-    | {mir.NEG, mir.NOT, mir.CONV, mir.STRUCT_COPY, mir.LDLEN}
+    | {mir.NEG, mir.NOT, mir.CONV, mir.STRUCT_COPY}
 )
 
 
 def dead_code_eliminate(fn: mir.MIRFunction, profile=None) -> None:
     """Remove pure instructions whose destination is never read.
 
-    Memory/array/field/call ops stay, and so do writes to arguments.
+    Memory/array/field/call ops stay (``ldlen`` too: it throws on a null
+    array), and so do writes to arguments.
     Division counts as pure, so a dead division is removed even though it
     can raise (a known defect; fixing it moves compiled code).  Removing
     one instruction can kill

@@ -16,7 +16,8 @@ runs.  Once it has run :data:`_HOT_RUNS` times its length in instructions
 its core register/arith/branch ops get closures *generated as Python
 source* with the value-kind wrap/round math inlined
 (:func:`_make_single_gen`), and at :data:`_FUSE_RUNS` times its length its
-straight-line runs become superinstructions (:func:`_make_fused_gen`).  Generated source carries no
+straight-line runs, array and field accesses included, become
+superinstructions (:func:`_make_fused_gen`).  Generated source carries no
 per-instruction literal — operands are default arguments — so it is keyed
 by the shape of the instruction or run and compiled once per process.
 
@@ -49,18 +50,23 @@ one closure array is shared by *every* activation of the function
 (recursion, multiple threads); see the frame-aliasing regression tests.
 
 Superinstructions: :func:`fuse_plan` greedily merges straight-line runs of
-pure register ops (up to :data:`MAX_FUSE_RUN`, optionally ending in a
-branch) into one generated function per run (:func:`_make_fused_gen`).
-Fusion changes host speed only.  Each fused body carries two paths: a
-guarded *fast path* (all costs int, comfortably inside the budget and
-burst bounds) that executes the whole run with a single bookkeeping store,
-and a *slow path* that re-checks the exact classic budget/burst predicates
-between elements and returns to the unfused interior pc when the quantum
-ends mid-run.  A raising element flushes the classic-partial ``spent`` /
-``icount`` and records the precise raising pc in ``ExecState.raise_pc``
-before the throw.  The fuser refuses to fuse into branch targets or
-exception-region boundaries, and stands down entirely on machines with a
-fault injector armed (every pc stays an attributable fire site).
+register ops and array/field accesses (up to :data:`MAX_FUSE_RUN`,
+optionally ending in a branch) into one generated function per run
+(:func:`_make_fused_gen`).  Fusion changes host speed only.  Each fused
+body carries up to three paths (:func:`_run_source`): an *int fast path*
+(all costs int, no float memory tax, comfortably inside the budget and
+burst bounds) that executes the whole run with a single bookkeeping store;
+a *sequential path* for float sums — the large memory model's per-access
+tax, float cost profiles — that adds classic's costs in classic's order
+but skips the per-element checks when one margin-guarded entry check
+proves none could trip; and a *slow path* that re-checks the exact
+classic budget/burst predicates between elements and returns to the
+unfused interior pc when the quantum ends mid-run.  A raising element
+flushes the classic-partial ``spent`` / ``icount`` and records the
+precise raising pc in ``ExecState.raise_pc`` before the throw.  The fuser
+refuses to fuse into branch targets or exception-region boundaries, and
+stands down entirely on machines with a fault injector armed (every pc
+stays an attributable fire site).
 """
 
 from __future__ import annotations
@@ -142,11 +148,16 @@ class ExecState:
 # superinstruction planning
 # ---------------------------------------------------------------------------
 
-#: ops that may appear anywhere in a fused run: register transforms that
-#: never flush or rebind a frame, and always fall through to pc+1.
-#: DIV/REM may raise — the generated run records the exact raising pc in
-#: ``ExecState.raise_pc`` so the driver's throw attribution stays
-#: per-instruction.  (Memory ops flush or tax; calls rebind — excluded.)
+#: array and field accesses: they never flush, allocate or rebind, but an
+#: array access pays the large-memory-model tax (see :func:`_run_source`)
+MEMORY_OPS = frozenset({mir.LDELEM, mir.STELEM, mir.LDFLD, mir.STFLD, mir.LDLEN})
+
+#: ops that may appear anywhere in a fused run: register transforms and
+#: memory accesses that never flush or rebind a frame, and always fall
+#: through to pc+1.  DIV/REM and the memory ops may raise — the generated
+#: run records the exact raising pc in ``ExecState.raise_pc`` so the
+#: driver's throw attribution stays per-instruction.  (Calls rebind,
+#: allocations flush — excluded.)
 FUSABLE_FIRST = frozenset(
     {
         mir.MOV,
@@ -166,7 +177,7 @@ FUSABLE_FIRST = frozenset(
         mir.NOT,
         mir.CONV,
     }
-) | mir.COMPARES
+) | mir.COMPARES | MEMORY_OPS
 
 #: the last element of a run may additionally be a branch (compare+branch
 #: and arith+branch are the dominant pairs in the PR 2/3 profiles)
@@ -240,10 +251,11 @@ def fuse_plan(code, regions, branch_targets, faults_armed: bool,
 # its compiled code, depends only on the *shape* of the instruction or run
 # — opcode, value kind, CONV kind, position in the run, all-int costs — and
 # each shape is compiled once per process into ``_TEMPLATES``.  A template
-# is the code of a factory ``make(C, s, L)`` that reads the operands of
-# ``C[s:]`` (``L`` is the machine's loaded assembly, for raised exceptions)
-# and returns the closure: a cache hit builds no string and calls no
-# ``compile()``.  The semantics are exactly those of the hand-written
+# is the code of a factory ``make(C, s, M)`` that reads the operands of
+# ``C[s:]`` and what the body needs of machine ``M`` (the loaded assembly
+# for raised exceptions, the working-set flag and memory tax for array
+# accesses) and returns the closure: a cache hit builds no string and calls
+# no ``compile()``.  The semantics are exactly those of the hand-written
 # closures below; the differential suite holds the result to the classic
 # loop bit-for-bit.
 
@@ -274,10 +286,11 @@ _PARAM_EXPR = {
     "D": "I{k}.dst",
     "T": "I{k}.target",
     "C": "I{k}.cost",
+    "V": "I{k}.c",  # stored value
     "N": "s + {n}",  # next pc
     "Q": "s + {k}",  # the element's own pc: raise and resume point
 }
-_PARAM = re.compile(r"\b([ABCDNPQT])(\d+)\b")
+_PARAM = re.compile(r"\b([ABCDNPQTV])(\d+)\b")
 
 _ARITH_SYM = {mir.ADD: "+", mir.SUB: "-", mir.MUL: "*"}
 _BIT_SYM = {mir.AND: "&", mir.OR: "|", mir.XOR: "^"}
@@ -320,19 +333,25 @@ def _nan_check(x, y):
 def _shape(ins):
     """The part of an instruction its generated source depends on."""
     o = ins.op
+    if o in MEMORY_OPS:
+        # only a stored value's r4 rounding depends on the value kind
+        stores = o == mir.STELEM or o == mir.STFLD
+        return (o, "r4" if stores and ins.kind == "r4" else None, None)
     return (o, ins.kind, ins.extra if o == mir.CONV else None)
 
 
-def _fragment(shape, k, sfx, raise_pre=()):
+def _fragment(shape, k, sfx, raise_pre=(), memtax=()):
     """Source fragment for element ``k`` of a template: ``(body, tail)``.
 
     ``body`` is the computation (falls through), ``tail`` the control
     transfer (``return`` statements).  Operands are the parameters
-    ``A{k}``, ``B{k}``, ``D{k}`` (destination), ``T{k}`` (branch target)
-    and ``N{k}`` (next pc); temporaries carry the suffix ``sfx``.
-    ``raise_pre`` is spliced in front of every ``raise`` statement — fused
-    runs use it to flush their hoisted bookkeeping and record the raising
-    pc before the exception unwinds.  Returns None for opcodes outside the
+    ``A{k}``, ``B{k}``, ``D{k}`` (destination), ``V{k}`` (stored value),
+    ``T{k}`` (branch target) and ``N{k}`` (next pc); temporaries carry the
+    suffix ``sfx``.  ``raise_pre`` is spliced in front of every ``raise``
+    statement — fused runs use it to flush their hoisted bookkeeping and
+    record the raising pc before the exception unwinds.  ``memtax`` is
+    spliced into an array access after its checks pass, where classic adds
+    the large-memory-model tax.  Returns None for opcodes outside the
     codegen subset — the caller keeps the hand-written closure, so the two
     layers can never disagree about coverage silently.
     """
@@ -468,9 +487,34 @@ def _fragment(shape, k, sfx, raise_pre=()):
     # --- raising opcodes: as singles the driver's pc already points at
     # the instruction; inside a fused run ``raise_pre`` records the exact
     # raising pc (and flushes the run's hoisted bookkeeping) first.
-    raise_dbz = list(raise_pre) + [
-        "raise _mkexc(_loaded, 'DivideByZeroException')"
-    ]
+    def raising(name):
+        return ["    " + ln for ln in raise_pre] + [f"    raise _mkexc(_loaded, '{name}')"]
+
+    if o in MEMORY_OPS:
+        obj = f"o{sfx}"
+        body = [f"{obj} = {a}", f"if {obj} is None:"] + raising("NullReferenceException")
+        if o == mir.LDLEN:
+            return body + [f"{d} = len({obj}.data)"], tail
+        if o == mir.LDFLD:
+            return body + [f"{d} = {obj}.fields[B{k}]"], tail
+        if o == mir.LDELEM or o == mir.STELEM:
+            i = f"i{sfx}"
+            data = f"e{sfx}"
+            body += [
+                f"{i} = {b}",
+                f"{data} = {obj}.data",
+                f"if {i} < 0 or {i} >= len({data}):",
+            ] + raising("IndexOutOfRangeException") + list(memtax)
+            if o == mir.LDELEM:
+                return body + [f"{d} = {data}[{i}]"], tail
+            dest = f"{data}[{i}]"
+        else:
+            dest = f"{obj}.fields[B{k}]"
+        if kind == "r4":
+            body += [f"{v} = R[V{k}]", f"if type({v}) is float:"]
+            body += ["    " + ln for ln in _r4_into(v, v)]
+            return body + [f"{dest} = {v}"], tail
+        return body + [f"{dest} = R[V{k}]"], tail
 
     if o == mir.DIV:
         q = f"q{sfx}"
@@ -480,7 +524,7 @@ def _fragment(shape, k, sfx, raise_pre=()):
                 f"{x} = {a}",
                 f"{y} = {b}",
                 f"if {y} == 0:",
-            ] + ["    " + ln for ln in raise_dbz] + [
+            ] + raising("DivideByZeroException") + [
                 f"{v} = ({x} if {x} >= 0 else -{x}) // ({y} if {y} >= 0 else -{y})",
                 f"if ({x} >= 0) != ({y} >= 0):",
                 f"    {v} = -{v}",
@@ -511,7 +555,7 @@ def _fragment(shape, k, sfx, raise_pre=()):
                 f"{x} = {a}",
                 f"{y} = {b}",
                 f"if {y} == 0:",
-            ] + ["    " + ln for ln in raise_dbz] + [
+            ] + raising("DivideByZeroException") + [
                 f"{v} = ({x} if {x} >= 0 else -{x}) // ({y} if {y} >= 0 else -{y})",
                 f"if ({x} >= 0) != ({y} >= 0):",
                 f"    {v} = -{v}",
@@ -554,7 +598,12 @@ def _fragment(shape, k, sfx, raise_pre=()):
 
 
 def _single_source(shape):
-    """Body of a single-instruction template, or None outside the subset."""
+    """Body of a single-instruction template, or None outside the subset.
+
+    Memory ops keep their hand-written singles: those carry the observer's
+    memory-tax hook."""
+    if shape[0] in MEMORY_OPS:
+        return None
     frag = _fragment(shape, 0, "")
     if frag is None:
         return None
@@ -567,18 +616,17 @@ def _run_source(shapes, all_int):
 
     Cycle and instruction bookkeeping live in function locals (``sp``,
     ``ic``) for the whole run — one attribute load each at entry, one
-    store at every exit.  Between elements the body re-checks the exact
-    classic budget *and burst* predicates (``st.total``/``st.budget``/
-    ``st.burst`` are constant across the run — pure register ops never
-    flush — so their hoisted copies see the same values the classic loop
-    reads per instruction) and resumes at the plain closure for the next
-    element (pc ``Q{k}``) when the quantum would have ended there.  The
-    cost additions happen in the same order and grouping as classic's
-    per-instruction ``spent +=``, which keeps float-cost profiles
-    bit-identical.
+    store at every exit.  ``st.total``/``st.budget``/``st.burst`` are
+    constant across the run (no element flushes), and so is the machine's
+    working-set flag (no element allocates), so their hoisted copies see
+    the same values the classic loop reads per instruction.  The cost
+    additions on every path happen in the same order and grouping as
+    classic's per-instruction ``spent +=`` (an array access adds the
+    memory tax after its own cost), which keeps float sums bit-identical.
     """
     length = len(shapes)
     last = length - 1
+    n_tax = sum(1 for shape in shapes if shape[0] in (mir.LDELEM, mir.STELEM))
     lines = [
         "spent = st.spent",
         "tot = st.total",
@@ -586,70 +634,110 @@ def _run_source(shapes, all_int):
         "ic = st.icount",
         "bur = st.burst",
     ]
+    tax = ()
+    if n_tax:
+        lines.append("lws = _M.large_working_set")
+        tax = ("if lws:", "    sp += _memtax")
 
-    # Fast path: when every cost in the run is an int (exact, associative
-    # arithmetic) and neither the budget nor the burst can trip anywhere
-    # inside the run — provable with one conservative entry check, since
-    # costs are non-negative and float addition is monotonic — the
-    # per-element bookkeeping collapses to two stores at the exits.  The
-    # ``spent`` int check matters: dynamic costs can have made it a float,
-    # and float ``+=`` is order-sensitive, so only the per-element slow
-    # path reproduces classic's sums then.  ``P{k}`` is the cost of
-    # elements 0..k.
-    if all_int:
-        fast = []
+    def path(raise_pre, memtax, step, exit_):
+        """Every element's body in order: ``step(k)`` lines before element
+        ``k``, ``exit_`` before the last element's control transfer."""
+        out = []
         for k, shape in enumerate(shapes):
             frag = _fragment(
                 shape, k, str(k),
-                raise_pre=(
-                    f"st.spent = spent + P{k}",
-                    f"st.icount = ic + {k}",
-                    f"st.raise_pc = Q{k}",
-                ),
+                raise_pre=[ln.format(k=k) for ln in raise_pre], memtax=memtax,
             )
             if frag is None:
                 return None
             body, tail = frag
-            fast += body
+            out += step(k) + body
             if k == last:
-                fast += [f"st.spent = spent + P{last}", f"st.icount = ic + {last}"]
-                fast += tail
+                out += exit_ + tail
+        return out
+
+    # Int fast path: when every cost in the run is an int (exact,
+    # associative arithmetic), no array access pays the float memory tax,
+    # and neither the budget nor the burst can trip anywhere inside the
+    # run — provable with one conservative entry check, since costs are
+    # non-negative — the per-element bookkeeping collapses to two stores at
+    # the exits.  The ``spent`` int check matters: dynamic costs can have
+    # made it a float, and float ``+=`` is order-sensitive.  ``P{k}`` is
+    # the cost of elements 0..k.
+    if all_int:
+        fast = path(
+            ("st.spent = spent + P{k}", "st.icount = ic + {k}", "st.raise_pc = Q{k}"),
+            (), lambda k: [],
+            [f"st.spent = spent + P{last}", f"st.icount = ic + {last}"],
+        )
+        if fast is None:
+            return None
         lines.append(
-            f"if spent.__class__ is int and tot + spent + P{last} < bud"
-            f" and ic + {length} < bur:"
+            f"if {'not lws and ' if n_tax else ''}spent.__class__ is int"
+            f" and tot + spent + P{last} < bud and ic + {length} < bur:"
         )
         lines += ["    " + ln for ln in fast]
 
+    # Sequential path: any cost or ``spent`` type, memory tax included.
+    # The additions are classic's, in classic's order, into a local; only
+    # the per-element budget/burst checks are skipped, which is exact when
+    # none of them could trip.  Costs and the tax are non-negative, so
+    # every intermediate ``tot + sp`` is at most the final one, and the
+    # entry check bounds the final one by adding the same terms in another
+    # grouping.  The two float sums can differ by rounding: a few dozen
+    # half-ulps of values below the budget, far below 1.0 for any budget
+    # under 2**40 cycles (a quantum is tens of thousands).  Demanding a
+    # 1-cycle margin absorbs that difference, so when the entry check
+    # passes classic's own ``tot + spent`` stays below the budget after
+    # every element and the run cannot end mid-way.
+    seq = path(
+        ("st.spent = sp", "st.icount = ic + {k}", "st.raise_pc = Q{k}"),
+        tax, lambda k: ["sp = spent + C0" if k == 0 else f"sp += C{k}"],
+        ["st.spent = sp", f"st.icount = ic + {last}"],
+    )
+    if seq is None:
+        return None
+    lines.append(
+        f"if tot + spent + P{last}{f' + {n_tax} * _memtax' if n_tax else ''}"
+        f" + 1.0 < bud and ic + {length} < bur:"
+    )
+    lines += ["    " + ln for ln in seq]
+
     # Slow path: per-element cost accumulation and predicate checks, in
-    # exactly classic's order and grouping (bit-identical float sums).
-    for k, shape in enumerate(shapes):
-        frag = _fragment(
-            shape, k, f"s{k}",
-            raise_pre=("st.spent = sp", "st.icount = ic", f"st.raise_pc = Q{k}"),
-        )
-        if frag is None:
-            return None
-        body, tail = frag
+    # exactly classic's order and grouping; resumes at the plain closure
+    # of element ``k`` (pc ``Q{k}``) when the quantum would end before it.
+    def check(k):
         if k == 0:
-            lines.append("sp = spent + C0")
-        else:
-            lines += [
-                "if tot + sp >= bud or ic >= bur:",
-                "    st.spent = sp",
-                "    st.icount = ic",
-                f"    return Q{k}",
-                "ic += 1",
-                f"sp += C{k}",
-            ]
-        lines += body
-        if k == last:
-            lines += ["st.spent = sp", "st.icount = ic"] + tail
-    return lines
+            return ["sp = spent + C0"]
+        return [
+            "if tot + sp >= bud or ic >= bur:",
+            "    st.spent = sp",
+            "    st.icount = ic",
+            f"    return Q{k}",
+            "ic += 1",
+            f"sp += C{k}",
+        ]
+
+    slow = path(
+        ("st.spent = sp", "st.icount = ic", "st.raise_pc = Q{k}"),
+        tax, check, ["st.spent = sp", "st.icount = ic"],
+    )
+    return None if slow is None else lines + slow
+
+
+#: machine-derived names a generated body may reference -> factory
+#: expression (``M`` is the machine)
+_MACHINE_ENV = {
+    "_loaded": "M.loaded",
+    "_M": "M",
+    "_memtax": "M.costs.large_array_extra",
+}
+_MACHINE_USE = {name: re.compile(rf"\b{name}\b") for name in _MACHINE_ENV}
 
 
 def _compile_factory(lines, length):
     """Compile a template body into the code of its factory
-    ``make(C, s, L)``, which binds every parameter the body uses."""
+    ``make(C, s, M)``, which binds every parameter the body uses."""
     text = "\n".join(lines)
     params = sorted(set(_PARAM.findall(text)), key=lambda m: (int(m[1]), m[0]))
     setup = [f"I{k} = C[s + {k}]" for k in range(length)]
@@ -663,10 +751,12 @@ def _compile_factory(lines, length):
         setup.append(f"{letter}{k} = {expr}")
         binds.append(f"{letter}{k}={letter}{k}")
     binds += [f"{name}={name}" for name, use in _ENV_USE.items() if use.search(text)]
-    if "_loaded" in text:
-        binds.append("_loaded=L")
+    binds += [
+        f"{name}={_MACHINE_ENV[name]}"
+        for name, use in _MACHINE_USE.items() if use.search(text)
+    ]
     src = "\n".join(
-        ["def make(C, s, L):"]
+        ["def make(C, s, M):"]
         + ["    " + ln for ln in setup]
         + ["    def op_(R, st, {}):".format(", ".join(binds))]
         + ["        " + ln for ln in lines]
@@ -700,16 +790,16 @@ def _factory(key, source, length):
     return factory
 
 
-def _make_single_gen(code, pc, loaded):
+def _make_single_gen(code, pc, machine):
     """Shape-templated closure for ``code[pc]``, or None outside the subset."""
     shape = _shape(code[pc])
     factory = _factory(shape, lambda: _single_source(shape), 1)
     if factory is None:
         return None
-    return FunctionType(factory, _GEN_GLOBALS)(code, pc, loaded)
+    return FunctionType(factory, _GEN_GLOBALS)(code, pc, machine)
 
 
-def _make_fused_gen(code, start, length, loaded):
+def _make_fused_gen(code, start, length, machine):
     """Shape-templated superinstruction for ``code[start : start + length]``,
     or None when an element is outside the subset."""
     run = code[start:start + length]
@@ -720,7 +810,7 @@ def _make_fused_gen(code, start, length, loaded):
     )
     if factory is None:
         return None
-    return FunctionType(factory, _GEN_GLOBALS)(code, start, loaded)
+    return FunctionType(factory, _GEN_GLOBALS)(code, start, machine)
 
 
 # ---------------------------------------------------------------------------
@@ -1143,8 +1233,12 @@ def _closure_builder(machine, fn):
             if ckind == "static":
                 method = ins.extra[1]
                 this_reg = args_t[0] if (not method.is_static and args_t) else -1
+                # bound on the first call that compiles: a failed (or
+                # injected) compile raises first and leaves it unbound
+                callee = None
                 def op_(R, st, cost=cost, method=method, args_t=args_t,
                         dst=dst, nxt=nxt, this_reg=this_reg):
+                    nonlocal callee
                     st.frame.pc = nxt
                     st.spent += cost + call_cost
                     if this_reg >= 0 and R[this_reg] is None:
@@ -1153,7 +1247,8 @@ def _closure_builder(machine, fn):
                     frames = th.frames
                     if 0 <= stack_limit <= len(frames):
                         _raise_stack_overflow(len(frames))
-                    callee = M._function(method)
+                    if callee is None:
+                        callee = M._function(method)
                     argv = [R[v] for v in args_t]
                     frames.append(Frame(callee, argv, ret_dst=dst))
                     if observer is not None:
@@ -1507,9 +1602,11 @@ def _observed(inner, obs_instr, fn, ins):
 #: a function tiers up to templated singles once it has retired this many
 #: times as many instructions as its length, and to superinstructions at
 #: the second count: a single's few shapes are soon all compiled, while
-#: each run shape costs a compile that only a hot run pays back
-_HOT_RUNS = 50
-_FUSE_RUNS = 1000
+#: each run shape costs a compile that only a hot run pays back (fusing
+#: every function on its first run made mostly-cold generated programs
+#: 4.5x slower)
+_HOT_RUNS = 20
+_FUSE_RUNS = 200
 
 
 class Translation:
@@ -1546,14 +1643,13 @@ def build_ops(machine, fn, tr=None):
         closure = _closure_builder(machine, fn)
         return Translation([closure(pc) for pc in range(len(code))])
     ops = tr.ops
-    loaded = machine.loaded
     observer = machine.observer
     fuse = machine.dispatch == "threaded" and observer is None
     tr.tier += 1
     if tr.tier == 1:
         obs_instr = None if observer is None else observer.instr
         for pc, ins in enumerate(code):
-            op = _make_single_gen(code, pc, loaded)
+            op = _make_single_gen(code, pc, machine)
             if op is not None:
                 if obs_instr is not None:
                     op = _observed(op, obs_instr, fn, ins)
@@ -1566,7 +1662,7 @@ def build_ops(machine, fn, tr=None):
         targets = mir.branch_targets(fn)
     faults_armed = machine.faults is not None
     for pc, length in fuse_plan(code, fn.regions, targets, faults_armed):
-        fused = _make_fused_gen(code, pc, length, loaded)
+        fused = _make_fused_gen(code, pc, length, machine)
         if fused is not None:
             ops[pc] = fused
     return tr

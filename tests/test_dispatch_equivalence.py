@@ -352,10 +352,13 @@ FLOAT_COSTS = CLR11.with_costs(mov=0.75, reg_op=1.25)
 
 @pytest.fixture
 def tiering(monkeypatch):
-    """Record every tier-up and every superinstruction the engine builds."""
+    """Record every tier-up and every superinstruction the engine builds:
+    its ops, how many were built while the machine's working set was still
+    small, and how often one ended the quantum before its last element
+    (returning an interior pc to resume at)."""
     from repro.vm import dispatch
 
-    seen = {"tier_ups": 0, "fused": []}
+    seen = {"tier_ups": 0, "fused": [], "fused_small_ws": 0, "resumed_inside": 0}
     build_ops = dispatch.build_ops
     make_fused = dispatch._make_fused_gen
 
@@ -364,11 +367,19 @@ def tiering(monkeypatch):
             seen["tier_ups"] += 1
         return build_ops(machine, fn, tr)
 
-    def recording_make_fused(code, start, length, loaded):
-        op = make_fused(code, start, length, loaded)
-        if op is not None:
-            seen["fused"].append([ins.op for ins in code[start:start + length]])
-        return op
+    def recording_make_fused(code, start, length, machine):
+        op = make_fused(code, start, length, machine)
+        if op is None:
+            return None
+        seen["fused"].append([ins.op for ins in code[start:start + length]])
+        seen["fused_small_ws"] += not machine.large_working_set
+
+        def recorded(R, st):
+            n = op(R, st)
+            if start < n < start + length:
+                seen["resumed_inside"] += 1
+            return n
+        return recorded
 
     monkeypatch.setattr(dispatch, "build_ops", counting_build_ops)
     monkeypatch.setattr(dispatch, "_make_fused_gen", recording_make_fused)
@@ -476,6 +487,178 @@ def test_tier_up_with_observer_attached(tiering):
         assert streams[engine] == streams["classic"], engine
     assert tiering["tier_ups"] > 0
     assert tiering["fused"] == []  # per-instruction hooks: no fusion
+
+
+# --------------------------------------------------- fused memory accesses
+#
+# Array and field accesses sit inside superinstructions.  A fused run has
+# three paths — int bulk sum, sequential float sum, per-element checks —
+# and these programs drive each of them into a raise, a working-set
+# crossing and a quantum end.
+
+#: an array read and a field store that start failing long after Main has
+#: fused its loop, each from the interior of a run in a try block whose
+#: handler reads the locals the run had already written; PAD elements of
+#: padding put the machine in the large working set from the start
+HOT_MEMORY_THROWS = """
+class Box { int v; }
+class P {
+    static int Main() {
+        double[] pad = new double[PAD];
+        int[] data = new int[97];
+        Box[] boxes = new Box[5];
+        for (int q = 0; q < 4; q++) { boxes[q] = new Box(); }
+        int acc = 0; int caught = 0;
+        for (int i = 0; i < 3000; i++) {
+            data[i % 97] = i;
+            int k = i % 97 + (i / 2950) * 200;
+            Box bx = boxes[i / 700];
+            int a = i + 40; int b = i * 3; int c = 0;
+            try {
+                a = a + 1;
+                b = b * 3;
+                c = data[k];
+                acc = acc + c;
+                a = 999;
+            } catch (IndexOutOfRangeException e) {
+                caught = caught + a * 1000 + b * 10 + c;
+            }
+            try {
+                a = a + 1;
+                b = b + a;
+                bx.v = a + b;
+                acc = acc + bx.v;
+                b = 7;
+            } catch (NullReferenceException e) {
+                caught = caught + a + b;
+            }
+        }
+        return acc + caught + pad.Length;
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("pad", [0, 7000], ids=["small_ws", "large_ws"])
+def test_throw_from_fused_memory_access(tiering, monkeypatch, pad):
+    from repro.jit import mir
+
+    throw_sites = []
+    throw = Machine._throw
+
+    def recording_throw(machine, thread, exc_obj):
+        frame = thread.frames[-1]
+        throw_sites.append((frame.fn.full_name, frame.pc))
+        return throw(machine, thread, exc_obj)
+
+    monkeypatch.setattr(Machine, "_throw", recording_throw)
+    source = HOT_MEMORY_THROWS.replace("PAD", str(pad))
+    assembly = compile_source(source, assembly_name="hot_memory_throws")
+    expected = Interpreter(LoadedAssembly(assembly)).run()
+    for profile in (NATIVE_C, CLR11, SSCLI10, FLOAT_COSTS):
+        prints, sites = {}, {}
+        for engine in ("classic",) + ENGINES:
+            del throw_sites[:]
+            machine = Machine(LoadedAssembly(assembly), profile, dispatch=engine)
+            prints[engine] = machine_fingerprint(machine, machine.run())
+            sites[engine] = list(throw_sites)
+        assert prints["classic"]["result"] == repr(expected), profile.name
+        assert len(sites["classic"]) == 50 + 200
+        for engine in ENGINES:
+            assert prints[engine] == prints["classic"], (profile.name, engine)
+            assert sites[engine] == sites["classic"], (profile.name, engine)
+    interior = [op for ops in tiering["fused"] for op in ops[1:]]
+    assert mir.LDELEM in interior and mir.STFLD in interior
+
+
+#: a kernel fused while the working set is small that allocates past the
+#: large-memory-model threshold half way through its loop: its runs leave
+#: the int path for the sequential one between two iterations
+CROSSING_KERNEL = """
+class P {
+    static double[] keep;
+    static double Kernel(double[] a, int n) {
+        double s = 0.0;
+        for (int i = 0; i < n; i++) {
+            int j = (i * 7 + 3) % a.Length;
+            a[j] = a[j] * 0.5 + i;
+            s = s + a[j] / 3.0;
+            if (i == n / 2) { P.keep = new double[7000]; }
+        }
+        return s;
+    }
+    static int Main() {
+        double[] a = new double[64];
+        double total = P.Kernel(a, 6000);
+        Console.WriteLine(total);
+        return (int)(total / 1000.0);
+    }
+}
+"""
+
+
+def test_working_set_crosses_after_tier_up(tiering):
+    from repro.jit import mir
+
+    assembly = compile_source(CROSSING_KERNEL, assembly_name="crossing")
+    for profile in (NATIVE_C, CLR11, SSCLI10):
+        prints = _engine_prints(assembly, profile)
+        assert "." in prints["classic"]["cycles"], profile.name  # taxed
+        for engine in ENGINES:
+            assert prints[engine] == prints["classic"], (profile.name, engine)
+    assert tiering["fused_small_ws"] > 0
+    interior = [op for ops in tiering["fused"] for op in ops[1:]]
+    assert mir.LDELEM in interior and mir.STELEM in interior
+
+
+def test_small_quantum_ends_float_runs_at_interior_pcs(tiering):
+    from repro.jit import mir
+
+    # HOT_FLOAT_LOOP runs in the large working set: ``spent`` is a float,
+    # and with a 1,500-cycle quantum the sequential path's entry check
+    # often fails, so the per-element path ends the quantum mid-run
+    assembly = compile_source(HOT_FLOAT_LOOP, assembly_name="hot_quantum")
+    for profile in (CLR11, FLOAT_COSTS):
+        prints = _engine_prints(assembly, profile, quantum=1_500)
+        assert "." in prints["classic"]["cycles"]
+        for engine in ENGINES:
+            assert prints[engine] == prints["classic"], (profile.name, engine)
+    assert tiering["resumed_inside"] > 0
+    interior = [op for ops in tiering["fused"] for op in ops[1:]]
+    assert mir.LDELEM in interior and mir.STELEM in interior
+
+
+def test_static_call_site_binds_its_callee_once(monkeypatch):
+    source = """
+    class P {
+        static int Inc(int x) { return x + 1; }
+        static int Main() {
+            int s = 0;
+            for (int i = 0; i < 500; i++) { s = P.Inc(s); }
+            return s;
+        }
+    }
+    """
+    calls = []
+    function = Machine._function
+
+    def counting(machine, method):
+        calls.append(method.name)
+        return function(machine, method)
+
+    monkeypatch.setattr(Machine, "_function", counting)
+    assembly = compile_source(source, assembly_name="static_calls")
+    prints, counts = {}, {}
+    for engine in ("classic",) + ENGINES:
+        del calls[:]
+        # SSCLI 1.0 does not inline, so every iteration calls Inc
+        machine = Machine(LoadedAssembly(assembly), SSCLI10, dispatch=engine)
+        prints[engine] = machine_fingerprint(machine, machine.run())
+        counts[engine] = calls.count("Inc")
+    assert prints["classic"]["result"] == "500" and counts["classic"] == 500
+    for engine in ENGINES:
+        assert prints[engine] == prints["classic"], engine
+        assert counts[engine] == 1, engine
 
 
 # -------------------------------------------------------- shape templates

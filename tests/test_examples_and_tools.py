@@ -64,3 +64,32 @@ def test_examples_exist_and_documented():
     for script in scripts:
         head = script.read_text().split('"""')[1]
         assert len(head) > 40, f"{script.name} lacks a docstring"
+
+
+def test_dispatch_mix_counts_every_retired_instruction():
+    import importlib.util
+
+    from repro.harness.runner import Runner
+    from repro.runtimes import CLR11
+
+    spec = importlib.util.spec_from_file_location(
+        "dispatch_mix", REPO / "tools" / "dispatch_mix.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    mix = tool.Mix()
+    restore = mix.install()
+    try:
+        run = Runner(profiles=[CLR11]).run_on("scimark.lu", CLR11, {"N": 48})
+    finally:
+        restore()
+    dispatches, instructions = mix.totals()
+    assert instructions == run.instructions
+    assert mix.totals("fused")[0] > 0 and dispatches < instructions
+    # the CI fusion gate's floor, through the command line
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "dispatch_mix.py"), "scimark.lu",
+         "--profile", "clr-1.1", "--param", "N=48", "--min-ipd", "2.7"],
+        capture_output=True, text=True, timeout=240, cwd=str(REPO),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert f"{instructions:,}" in proc.stdout

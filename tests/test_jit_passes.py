@@ -17,7 +17,7 @@ from repro.jit.passes import (
 )
 from repro.jit.pipeline import JitCompiler
 from repro.lang import compile_source
-from repro.runtimes import CLR11, MONO023, NATIVE_C, SSCLI10
+from repro.runtimes import ALL_PROFILES, CLR11, MONO023, NATIVE_C, SSCLI10
 from repro.vm.interpreter import Interpreter
 from repro.vm.loader import LoadedAssembly
 from repro.vm.machine import Machine
@@ -152,7 +152,7 @@ def _reads(ins):
 
 _REFERENCE_PURE = (
     {mir.MOV, mir.LDI} | mir.ARITH | mir.COMPARES
-    | {mir.NEG, mir.NOT, mir.CONV, mir.STRUCT_COPY, mir.LDLEN}
+    | {mir.NEG, mir.NOT, mir.CONV, mir.STRUCT_COPY}
 )
 
 
@@ -259,6 +259,16 @@ class TestDeadCodeElimination:
             mir.MInstr(mir.RET, a=-1),
         ]))
         assert [i.op for i in fn.code] == [mir.LDI, mir.CALL, mir.LDFLD, mir.LDELEM, mir.RET]
+
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.name)
+    def test_dead_ldlen_kept(self, profile):
+        # ldlen on a null array throws even when the length is never read
+        src = """class P {
+            static int Len(int[] a) { int n = a.Length; return 3; }
+            static int Main() { return Len(null); } }"""
+        assembly = compile_source(src)
+        with pytest.raises(Exception, match="NullReferenceException"):
+            Machine(LoadedAssembly(assembly), profile).run()
 
     @pytest.mark.xfail(strict=True, reason="known defect: DIV is in the pure set, so a dead "
                        "division that would raise is removed (fixing it moves compiled code)")

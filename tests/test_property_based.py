@@ -17,6 +17,7 @@
 import math
 import struct
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -292,9 +293,12 @@ def _synthetic_code(mir, ops):
     return [mir.MInstr(op=op) for op in ops]
 
 
-_fusable_ops = st.sampled_from(("MOV", "LDI", "ADD", "MUL", "DIV", "CEQ"))
+_fusable_ops = st.sampled_from((
+    "MOV", "LDI", "ADD", "MUL", "DIV", "CEQ",
+    "LDELEM", "STELEM", "LDFLD", "STFLD", "LDLEN",
+))
 _terminal_ops = st.sampled_from(("JMP", "JTRUE", "JEQ"))
-_opaque_ops = st.sampled_from(("CALL", "RET", "LDELEM", "NEWOBJ", "THROW"))
+_opaque_ops = st.sampled_from(("CALL", "RET", "NEWARR", "NEWOBJ", "THROW"))
 _any_ops = st.one_of(_fusable_ops, _terminal_ops, _opaque_ops)
 
 
@@ -364,3 +368,41 @@ class TestFusePlan:
         for start, length in plan:
             for k in range(1, length):
                 assert start + k not in (0, 2, 4, 6)
+
+    @pytest.mark.parametrize("bench,cls,method", [
+        ("scimark.sor", "SOR", "Execute"),
+        ("scimark.lu", "LU", "Factor"),
+    ])
+    @pytest.mark.parametrize("profile", ["native-c", "clr-1.1"])
+    def test_inner_loop_array_accesses_are_fused(self, bench, cls, method, profile):
+        from repro.benchmarks.registry import get
+        from repro.jit.pipeline import JitCompiler
+        from repro.lang import compile_source
+        from repro.runtimes import get_profile
+        from repro.vm.loader import LoadedAssembly
+
+        mir, dispatch = _mir_modules()
+        assembly = compile_source(get(bench).build_source())
+        jit = JitCompiler(LoadedAssembly(assembly), get_profile(profile))
+        fn = jit.compile(assembly.find_method(cls, method))
+        code = fn.code
+        plan = dispatch.fuse_plan(code, fn.regions, mir.branch_targets(fn),
+                                  faults_armed=False)
+        fused = {start + k for start, length in plan for k in range(length)}
+        loops = [
+            (ins.target, pc) for pc, ins in enumerate(code)
+            if (ins.op == mir.JMP or ins.op in mir.COND_JUMPS)
+            and 0 <= ins.target <= pc
+        ]
+        inner = [
+            (head, tail) for head, tail in loops
+            if not any(head <= h and t <= tail and (h, t) != (head, tail)
+                       for h, t in loops)
+        ]
+        accesses = [
+            pc for head, tail in inner for pc in range(head, tail + 1)
+            if code[pc].op in (mir.LDELEM, mir.STELEM)
+        ]
+        assert accesses
+        assert [pc for pc in accesses if pc not in fused] == []
+

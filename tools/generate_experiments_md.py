@@ -115,9 +115,10 @@ interchangeable engines — a threaded-code engine (``dispatch=threaded``,
 the default) and the classic fetch/decode loop, kept as the differential
 oracle (``--dispatch classic``).  The threaded engine translates by
 tier: a method gets pre-bound hand-written closures when it first runs,
-shape-templated generated closures once it has retired 50 times its length
-in instructions, and superinstructions for its straight-line runs at 1000
-times its length.  The engines differ only in *host*
+shape-templated generated closures once it has retired 20 times its length
+in instructions, and superinstructions for its straight-line runs, array
+and field accesses included, at 200 times its length.  The engines differ
+only in *host*
 wall-clock (``repro-bench dispatch-smoke`` gates a >= 2x threaded/classic
 ratio on ``micro.arith`` in CI): every simulated observable —
 cycles including float cost-accumulation order, instruction counts,
@@ -126,8 +127,10 @@ metrics snapshots, observe-profiles, and fault-fire sites — is asserted
 eight runtime profiles, and the fuzz corpus
 (``tests/test_dispatch_equivalence.py``).  Superinstructions cannot move
 a number because fusion never crosses a branch target, an exception-region
-boundary, or an armed fault site, and each fused element re-checks the
-classic budget/burst predicates in order
+boundary, or an armed fault site, adds costs (and the large memory
+model's per-access tax) in classic's order, and either re-checks the
+classic budget/burst predicates between elements or proves with one
+margin-guarded entry check that none of them can trip
 (``tests/test_property_based.py``).  The dispatch engine is therefore not
 part of the experimental configuration; artifacts collected with
 ``--dispatch threaded`` only add a ``dispatch.speedup`` wall-clock
