@@ -171,7 +171,6 @@ def _run_campaign(args, plan, jobs) -> FaultMatrixReport:
         "cache_dir": None if cache is None else cache.root,
         "plan": plan,
         "cell_timeout": execution.cell_timeout,
-        "dispatch": execution.dispatch,
     }
     payloads, pool_report = run_cells(spec, cells, jobs=jobs)
     report = annotate_cells(

@@ -90,7 +90,6 @@ def cmd_run(args) -> int:
             "cache_dir": None if cache is None else cache.root,
             "plan": plan,
             "cell_timeout": args.cell_timeout,
-            "dispatch": args.dispatch,
         }
         payloads, report = run_cells(spec, cells, jobs=jobs)
         runs = {
@@ -115,7 +114,6 @@ def cmd_run(args) -> int:
             profiles=profiles,
             clock_hz=args.clock,
             compile_cache=cache,
-            dispatch=args.dispatch,
         )
         runs = runner.run(args.benchmark, overrides or None, observe=args.profile)
     bench = get_benchmark(args.benchmark)

@@ -72,7 +72,6 @@ class Runner:
         quantum: int = 50_000,
         disabled_passes: Iterable[str] = (),
         compile_cache=None,
-        dispatch: Optional[str] = None,
     ) -> None:
         self.profiles: List[RuntimeProfile] = list(profiles or MICRO_PROFILES)
         #: override the nominal clock (the paper uses 2.8 GHz for micro,
@@ -86,10 +85,6 @@ class Runner:
         #: in-memory dict below still short-circuits repeat compiles within
         #: this runner's lifetime either way
         self.compile_cache = compile_cache
-        #: dispatch engine for every machine this runner builds (see
-        #: ``repro.vm.dispatch.DISPATCH_MODES``); None defers to the
-        #: REPRO_DISPATCH environment default, else threaded
-        self.dispatch = dispatch
         self._compiled: Dict[Tuple[str, Tuple[Tuple[str, object], ...]], Assembly] = {}
 
     def compile_benchmark(
@@ -116,7 +111,6 @@ class Runner:
         disabled_passes: Optional[Iterable[str]] = None,
         metrics=None,
         faults=None,
-        dispatch: Optional[str] = None,
     ) -> ProfileRun:
         """Run one benchmark on one profile.
 
@@ -133,8 +127,7 @@ class Runner:
         :class:`repro.faults.MachineFaults` spec; when a fault fires the
         escaping :class:`~repro.errors.ReproError` carries the machine's
         fired-site counters as ``exc.fault_fired`` so merge paths can
-        attribute the failure.  ``dispatch`` selects the execution engine
-        for this run only (falling back to the runner-wide setting).
+        attribute the failure.
         """
         assembly = self.compile_benchmark(name, overrides)
         if observe is True:
@@ -157,7 +150,6 @@ class Runner:
             disabled_passes=disabled,
             observer=observer,
             faults=faults,
-            dispatch=self.dispatch if dispatch is None else dispatch,
         )
         try:
             machine.run()

@@ -31,7 +31,6 @@ import json
 import os
 import re
 import subprocess
-import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
 BENCH_SCHEMA = "repro.bench/1"
@@ -228,7 +227,6 @@ def collect(
     cache=None,
     plan=None,
     cell_timeout: Optional[float] = None,
-    dispatch: Optional[str] = None,
     store=None,
     trace=None,
     record: bool = True,
@@ -253,19 +251,9 @@ def collect(
     on ``collect.last_faults``.  An artifact collected with no plan is
     byte-identical to one collected before fault injection existed.
 
-    ``dispatch`` selects the VM dispatch engine (``classic`` | ``threaded``
-    | ``threaded-nofuse``; None is the default, threaded).  The engines are
-    bit-identical in every number that enters the artifact, so the
-    simulated data never shifts; a non-classic engine named explicitly
-    additionally stamps a top-level ``dispatch`` key carrying the measured
-    wall-clock speedup vs classic (``dispatch.speedup`` — host telemetry,
-    the one deliberately nondeterministic entry).  Classic and default
-    collections carry no such key, so their artifacts stay byte-identical
-    to pre-knob layouts.
-
     ``store`` is an optional :class:`repro.store.ExperimentStore`: every
     cell is first looked up content-addressed (``sha256(COMPILER_VERSION,
-    profile, benchmark, canonical overrides, dispatch, seed)``) and a hit
+    profile, benchmark, canonical overrides, seed)``) and a hit
     is served from the store with zero compiles and zero guest cycles —
     the served artifact is byte-identical to a fresh serial collection
     because stored records round-trip ProfileRuns exactly.  Novel cells
@@ -321,7 +309,7 @@ def collect(
             with trace.child("store.lookup", cells=len(cells),
                              track="store") as lookup_span:
                 keys = [
-                    store.cell_key(name, pname, overrides=params, dispatch=dispatch)
+                    store.cell_key(name, pname, overrides=params)
                     for name, params, pname in cells
                 ]
                 precomputed = {}
@@ -354,7 +342,6 @@ def collect(
             "cache_dir": None if cache is None else cache.root,
             "plan": plan,
             "cell_timeout": cell_timeout,
-            "dispatch": dispatch,
         }
         if progress is not None:
             progress(f"{len(cells)} cells across jobs={jobs}")
@@ -395,7 +382,6 @@ def collect(
                         scale=scale,
                         profiles=[p.name for p in profiles],
                         suite=suite,
-                        dispatch=dispatch,
                         store_hits=len(precomputed),
                         cell_keys={
                             f"{name}@{pname}": keys[index]
@@ -413,7 +399,7 @@ def collect(
                 collect.last_store["cells"] - collect.last_store["hits"]
             )
     else:
-        runner = Runner(profiles=profiles, compile_cache=cache, dispatch=dispatch)
+        runner = Runner(profiles=profiles, compile_cache=cache)
         for name, params in suite:
             if progress is not None:
                 progress(f"{name} {params}")
@@ -434,13 +420,6 @@ def collect(
         # present only on faulted collections, so clean artifacts stay
         # byte-identical to the pre-fault-injection layout
         artifact["failures"] = faults_report.failures
-    if dispatch is not None and dispatch != "classic":
-        # present only on non-classic collections (same discipline as
-        # ``failures``): the speedup is host wall-clock telemetry, the one
-        # field that is *meant* to vary run to run
-        if progress is not None:
-            progress(f"measuring dispatch.speedup ({dispatch} vs classic)")
-        artifact["dispatch"] = measure_dispatch_speedup(engine=dispatch, cache=cache)
     return artifact
 
 
@@ -457,73 +436,6 @@ collect.last_faults = None
 #: measured around this collection in the executing process — the value
 #: the service's isolated job workers report back
 collect.last_store = None
-
-
-# ------------------------------------------------------- dispatch telemetry
-
-#: smoke workload for :func:`measure_dispatch_speedup` — scaled so the
-#: threaded engine's one-time translation cost (closure build + ``compile``)
-#: amortizes into noise, while still finishing in CI-smoke time
-_SPEEDUP_OVERRIDES: Dict[str, Dict[str, object]] = {"micro.arith": {"Reps": 60000}}
-
-
-def measure_dispatch_speedup(
-    engine: str = "threaded",
-    benchmark: str = "micro.arith",
-    profile_name: str = "native-c",
-    overrides: Optional[Dict[str, object]] = None,
-    repeats: int = 3,
-    cache=None,
-) -> dict:
-    """Measure host wall-clock of ``engine`` vs classic on one benchmark
-    cell and return the ``dispatch`` telemetry block.
-
-    Methodology: trials are interleaved (classic, engine, classic, ...) so
-    host noise hits both engines alike, and the ratio is best-of-``repeats``
-    per engine — minima are the standard way to compare interpreter loops
-    because they strip scheduler jitter, not average it in.  The two
-    engines' simulated numbers are asserted identical first; a speedup
-    quoted across diverging engines would be meaningless.
-    """
-    from ..harness.runner import Runner
-    from ..runtimes import get_profile
-
-    profile = get_profile(profile_name)
-    if overrides is None:
-        overrides = _SPEEDUP_OVERRIDES.get(benchmark)
-    runner = Runner(profiles=[profile], compile_cache=cache)
-    runner.compile_benchmark(benchmark, overrides)  # compile outside the clock
-    best: Dict[str, float] = {}
-    last: Dict[str, object] = {}
-    for _ in range(max(1, repeats)):
-        for eng in ("classic", engine):
-            start = time.perf_counter()
-            run = runner.run_on(benchmark, profile, overrides, dispatch=eng)
-            elapsed = time.perf_counter() - start
-            if eng not in best or elapsed < best[eng]:
-                best[eng] = elapsed
-            last[eng] = run
-    classic, other = last["classic"], last[engine]
-    same = (classic.total_cycles, classic.instructions) == (
-        other.total_cycles,
-        other.instructions,
-    )
-    if not same:
-        raise RuntimeError(
-            f"dispatch engines diverged on {benchmark}/{profile_name}: "
-            f"classic=({classic.total_cycles}, {classic.instructions}) "
-            f"{engine}=({other.total_cycles}, {other.instructions})"
-        )
-    return {
-        "engine": engine,
-        "benchmark": benchmark,
-        "profile": profile_name,
-        "params": dict(overrides or {}),
-        "repeats": max(1, repeats),
-        "classic_seconds": best["classic"],
-        "engine_seconds": best[engine],
-        "speedup": best["classic"] / best[engine] if best[engine] else 0.0,
-    }
 
 
 # ---------------------------------------------------------------- serialize

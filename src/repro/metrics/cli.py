@@ -5,26 +5,16 @@
     repro-bench run [--out DIR] [--seq N] [--scale S]
                     [--profiles a,b] [--benchmarks x,y] [--git-sha SHA]
                     [--jobs N|auto] [--cache-dir DIR] [--no-compile-cache]
-                    [--dispatch classic|threaded|threaded-nofuse]
     repro-bench compare BASE.json NEW.json [--tolerance metric=frac ...]
                     [--show-ok]
     repro-bench compare NEW.json --store DB [--base-sha SHA]
-    repro-bench dispatch-smoke [--min-speedup X] [--engine E]
-                    [--benchmark B] [--repeats N]
 
 ``run`` executes the graph suite on every runtime profile with the metrics
 registry attached and writes ``BENCH_<seq>.json`` (sequence auto-increments
 per output directory).  ``compare`` diffs two artifacts under the tolerance
 policy documented in :mod:`repro.metrics.baseline` and exits 1 when any
 regression (or coverage loss) is found — that exit code *is* the CI gate.
-The threaded engine is the default; ``--dispatch classic`` collects
-through the classic loop, the differential oracle (the simulated numbers
-are bit-identical by construction).  ``run --dispatch threaded`` (named
-explicitly) additionally stamps the measured wall-clock ratio vs classic
-into the artifact as the top-level ``dispatch`` block
-(``dispatch.speedup``); a run with the engine unset carries no such block.  ``dispatch-smoke``
-measures that ratio stand-alone and exits 1 below ``--min-speedup`` — the
-CI wall-clock gate for the threaded engine.
+Artifacts carry simulated numbers only: no host wall clock enters them.
 """
 
 from __future__ import annotations
@@ -90,7 +80,6 @@ def cmd_run(args) -> int:
             cache=cache,
             plan=execution.plan,
             cell_timeout=execution.cell_timeout,
-            dispatch=execution.dispatch,
             store=store,
         )
     except ValueError as exc:
@@ -105,13 +94,6 @@ def cmd_run(args) -> int:
         f"({len(benches)} benchmarks x {len(artifact['profiles'])} profiles, "
         f"git {artifact['git_sha'][:12]})"
     )
-    speedup = artifact.get("dispatch")
-    if speedup is not None:
-        print(
-            f"repro-bench: dispatch.speedup {speedup['speedup']:.2f}x "
-            f"({speedup['engine']} vs classic on {speedup['benchmark']}, "
-            f"best of {speedup['repeats']})"
-        )
     report = baseline.collect.last_report
     if report is not None:
         print(f"repro-bench: parallel {report.summary()}")
@@ -132,32 +114,6 @@ def cmd_run(args) -> int:
         for line in faults_report.failure_lines():
             print(f"repro-bench:   {line}")
         return 0 if faults_report.contained else 1
-    return 0
-
-
-def cmd_dispatch_smoke(args) -> int:
-    from ..parallel import CompileCache
-
-    cache = None if args.no_compile_cache else CompileCache(args.cache_dir)
-    result = baseline.measure_dispatch_speedup(
-        engine=args.engine,
-        benchmark=args.benchmark,
-        profile_name=args.profile,
-        repeats=args.repeats,
-        cache=cache,
-    )
-    print(
-        f"repro-bench: dispatch.speedup {result['speedup']:.2f}x "
-        f"({result['engine']} {result['engine_seconds']:.3f}s vs "
-        f"classic {result['classic_seconds']:.3f}s on {result['benchmark']}"
-        f"/{result['profile']}, best of {result['repeats']})"
-    )
-    if result["speedup"] < args.min_speedup:
-        print(
-            f"repro-bench: FAIL — speedup {result['speedup']:.2f}x below the "
-            f"--min-speedup {args.min_speedup:g}x gate"
-        )
-        return 1
     return 0
 
 
@@ -269,29 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also list within-tolerance comparisons")
     compare.set_defaults(func=cmd_compare)
 
-    from ..parallel import default_cache_dir as _cache_default
-    from ..vm.dispatch import DISPATCH_MODES as _modes
-
-    smoke = sub.add_parser(
-        "dispatch-smoke",
-        help="measure threaded-vs-classic wall clock; exit 1 below --min-speedup",
-    )
-    smoke.add_argument("--engine", default="threaded",
-                       choices=[m for m in _modes if m != "classic"],
-                       help="dispatch engine under test (default: threaded)")
-    smoke.add_argument("--benchmark", default="micro.arith",
-                       help="benchmark to time (default: micro.arith)")
-    smoke.add_argument("--profile", default="native-c",
-                       help="runtime profile (default: native-c)")
-    smoke.add_argument("--repeats", type=int, default=3,
-                       help="interleaved trials per engine; best is kept (default: 3)")
-    smoke.add_argument("--min-speedup", type=float, default=2.0,
-                       help="fail below this classic/engine ratio (default: 2.0)")
-    smoke.add_argument("--cache-dir", default=_cache_default(), metavar="DIR",
-                       help="persistent compile cache location")
-    smoke.add_argument("--no-compile-cache", action="store_true",
-                       help="compile from scratch; do not read or write the cache")
-    smoke.set_defaults(func=cmd_dispatch_smoke)
     return parser
 
 

@@ -2,9 +2,9 @@
 
 ``hpcnet run``, ``repro-bench run``, ``repro-chaos`` and ``repro-client
 submit`` all take the same operational options: ``--jobs``,
-``--cache-dir`` / ``--no-compile-cache``, ``--dispatch`` and the
-``--fault-*`` plan flags.  :func:`add_execution_args` attaches them once
-and :func:`execution_from_args` folds the parsed namespace into an
+``--cache-dir`` / ``--no-compile-cache`` and the ``--fault-*`` plan
+flags.  :func:`add_execution_args` attaches them once and
+:func:`execution_from_args` folds the parsed namespace into an
 :class:`ExecutionConfig`, so the four CLIs cannot drift on defaults,
 help text or destination names.
 """
@@ -33,7 +33,6 @@ class ExecutionConfig:
     max_queue: Optional[object] = None
     cache_dir: Optional[str] = None
     use_compile_cache: bool = True
-    dispatch: Optional[str] = None
     plan: Optional[object] = None
     cell_timeout: Optional[float] = None
 
@@ -53,7 +52,7 @@ class ExecutionConfig:
         """
         if self.plan is not None:
             raise ValueError("fault plans cannot be submitted to the service")
-        return {"jobs": self.jobs, "dispatch": self.dispatch}
+        return {"jobs": self.jobs}
 
 
 def add_execution_args(parser, *, fault_prefix: str = "fault",
@@ -68,8 +67,6 @@ def add_execution_args(parser, *, fault_prefix: str = "fault",
     all (the service client).  ``include_workers=True`` adds the daemon's
     ``--workers N|auto`` concurrency flag (repro-serve only).
     """
-    from ..vm.dispatch import DISPATCH_MODES
-
     add_jobs_argument(parser, default=jobs_default)
     if include_workers:
         parser.add_argument(
@@ -92,11 +89,6 @@ def add_execution_args(parser, *, fault_prefix: str = "fault",
                              "(default: $REPRO_CACHE_DIR or .repro-cache)")
     parser.add_argument("--no-compile-cache", action="store_true",
                         help="compile from scratch; do not read or write the cache")
-    parser.add_argument("--dispatch", default=None, choices=DISPATCH_MODES,
-                        help="VM dispatch engine (default: threaded, or "
-                             "$REPRO_DISPATCH; classic is the differential "
-                             "oracle); engines are bit-identical in "
-                             "simulated cycles — only host wall clock differs")
     if include_faults:
         from ..faults.cli import add_fault_arguments
 
@@ -117,7 +109,6 @@ def execution_from_args(args) -> ExecutionConfig:
         max_queue=getattr(args, "max_queue", None),
         cache_dir=getattr(args, "cache_dir", None),
         use_compile_cache=not getattr(args, "no_compile_cache", False),
-        dispatch=getattr(args, "dispatch", None),
         plan=plan,
         cell_timeout=cell_timeout,
     )

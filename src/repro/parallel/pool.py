@@ -218,7 +218,6 @@ def _make_state(spec: dict) -> dict:
             quantum=spec.get("quantum", 50_000),
             disabled_passes=spec.get("disabled_passes", ()),
             compile_cache=state["cache"],
-            dispatch=spec.get("dispatch"),
         )
     elif spec["kind"] == "fuzz":
         from ..runtimes import get_profile

@@ -7,9 +7,9 @@
                 [--max-queue N|auto] [--job-deadline S] [--degraded]
                 [--breaker-threshold K] [--breaker-cooldown S]
                 [--drain-grace S] [--no-lease] [--lease-ttl S]
-                [--cache-dir DIR] [--no-compile-cache] [--dispatch ENGINE]
+                [--cache-dir DIR] [--no-compile-cache]
     repro-client [--url URL] [--trace[=ID]] [--retries N] submit
-                --benchmarks a,b --profiles x,y [--scale S] [--dispatch E]
+                --benchmarks a,b --profiles x,y [--scale S]
                 [--deadline S] [--wait] [--out FILE]
     repro-client status JOB | result JOB [--out FILE]
     repro-client trends [--benchmark B] [--profile P] [--metric M]
@@ -20,9 +20,8 @@ matrix already on record are served from it without compiling or running
 anything.  ``--workers`` executes that many jobs concurrently, each in
 its own isolated subprocess (identical in-flight submissions coalesce
 onto one execution); ``--jobs`` is the per-collection cell fan-out.
-``--dispatch`` on the daemon sets the default engine for jobs that do
-not name one.  The client deliberately refuses armed fault plans —
-memoized results must stay perturbation-free.
+The client deliberately refuses armed fault plans — memoized results
+must stay perturbation-free.
 """
 
 from __future__ import annotations
@@ -102,7 +101,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
             max_queue=execution.max_queue,
             cache_dir=execution.cache_dir,
             use_compile_cache=execution.use_compile_cache,
-            default_dispatch=execution.dispatch,
             trace_log=args.trace_log,
             job_deadline=args.job_deadline,
             degraded=args.degraded,

@@ -5,8 +5,8 @@ queue.  Submitted jobs are (benchmarks x profiles) matrices; each job
 runs through :func:`repro.metrics.baseline.collect` with the store
 attached, so cells already on record are **served** (zero compiles, zero
 guest cycles — the memo key is content-addressed on compiler version,
-profile, benchmark, canonical overrides and dispatch engine) and only
-novel cells execute, through the same resilient pool every CLI uses.
+profile, benchmark and canonical overrides) and only novel cells
+execute, through the same resilient pool every CLI uses.
 The returned artifact is byte-identical to a direct serial run: that is
 the daemon-vs-direct identity invariant the test suite pins.
 
@@ -203,7 +203,6 @@ def _collect_in_worker(config: dict) -> dict:
             git_sha=request["git_sha"],
             jobs=config["jobs"],
             cache=cache,
-            dispatch=request["dispatch"],
             store=store,
             trace=ctx,
             record=not memo_only,
@@ -396,18 +395,18 @@ def _run_job_subprocess(config: dict) -> dict:
     return payload
 
 
-def _coalesce_key(suite, profiles, dispatch, git_sha) -> str:
+def _coalesce_key(suite, profiles, git_sha) -> str:
     """The submission-identity digest: the sorted content-addressed cell
-    keys (already covering compiler version, profile, benchmark, resolved
-    params and dispatch engine) plus the git SHA stamp, which lives in
-    the artifact but not in any cell key.  Two submissions with equal
+    keys (already covering compiler version, profile, benchmark and
+    resolved params) plus the git SHA stamp, which lives in the artifact
+    but not in any cell key.  Two submissions with equal
     digests are guaranteed byte-identical artifacts — the precondition
     that makes coalescing a pure optimization."""
     from ..store import cell_key
 
     digest = hashlib.sha256()
     for key in sorted(
-        cell_key(name, profile.name, overrides=params or None, dispatch=dispatch)
+        cell_key(name, profile.name, overrides=params or None)
         for name, params in suite
         for profile in profiles
     ):
@@ -428,7 +427,6 @@ class ExperimentService:
         workers=None,
         cache_dir: Optional[str] = None,
         use_compile_cache: bool = True,
-        default_dispatch: Optional[str] = None,
         registry: Optional[MetricsRegistry] = None,
         trace_log: Optional[str] = None,
         max_queue=None,
@@ -451,7 +449,6 @@ class ExperimentService:
         self.workers = resolve_jobs(workers)
         self.cache_dir = cache_dir
         self.use_compile_cache = use_compile_cache
-        self.default_dispatch = default_dispatch
         #: admission bound on *queued* (not running) jobs; None =
         #: unbounded, "auto" = 4x workers
         if isinstance(max_queue, str):
@@ -823,13 +820,13 @@ class ExperimentService:
             self._breaker_opened_monotonic = time.monotonic()
             self.registry.gauge("service.breaker_open").set(1)
 
-    def _all_cells_warm(self, suite, profiles, dispatch) -> bool:
+    def _all_cells_warm(self, suite, profiles) -> bool:
         """Memo-only admission check: is every cell of this submission
         already on record?"""
         from ..store import cell_key
 
         keys = [
-            cell_key(name, p.name, overrides=params or None, dispatch=dispatch)
+            cell_key(name, p.name, overrides=params or None)
             for name, params in suite
             for p in profiles
         ]
@@ -888,7 +885,6 @@ class ExperimentService:
 
     def _submit(self, request: dict, ctx=NULL_CONTEXT) -> dict:
         from ..metrics import baseline
-        from ..vm.dispatch import DISPATCH_MODES
 
         if request.get("plan") or request.get("faults"):
             raise HttpError(
@@ -899,12 +895,13 @@ class ExperimentService:
         scale = request.get("scale", 1.0)
         if not isinstance(scale, (int, float)) or isinstance(scale, bool):
             raise HttpError(400, f"bad scale {scale!r}")
-        dispatch = request.get("dispatch")
-        if dispatch is None:
-            dispatch = self.default_dispatch
-        if dispatch is not None and dispatch not in DISPATCH_MODES:
+        # older clients send "dispatch": null; an engine name is refused
+        # rather than silently ignored
+        if request.get("dispatch") is not None:
             raise HttpError(
-                400, f"bad dispatch {dispatch!r} (known: {', '.join(DISPATCH_MODES)})"
+                400,
+                f"bad dispatch {request['dispatch']!r}: the dispatch field "
+                "was removed (every job runs the one engine)",
             )
         try:
             profiles = baseline.resolve_profiles(request.get("profiles"))
@@ -932,9 +929,7 @@ class ExperimentService:
                 "daemon is draining: no new submissions are admitted",
                 "draining",
             )
-        coalesce_key = _coalesce_key(
-            suite, profiles, dispatch, request.get("git_sha")
-        )
+        coalesce_key = _coalesce_key(suite, profiles, request.get("git_sha"))
         primary = self._jobs.get(self._inflight_keys.get(coalesce_key, -1))
         coalesces = (
             primary is not None and primary["status"] in ("queued", "running")
@@ -943,7 +938,7 @@ class ExperimentService:
         if not coalesces:
             reason = self._memo_only_reason()
             if reason is not None:
-                if self._all_cells_warm(suite, profiles, dispatch):
+                if self._all_cells_warm(suite, profiles):
                     memo_only = True  # warm submissions still serve
                 else:
                     self._reject(
@@ -973,7 +968,6 @@ class ExperimentService:
                 "benchmarks": [name for name, _params in suite],
                 "profiles": [p.name for p in profiles],
                 "scale": float(scale),
-                "dispatch": dispatch,
                 "git_sha": request.get("git_sha"),
             },
             "stats": None,

@@ -4,12 +4,13 @@ Two translations live here:
 
 * :func:`cell_key` — the memoization key of one experiment cell, a
   SHA-256 over ``(COMPILER_VERSION, profile, benchmark, canonical
-  overrides, dispatch, seed)``.  Same idiom as the PR 4 compile cache:
+  overrides, "classic", seed)``.  Same idiom as the PR 4 compile cache:
   bumping the compiler version orphans every old entry, and override
   values are canonicalized through :func:`repro.harness.runner.compile_key`
-  so ``1``, ``1.0`` and ``True`` cannot collide.  ``dispatch`` is
-  normalized (``None`` keys as ``classic``) and ``seed`` reserves a slot
-  for seeded workloads; harness cells pass ``None``.
+  so ``1``, ``1.0`` and ``True`` cannot collide.  The constant
+  ``"classic"`` fills the slot a since-removed engine choice held, and
+  ``seed`` reserves a slot for seeded workloads; harness cells pass
+  ``None``.
 * :func:`run_to_record` / :func:`run_from_record` — a JSON-exact
   round-trip of a :class:`~repro.harness.results.ProfileRun` (minus the
   live ``observation`` object).  Python's JSON float round-trip is exact
@@ -33,7 +34,6 @@ def cell_key(
     benchmark: str,
     profile: str,
     overrides: Optional[Dict[str, object]] = None,
-    dispatch: Optional[str] = None,
     seed: Optional[int] = None,
 ) -> str:
     """The content-addressed memoization key of one experiment cell."""
@@ -47,10 +47,11 @@ def cell_key(
         profile,
         benchmark,
         repr(canon),
-        # an unset engine hashes as "classic" on purpose, although threaded
-        # is the default now: the engines are bit-identical, so records
-        # stored while classic was the default stay addressable
-        dispatch or "classic",
+        # the slot of the removed engine choice hashes as "classic" on
+        # purpose: the engines were bit-identical, and an unset engine
+        # always keyed as "classic", so every record stored before the
+        # choice was removed stays addressable without a key migration
+        "classic",
         repr(seed),
     ):
         digest.update(part.encode())

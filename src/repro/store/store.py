@@ -217,7 +217,6 @@ class ExperimentStore:
         seq: Optional[int] = None,
         source: str = "live",
         store_hits: int = 0,
-        dispatch: Optional[str] = None,
         dispatch_block: Optional[dict] = None,
         cell_keys: Optional[Dict[str, str]] = None,
         novel: Iterable[dict] = (),
@@ -230,7 +229,9 @@ class ExperimentStore:
         "record"}``.  ``cell_keys`` maps ``"benchmark@profile"`` to the
         content key of *every* cell of the run (memo hits included), so
         :meth:`export_artifact` can resolve hit cells through the key
-        index.  Returns the new run id.
+        index.  ``dispatch_block`` is the legacy top-level ``dispatch``
+        block (host wall-clock telemetry) of an imported older artifact,
+        kept so export round-trips it.  Returns the new run id.
         """
         if self.read_only:
             raise StoreError(
@@ -241,7 +242,6 @@ class ExperimentStore:
             from ..metrics.baseline import BENCH_SCHEMA
 
             bench_schema = BENCH_SCHEMA
-        engine = dispatch or "classic"
         # BEGIN IMMEDIATE takes the write lock *before* the fence check,
         # so no competing writer can steal the lease between the check
         # and the commit — the fencing guarantee is transactional, not
@@ -282,7 +282,9 @@ class ExperimentStore:
                         cell["benchmark"],
                         cell["profile"],
                         _dumps(cell.get("params") or {}),
-                        engine,
+                        # the legacy engine column: every record is keyed
+                        # as "classic" (see codec.cell_key)
+                        "classic",
                         source,
                         _dumps(record),
                     ),

@@ -1,14 +1,13 @@
-"""Threaded-code dispatch for the measured (MIR) engine — the default.
+"""Threaded-code dispatch: the measured (MIR) engine's executor.
 
-The classic executor (:meth:`repro.vm.machine.Machine._step_thread`) walks
-one giant if/elif chain per instruction and re-derives operands, cost
-constants and jump targets from the :class:`~repro.jit.mir.MInstr` on every
-cycle.  This module removes that: each function's MIR is translated into a
-flat array of *pre-bound closures* — one per pc, with operand vregs, cost
-constants, resolved call records and jump targets bound in — and the driver
-loop shrinks to ``pc = ops[pc](R, st)``.  ``threaded`` is the default
-engine (:func:`resolve_dispatch`); ``classic`` stays selectable as the
-differential oracle.
+The classic executor (:meth:`repro.vm.machine.ClassicMachine._step_thread`,
+kept only as the tests' cycle oracle) walks one giant if/elif chain per
+instruction and re-derives operands, cost constants and jump targets from
+the :class:`~repro.jit.mir.MInstr` on every cycle.  This module removes
+that: each function's MIR is translated into a flat array of *pre-bound
+closures* — one per pc, with operand vregs, cost constants, resolved call
+records and jump targets bound in — and the driver loop shrinks to
+``pc = ops[pc](R, st)``.  Every :class:`~repro.vm.machine.Machine` runs it.
 
 Translation is tiered, so cold code costs close to nothing (see
 :func:`build_ops`): a function gets hand-written closures when it first
@@ -74,7 +73,6 @@ from __future__ import annotations
 import builtins
 import math
 import operator
-import os
 import re
 import struct
 from types import FunctionType
@@ -91,26 +89,6 @@ from .values import i32, i64, r4
 #: closure sentinel returns (< 0 so real pcs stay >= 0)
 REBIND = -1
 EXIT = -2
-
-#: recognised values for the Machine(dispatch=...) knob
-DISPATCH_MODES = ("classic", "threaded", "threaded-nofuse")
-
-#: environment default for the knob (CLI/harness leave it None)
-ENV_VAR = "REPRO_DISPATCH"
-
-
-def resolve_dispatch(value=None) -> str:
-    """Resolve a ``dispatch=`` knob value: explicit value, else the
-    ``REPRO_DISPATCH`` environment variable, else ``threaded``."""
-    if value is None:
-        value = os.environ.get(ENV_VAR) or "threaded"
-    if value not in DISPATCH_MODES:
-        raise VMError(
-            f"unknown dispatch engine {value!r} "
-            f"(expected one of: {', '.join(DISPATCH_MODES)})"
-        )
-    return value
-
 
 class ExecState:
     """Mutable per-quantum execution state shared with the closures.
@@ -1633,10 +1611,9 @@ def build_ops(machine, fn, tr=None):
     Without ``tr``: a new :class:`Translation` of hand-written closures.
     With ``tr`` (the function turned hot): tier it up in place.  The first
     tier-up gives each op in the codegen subset its templated single, the
-    second each fusion run its superinstruction (``threaded`` only; not
-    with an observer, whose per-instruction hook needs per-instruction
-    closures, nor with a fault injector, see :func:`fuse_plan`).  Returns
-    the translation.
+    second each fusion run its superinstruction (not with an observer,
+    whose per-instruction hook needs per-instruction closures, nor with a
+    fault injector, see :func:`fuse_plan`).  Returns the translation.
     """
     code = fn.code
     if tr is None:
@@ -1644,7 +1621,7 @@ def build_ops(machine, fn, tr=None):
         return Translation([closure(pc) for pc in range(len(code))])
     ops = tr.ops
     observer = machine.observer
-    fuse = machine.dispatch == "threaded" and observer is None
+    fuse = observer is None
     tr.tier += 1
     if tr.tier == 1:
         obs_instr = None if observer is None else observer.instr
@@ -1674,7 +1651,7 @@ def build_ops(machine, fn, tr=None):
 
 
 def step_thread(machine, thread, budget: int) -> None:
-    """Threaded-code replacement for ``Machine._step_thread``.
+    """The threaded-code driver, bound as ``Machine._step_thread``.
 
     Structure mirrors the classic loop exactly: bind the top frame, run
     closures until a sentinel / the budget trips / a guest exception

@@ -23,7 +23,6 @@ multithreaded benchmarks are deterministic.
 from __future__ import annotations
 
 import math
-from types import MethodType
 from typing import Dict, List, Optional
 
 from ..cil import cts
@@ -43,7 +42,7 @@ from ..observe.recorder import (
     CAT_RUNTIME,
 )
 from .bench import BenchRecorder
-from .dispatch import resolve_dispatch, step_thread
+from .dispatch import step_thread
 from .exceptions import GuestException, make_exception, matches
 from .intrinsics import INTRINSICS, JavaRandom, Serializer, THREADING_CLASSES
 from .loader import LoadedAssembly, RuntimeClass
@@ -94,6 +93,12 @@ def _int_div(a: int, b: int) -> int:
 class Machine:
     """One virtual machine instance (assembly x profile)."""
 
+    #: the MIR executor: the threaded-code driver (pre-bound closures that
+    #: tier up to generated code and superinstructions once hot, see
+    #: repro.vm.dispatch).  :class:`ClassicMachine` overrides it with the
+    #: classic loop, the test oracle it is bit-identical to.
+    _step_thread = step_thread
+
     def __init__(
         self,
         loaded: LoadedAssembly,
@@ -103,13 +108,7 @@ class Machine:
         disabled_passes=(),
         observer=None,
         faults=None,
-        dispatch=None,
     ) -> None:
-        """``dispatch`` picks the MIR executor: None means
-        ``$REPRO_DISPATCH``, else ``threaded`` (pre-bound closures that
-        tier up to generated code and superinstructions once hot);
-        ``classic`` is the fetch/decode loop kept as the differential
-        oracle.  Every engine gives the same simulated numbers."""
         self.loaded = loaded
         self.profile = profile
         self.costs = profile.costs
@@ -151,19 +150,9 @@ class Machine:
         self._next_tid = 1
         self.current: Optional[GuestThread] = None
         self._linked: set = set()
-        #: dispatch engine: "threaded" (the default: pre-bound closures
-        #: that tier up to shape-templated code and superinstructions once
-        #: hot), "threaded-nofuse" (the same without superinstructions) or
-        #: "classic" (the interpreted elif chain, kept as the differential
-        #: oracle).  The threaded engines shadow the _step_thread method
-        #: with the closure driver; all three are bit-identical in every
-        #: simulated observable (see tests/test_dispatch_equivalence.py).
-        self.dispatch = resolve_dispatch(dispatch)
-        if self.dispatch != "classic":
-            #: per-function translations (repro.vm.dispatch.Translation),
-            #: keyed by id(fn); emptied when run() returns
-            self._threaded_code: Dict[int, object] = {}
-            self._step_thread = MethodType(step_thread, self)
+        #: per-function translations (repro.vm.dispatch.Translation),
+        #: keyed by id(fn); emptied when run() returns
+        self._threaded_code: Dict[int, object] = {}
         if observer is not None:
             observer.attach(self)
 
@@ -252,13 +241,12 @@ class Machine:
 
     def run(self, entry: Optional[MethodDef] = None, args: Optional[List] = None):
         """Run static constructors then the entry point on the main thread;
-        returns the entry's return value.  The threaded engines' closure
+        returns the entry's return value.  The threaded engine's closure
         translations are dropped when it returns, normally or by raising."""
         try:
             return self._run(entry, args)
         finally:
-            if self.dispatch != "classic":
-                self._threaded_code.clear()
+            self._threaded_code.clear()
 
     def _run(self, entry, args):
         entry = entry or self.loaded.entry_point
@@ -737,7 +725,36 @@ class Machine:
             return thread.tid
         raise VMError(f"unknown thread op {name}")
 
-    # ------------------------------------------------------------- executor
+    def _isinst(self, v, t, rc: Optional[RuntimeClass]) -> bool:
+        if isinstance(t, cts.ObjectType):
+            return True
+        if isinstance(v, str):
+            return isinstance(t, cts.StringType)
+        if isinstance(v, (SZArray, MDArray)):
+            return t.is_array
+        if isinstance(v, BoxedValue):
+            return isinstance(t, cts.NamedType) and v.type_name == t.name
+        if isinstance(v, ObjectInstance):
+            return rc is not None and v.rtclass.is_subclass_of(rc)
+        return False
+
+
+def _box_matches(box_type: str, target_name: str) -> bool:
+    if box_type == target_name:
+        return True
+    group_int = {"int32", "int16", "int8", "uint8", "uint16", "char", "bool"}
+    return box_type in group_int and target_name in group_int
+
+
+class ClassicMachine(Machine):
+    """The classic fetch/decode MIR loop: the differential cycle oracle.
+
+    One if/elif chain per instruction, re-deriving operands, costs and
+    jump targets from each :class:`~repro.jit.mir.MInstr`.  Every
+    simulated number it produces is bit-identical to :class:`Machine`'s
+    threaded engine; tests difference generated programs against it
+    (see tests/test_dispatch_equivalence.py).  No product path builds
+    one."""
 
     def _step_thread(self, thread: GuestThread, budget: int) -> None:
         """Run ``thread`` for up to ``budget`` cycles (approximately)."""
@@ -1284,34 +1301,14 @@ class Machine:
             self.instructions += icount
             spent = 0
 
-    def _isinst(self, v, t, rc: Optional[RuntimeClass]) -> bool:
-        if isinstance(t, cts.ObjectType):
-            return True
-        if isinstance(v, str):
-            return isinstance(t, cts.StringType)
-        if isinstance(v, (SZArray, MDArray)):
-            return t.is_array
-        if isinstance(v, BoxedValue):
-            return isinstance(t, cts.NamedType) and v.type_name == t.name
-        if isinstance(v, ObjectInstance):
-            return rc is not None and v.rtclass.is_subclass_of(rc)
-        return False
-
-
-def _box_matches(box_type: str, target_name: str) -> bool:
-    if box_type == target_name:
-        return True
-    group_int = {"int32", "int16", "int8", "uint8", "uint16", "char", "bool"}
-    return box_type in group_int and target_name in group_int
-
 
 def run_source_on(source: str, profile, entry_class: Optional[str] = None,
-                  quantum: int = 50_000, dispatch=None):
+                  quantum: int = 50_000):
     """Convenience: compile once, run on one profile; returns (result, machine)."""
     from ..lang import compile_source
 
     assembly = compile_source(source, entry_class=entry_class)
     loaded = LoadedAssembly(assembly)
-    machine = Machine(loaded, profile, quantum=quantum, dispatch=dispatch)
+    machine = Machine(loaded, profile, quantum=quantum)
     result = machine.run()
     return result, machine

@@ -1,6 +1,8 @@
 """Shared test helpers."""
 
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
@@ -64,3 +66,31 @@ def run_main():
         return interpret(source, entry_class)[0]
 
     return _run
+
+
+#: a superinstruction tier-up count no test program reaches
+_NEVER_FUSE = 10**15
+
+
+@contextmanager
+def use_engine(name):
+    """Run the machines built inside the block on engine ``name``; yields
+    the machine class to construct.
+
+    ``threaded`` is the one product engine.  ``classic`` is the
+    :class:`~repro.vm.machine.ClassicMachine` oracle; it is also put behind
+    the harness runner, so ``Runner.run_on`` and pool workers forked
+    inside the block build it too.  ``unfused`` is the threaded engine
+    held below its superinstruction tier, which pins a divergence on
+    either the closure translation or the fuser.
+    """
+    from repro.harness import runner
+    from repro.vm import dispatch
+    from repro.vm.machine import ClassicMachine, Machine
+
+    assert name in ("classic", "threaded", "unfused"), name
+    machine_class = ClassicMachine if name == "classic" else Machine
+    fuse_runs = _NEVER_FUSE if name == "unfused" else dispatch._FUSE_RUNS
+    with mock.patch.object(runner, "Machine", machine_class), \
+            mock.patch.object(dispatch, "_FUSE_RUNS", fuse_runs):
+        yield machine_class

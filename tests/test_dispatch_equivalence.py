@@ -3,16 +3,18 @@
 The threaded-code engine (``repro.vm.dispatch``) re-implements the MIR hot
 path as pre-bound closure arrays with superinstruction fusion.  Its whole
 license to exist is this file's oracle: **every observable number is
-bit-identical to the classic loop** — results, simulated cycles (including
-float cost accumulation order), instruction counts, allocation/GC totals,
-metrics snapshots, observe-profiles, and stdout.  Anything the classic
-engine produces is ground truth; the threaded engine is only ever faster,
-never different.
+bit-identical to the classic loop** (``ClassicMachine``, kept only for
+these tests) — results, simulated cycles (including float cost
+accumulation order), instruction counts, allocation/GC totals, metrics
+snapshots, observe-profiles, and stdout.  Anything the classic engine
+produces is ground truth; the threaded engine is only ever faster, never
+different.
 
-Three engine configurations are differenced everywhere: ``classic``,
-``threaded`` (codegen + fusion), and ``threaded-nofuse`` (codegen singles,
-no fusion) — the intermediate form localizes a divergence to either the
-closure translation or the fuser.
+Three engine configurations are differenced everywhere (selected with
+``tests.conftest.use_engine``): ``classic``, ``threaded`` (codegen +
+fusion), and ``unfused`` (codegen singles, no fusion) — the intermediate
+form localizes a divergence to either the closure translation or the
+fuser.
 
 Coverage: every registered benchmark x all eight runtime profiles (scaled
 small), the fuzz corpus, observer-attached runs (zero-perturbation hooks
@@ -33,13 +35,14 @@ from repro.observe.report import profile_to_dict
 from repro.runtimes import ALL_PROFILES, CLR11, NATIVE_C, SSCLI10
 from repro.vm.interpreter import Interpreter
 from repro.vm.loader import LoadedAssembly
-from repro.vm.machine import Machine
+from repro.vm.machine import ClassicMachine, Machine
+from tests.conftest import use_engine
 
 CORPUS = Path(__file__).parent / "fuzz_corpus"
 CORPUS_FILES = sorted(CORPUS.glob("*.cs"))
 
 #: the non-classic engines, each differenced against classic ground truth
-ENGINES = ("threaded", "threaded-nofuse")
+ENGINES = ("threaded", "unfused")
 
 #: tiny per-benchmark workloads: the equivalence property is about engine
 #: plumbing, not workload size, so every cell is scaled to run in tier-1
@@ -126,15 +129,15 @@ def machine_fingerprint(machine, result):
 def test_benchmark_bit_identical_across_engines(bench):
     params = SMALL_PARAMS[bench]
     for profile in ALL_PROFILES:
-        truth = run_fingerprint(
-            _runner.run_on(bench, profile, params, metrics=True,
-                           dispatch="classic")
-        )
-        for engine in ENGINES:
-            got = run_fingerprint(
-                _runner.run_on(bench, profile, params, metrics=True,
-                               dispatch=engine)
+        with use_engine("classic"):
+            truth = run_fingerprint(
+                _runner.run_on(bench, profile, params, metrics=True)
             )
+        for engine in ENGINES:
+            with use_engine(engine):
+                got = run_fingerprint(
+                    _runner.run_on(bench, profile, params, metrics=True)
+                )
             assert got == truth, f"{bench} / {profile.name} / {engine}"
 
 
@@ -154,9 +157,9 @@ def test_fuzz_corpus_bit_identical_across_engines(path):
     for profile in (NATIVE_C, CLR11, SSCLI10):
         prints = {}
         for engine in ("classic",) + ENGINES:
-            machine = Machine(LoadedAssembly(assembly), profile,
-                              dispatch=engine)
-            prints[engine] = machine_fingerprint(machine, machine.run())
+            with use_engine(engine) as machine_class:
+                machine = machine_class(LoadedAssembly(assembly), profile)
+                prints[engine] = machine_fingerprint(machine, machine.run())
         for engine in ENGINES:
             assert prints[engine] == prints["classic"], (
                 f"{path.stem} / {profile.name} / {engine}"
@@ -176,14 +179,15 @@ def test_observed_runs_identical_profiles_across_engines(bench, profile):
     engine (per-instruction hook order included), and attaching it never
     perturbs the numbers the unobserved run produced."""
     params = SMALL_PARAMS[bench]
-    plain = run_fingerprint(
-        _runner.run_on(bench, profile, params, metrics=True,
-                       dispatch="classic")
-    )
+    with use_engine("classic"):
+        plain = run_fingerprint(
+            _runner.run_on(bench, profile, params, metrics=True)
+        )
     profiles = {}
     for engine in ("classic",) + ENGINES:
-        run = _runner.run_on(bench, profile, params, observe=True,
-                             metrics=True, dispatch=engine)
+        with use_engine(engine):
+            run = _runner.run_on(bench, profile, params, observe=True,
+                                 metrics=True)
         observed = run_fingerprint(run)
         assert observed == plain, f"observer perturbed {engine}"
         profiles[engine] = json.dumps(
@@ -244,9 +248,9 @@ def test_catch_observes_same_locals_under_every_engine(source, expected, label):
     for profile in (NATIVE_C, CLR11, SSCLI10):
         prints = {}
         for engine in ("classic",) + ENGINES:
-            machine = Machine(LoadedAssembly(assembly), profile,
-                              dispatch=engine)
-            prints[engine] = machine_fingerprint(machine, machine.run())
+            with use_engine(engine) as machine_class:
+                machine = machine_class(LoadedAssembly(assembly), profile)
+                prints[engine] = machine_fingerprint(machine, machine.run())
         assert prints["classic"]["result"] == repr(expected), profile.name
         for engine in ENGINES:
             assert prints[engine] == prints["classic"], (
@@ -389,9 +393,9 @@ def tiering(monkeypatch):
 def _engine_prints(assembly, profile, engines=("classic",) + ENGINES, **kwargs):
     prints = {}
     for engine in engines:
-        machine = Machine(LoadedAssembly(assembly), profile, dispatch=engine,
-                          **kwargs)
-        prints[engine] = machine_fingerprint(machine, machine.run())
+        with use_engine(engine) as machine_class:
+            machine = machine_class(LoadedAssembly(assembly), profile, **kwargs)
+            prints[engine] = machine_fingerprint(machine, machine.run())
     return prints
 
 
@@ -425,8 +429,9 @@ def test_throw_from_interior_of_tiered_superinstruction(tiering, monkeypatch):
         prints, sites = {}, {}
         for engine in ("classic",) + ENGINES:
             del throw_sites[:]
-            machine = Machine(LoadedAssembly(assembly), profile, dispatch=engine)
-            prints[engine] = machine_fingerprint(machine, machine.run())
+            with use_engine(engine) as machine_class:
+                machine = machine_class(LoadedAssembly(assembly), profile)
+                prints[engine] = machine_fingerprint(machine, machine.run())
             sites[engine] = list(throw_sites)
         assert prints["classic"]["result"] == repr(expected), profile.name
         assert len(sites["classic"]) == 1
@@ -479,9 +484,10 @@ def test_tier_up_with_observer_attached(tiering):
     streams = {}
     for engine in ("classic",) + ENGINES:
         observer = Observer()
-        machine = Machine(LoadedAssembly(assembly), CLR11, dispatch=engine,
-                          observer=observer)
-        assert machine_fingerprint(machine, machine.run()) == plain, engine
+        with use_engine(engine) as machine_class:
+            machine = machine_class(LoadedAssembly(assembly), CLR11,
+                                    observer=observer)
+            assert machine_fingerprint(machine, machine.run()) == plain, engine
         streams[engine] = json.dumps(profile_to_dict(observer), sort_keys=True)
     for engine in ENGINES:
         assert streams[engine] == streams["classic"], engine
@@ -559,8 +565,9 @@ def test_throw_from_fused_memory_access(tiering, monkeypatch, pad):
         prints, sites = {}, {}
         for engine in ("classic",) + ENGINES:
             del throw_sites[:]
-            machine = Machine(LoadedAssembly(assembly), profile, dispatch=engine)
-            prints[engine] = machine_fingerprint(machine, machine.run())
+            with use_engine(engine) as machine_class:
+                machine = machine_class(LoadedAssembly(assembly), profile)
+                prints[engine] = machine_fingerprint(machine, machine.run())
             sites[engine] = list(throw_sites)
         assert prints["classic"]["result"] == repr(expected), profile.name
         assert len(sites["classic"]) == 50 + 200
@@ -652,8 +659,9 @@ def test_static_call_site_binds_its_callee_once(monkeypatch):
     for engine in ("classic",) + ENGINES:
         del calls[:]
         # SSCLI 1.0 does not inline, so every iteration calls Inc
-        machine = Machine(LoadedAssembly(assembly), SSCLI10, dispatch=engine)
-        prints[engine] = machine_fingerprint(machine, machine.run())
+        with use_engine(engine) as machine_class:
+            machine = machine_class(LoadedAssembly(assembly), SSCLI10)
+            prints[engine] = machine_fingerprint(machine, machine.run())
         counts[engine] = calls.count("Inc")
     assert prints["classic"]["result"] == "500" and counts["classic"] == 500
     for engine in ENGINES:
@@ -719,7 +727,7 @@ def test_translations_released_when_run_returns():
     )
     for assembly, raises in ((compile_source(HOT_SHARED), False), (throws, True)):
         machine = Machine(LoadedAssembly(assembly), CLR11)
-        assert machine.dispatch == "threaded"
+        assert not isinstance(machine, ClassicMachine)
         if raises:
             with pytest.raises(ManagedException):
                 machine.run()
@@ -752,11 +760,3 @@ def test_template_cache_holds_no_runtime_objects():
         ), type(obj)
         pending.extend(gc.get_referents(obj))
 
-
-def test_threaded_is_the_default_engine(monkeypatch):
-    from repro.vm.dispatch import ENV_VAR, resolve_dispatch
-
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    assert resolve_dispatch() == "threaded"
-    monkeypatch.setenv(ENV_VAR, "classic")
-    assert resolve_dispatch() == "classic"

@@ -37,6 +37,7 @@ from repro.parallel.cache import CompileCache
 from repro.runtimes import CLR11, MONO023
 from repro.vm.loader import LoadedAssembly
 from repro.vm.machine import Machine
+from tests.conftest import use_engine
 
 
 def run_machine(source, faults=None, profile=CLR11):
@@ -239,13 +240,12 @@ CELLS = [
 META = [(bench, profile) for bench, _params, profile in CELLS]
 
 
-def chaos_report(plan, jobs, cell_timeout=3.0, dispatch=None):
+def chaos_report(plan, jobs, cell_timeout=3.0):
     spec = {
         "kind": "harness",
         "metrics": False,
         "plan": plan,
         "cell_timeout": cell_timeout,
-        "dispatch": dispatch,
     }
     payloads, pool_report = run_cells(spec, CELLS, jobs=jobs)
     return annotate_cells(META, payloads, plan), pool_report
@@ -332,8 +332,11 @@ class TestResilientPool:
         for engine in ("classic", "threaded"):
             for jobs in (1, 2):
                 spec = {"kind": "harness", "metrics": False, "plan": plan,
-                        "cell_timeout": 10.0, "dispatch": engine}
-                payloads, _pool = run_cells(spec, cells, jobs=jobs)
+                        "cell_timeout": 10.0}
+                # pool workers fork inside the block and build the
+                # engine's machine class
+                with use_engine(engine):
+                    payloads, _pool = run_cells(spec, cells, jobs=jobs)
                 report = annotate_cells(meta, payloads, plan)
                 blobs[(engine, jobs)] = report.to_json()
         assert len(set(blobs.values())) == 1, sorted(blobs)
@@ -367,19 +370,19 @@ class TestResilientPool:
         }"""
         assembly = compile_source(source)
         prints = {}
-        for engine in ("classic", "threaded", "threaded-nofuse"):
-            machine = Machine(
-                LoadedAssembly(assembly), CLR11,
-                faults=MachineFaults(throw_during_unwind=1),
-                dispatch=engine,
-            )
-            result = machine.run()
+        for engine in ("classic", "threaded", "unfused"):
+            with use_engine(engine) as machine_class:
+                machine = machine_class(
+                    LoadedAssembly(assembly), CLR11,
+                    faults=MachineFaults(throw_during_unwind=1),
+                )
+                result = machine.run()
             prints[engine] = (result, dict(machine.faults.fired),
                               repr(machine.cycles), machine.instructions)
         assert prints["classic"][0] == 110
         assert prints["classic"][1] == {"unwind_throw": 1}
         assert prints["threaded"] == prints["classic"]
-        assert prints["threaded-nofuse"] == prints["classic"]
+        assert prints["unfused"] == prints["classic"]
 
     def test_no_plan_pool_payloads_unchanged(self):
         spec = {"kind": "harness", "metrics": False}

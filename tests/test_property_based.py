@@ -249,7 +249,7 @@ class TestExpressionFuzz:
         from repro.lang import compile_source
         from repro.runtimes import CLR11, NATIVE_C, SSCLI10
         from repro.vm.loader import LoadedAssembly
-        from repro.vm.machine import Machine
+        from tests.conftest import use_engine
 
         source = f"""
         class P {{ static int Main() {{
@@ -262,17 +262,17 @@ class TestExpressionFuzz:
         assembly = compile_source(source)
         for profile in (NATIVE_C, CLR11, SSCLI10):
             prints = {}
-            for engine in ("classic", "threaded", "threaded-nofuse"):
-                machine = Machine(LoadedAssembly(assembly), profile,
-                                  dispatch=engine)
-                result = machine.run()
+            for engine in ("classic", "threaded", "unfused"):
+                with use_engine(engine) as machine_class:
+                    machine = machine_class(LoadedAssembly(assembly), profile)
+                    result = machine.run()
                 prints[engine] = (
                     repr(result), repr(machine.cycles), machine.instructions
                 )
             assert prints["threaded"] == prints["classic"], (
                 f"{profile.name}: {expr=}"
             )
-            assert prints["threaded-nofuse"] == prints["classic"], (
+            assert prints["unfused"] == prints["classic"], (
                 f"{profile.name}: {expr=}"
             )
 

@@ -99,6 +99,20 @@ class TestDaemon:
         assert counters["service.cache_hits"] == 4
         assert counters["service.jobs"] == 2
 
+    def test_null_dispatch_is_the_same_job(self, daemon):
+        # older clients send "dispatch": null; it is served, and it is
+        # the same submission as one without the field
+        legacy = daemon.client.wait(
+            daemon.client.submit({**SMALL, "dispatch": None})["id"]
+        )
+        assert legacy["status"] == "done", legacy["error"]
+        plain = daemon.client.wait(daemon.client.submit(SMALL)["id"])
+        assert plain["stats"]["hits"] == plain["stats"]["cells"] == 4
+        jobs = daemon.service._jobs
+        assert jobs[legacy["id"]]["coalesce_key"] == jobs[plain["id"]]["coalesce_key"]
+        blob = lambda j: json.dumps(daemon.client.result(j["id"]), sort_keys=True)
+        assert blob(legacy) == blob(plain)
+
     def test_trends_reflect_recorded_runs(self, daemon):
         daemon.client.wait(daemon.client.submit(SMALL)["id"])
         rows = daemon.client.trends(benchmark="micro.arith",
@@ -377,16 +391,15 @@ class TestExecutionArgs:
         assert isinstance(execution, ExecutionConfig)
         assert execution.jobs is None
         assert execution.use_compile_cache and execution.cache is not None
-        assert execution.dispatch is None and execution.plan is None
+        assert execution.plan is None
 
     def test_flags_map_through(self, tmp_path):
         execution = execution_from_args(self._parse([
-            "--jobs", "4", "--cache-dir", str(tmp_path), "--dispatch",
-            "threaded", "--fault-seed", "7", "--fault-sites", "alloc_oom",
+            "--jobs", "4", "--cache-dir", str(tmp_path),
+            "--fault-seed", "7", "--fault-sites", "alloc_oom",
         ]))
         assert execution.jobs == "4"
         assert execution.cache.root.startswith(str(tmp_path))
-        assert execution.dispatch == "threaded"
         assert execution.plan is not None and execution.plan.seed == 7
 
     def test_no_compile_cache_disables_cache(self):
@@ -407,12 +420,10 @@ class TestExecutionArgs:
             execution.as_request()
 
     @pytest.mark.parametrize("build, argv", [
-        ("repro.metrics.cli", ["run", "--jobs", "2", "--dispatch", "threaded",
+        ("repro.metrics.cli", ["run", "--jobs", "2",
                                "--fault-seed", "5", "--store", "x.sqlite"]),
-        ("repro.faults.cli", ["run", "--seed", "5", "--jobs", "2",
-                              "--dispatch", "threaded"]),
-        ("repro.service.cli", ["submit", "--jobs", "2", "--dispatch",
-                               "threaded", "--fault-seed", "5"]),
+        ("repro.faults.cli", ["run", "--seed", "5", "--jobs", "2"]),
+        ("repro.service.cli", ["submit", "--jobs", "2", "--fault-seed", "5"]),
     ])
     def test_every_cli_accepts_the_shared_flags(self, build, argv):
         import importlib
@@ -423,7 +434,7 @@ class TestExecutionArgs:
         else:
             args = module.build_parser().parse_args(argv)
         execution = execution_from_args(args)
-        assert execution.jobs == "2" and execution.dispatch == "threaded"
+        assert execution.jobs == "2"
         assert execution.plan is not None
 
     def test_hpcnet_run_accepts_the_shared_flags(self, tmp_path, capsys):
@@ -431,7 +442,6 @@ class TestExecutionArgs:
 
         rc = main(["run", "micro.arith", "--profiles", "clr-1.1",
                    "--param", "Reps=50", "--jobs", "1",
-                   "--cache-dir", str(tmp_path / "cache"),
-                   "--dispatch", "threaded"])
+                   "--cache-dir", str(tmp_path / "cache")])
         assert rc == 0
         assert "micro.arith" in capsys.readouterr().out

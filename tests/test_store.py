@@ -127,9 +127,20 @@ class TestCellKey:
         }
         assert len(keys) == 3
 
-    def test_dispatch_none_is_classic(self):
-        assert cell_key("b", "p", dispatch=None) == cell_key("b", "p", dispatch="classic")
-        assert cell_key("b", "p", dispatch="threaded") != cell_key("b", "p")
+    def test_keys_of_stored_records_are_stable(self):
+        # digests frozen while the engine was still a cell_key argument
+        # (an unset engine keyed as "classic"): every record stored then
+        # must stay addressable.  Only a COMPILER_VERSION bump may move
+        # them, and it orphans every record on purpose.
+        assert cell_key("micro.arith", "clr-1.1") == (
+            "4c12e748d9f31bc5d16f1bdfa58c51b0604f0ae57f67f22d95999de0db32257e"
+        )
+        assert cell_key(
+            "scimark.lu", "mono-0.23", {"N": 8, "Reps": 1, "Seed": 101010}
+        ) == "32a604887d09a13edbf620ed3b176edc84e085eab3ec335e0801759e32ff70a9"
+        assert cell_key("scimark.sor", "sscli-1.0", {"N": 8, "Omega": 1.25}) == (
+            "8ab45f2064ae2775d2dc0e8bdebfff67f8970d28a8037e356214400534b301e7"
+        )
 
     def test_profile_benchmark_seed_separate(self):
         assert cell_key("b", "p1") != cell_key("b", "p2")

@@ -292,7 +292,7 @@ class TestExposition:
 class TestPoolSpans:
     def _spec(self):
         return {"kind": "harness", "metrics": True, "cache_dir": None,
-                "plan": None, "cell_timeout": None, "dispatch": None}
+                "plan": None, "cell_timeout": None}
 
     def _cells(self):
         suite = baseline.resolve_suite("micro.arith,grande.sieve", 0.0)

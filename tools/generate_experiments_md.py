@@ -110,34 +110,30 @@ plan seed yields a **byte-identical** failure report at ``--jobs 1``,
 provably inert: cycle counts are bit-identical to a build without it.
 Every number below is collected with no plan armed.
 
-Methodology note on dispatch-engine invariance: the MIR executor has two
-interchangeable engines — a threaded-code engine (``dispatch=threaded``,
-the default) and the classic fetch/decode loop, kept as the differential
-oracle (``--dispatch classic``).  The threaded engine translates by
-tier: a method gets pre-bound hand-written closures when it first runs,
-shape-templated generated closures once it has retired 20 times its length
-in instructions, and superinstructions for its straight-line runs, array
-and field accesses included, at 200 times its length.  The engines differ
-only in *host*
-wall-clock (``repro-bench dispatch-smoke`` gates a >= 2x threaded/classic
-ratio on ``micro.arith`` in CI): every simulated observable —
-cycles including float cost-accumulation order, instruction counts,
-metrics snapshots, observe-profiles, and fault-fire sites — is asserted
-**bit-identical** between engines over every registered benchmark, all
-eight runtime profiles, and the fuzz corpus
-(``tests/test_dispatch_equivalence.py``).  Superinstructions cannot move
+Methodology note on dispatch-engine invariance: the MIR executor is one
+threaded-code engine.  It translates by tier: a method gets pre-bound
+hand-written closures when it first runs, shape-templated generated
+closures once it has retired 20 times its length in instructions, and
+superinstructions for its straight-line runs, array and field accesses
+included, at 200 times its length.  The classic fetch/decode loop
+survives only as a test oracle (``ClassicMachine``), which no command
+can select.  The two differ only in *host* wall-clock: every simulated
+observable — cycles including float cost-accumulation order, instruction
+counts, metrics snapshots, observe-profiles, and fault-fire sites — is
+asserted **bit-identical** between them over every registered benchmark,
+all eight runtime profiles and the fuzz corpus
+(``tests/test_dispatch_equivalence.py``), and over generated programs
+(``tests/test_property_based.py``).  Superinstructions cannot move
 a number because fusion never crosses a branch target, an exception-region
 boundary, or an armed fault site, adds costs (and the large memory
 model's per-access tax) in classic's order, and either re-checks the
 classic budget/burst predicates between elements or proves with one
 margin-guarded entry check that none of them can trip
-(``tests/test_property_based.py``).  The dispatch engine is therefore not
-part of the experimental configuration; artifacts collected with
-``--dispatch threaded`` only add a ``dispatch.speedup`` wall-clock
-telemetry block, leaving every simulated number byte-identical.  For the
-same reason the memo key below still hashes an unset engine as
-``classic``: records stored before threaded became the default stay
-addressable.
+(``tests/test_property_based.py``).  The executor is therefore not part
+of the experimental configuration, and no artifact records it.  For the
+same reason the memo key below fills its dispatch-engine slot with the
+constant ``classic``, the value an unset engine always keyed as, so
+records stored while the engine was selectable stay addressable.
 
 Methodology note on memoized results: the experiment service
 (``repro-serve`` / ``repro-client``) and the store-backed CLI paths
