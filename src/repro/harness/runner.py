@@ -17,7 +17,7 @@ from ..cil.metadata import Assembly
 from ..errors import BenchmarkError, ReproError
 from ..lang import compile_source
 from ..metrics import MachineMetrics
-from ..observe import CompositeObserver, Observer
+from ..observe import Observer
 from ..runtimes import MICRO_PROFILES, RuntimeProfile
 from ..vm.loader import LoadedAssembly
 from ..vm.machine import Machine
@@ -119,9 +119,8 @@ class Runner:
         the returned run's ``observation`` field.  ``metrics`` may be True
         (fresh :class:`repro.metrics.MachineMetrics`) or an unattached
         MachineMetrics; its finalized snapshot lands on the run's
-        ``metrics`` field.  Both may be given at once — the machine's single
-        observer slot then gets a :class:`repro.observe.CompositeObserver`
-        fanning every hook (and the JIT trace) out to both.
+        ``metrics`` field.  The machine has one observer slot, so giving
+        both raises :class:`ValueError`.
         ``disabled_passes`` overrides the runner-wide setting for this run
         only.  ``faults`` is an optional
         :class:`repro.faults.MachineFaults` spec; when a fault fires the
@@ -129,15 +128,14 @@ class Runner:
         fired-site counters as ``exc.fault_fired`` so merge paths can
         attribute the failure.
         """
+        if observe is not None and metrics is not None:
+            raise ValueError("run_on takes an observer or metrics, not both")
         assembly = self.compile_benchmark(name, overrides)
         if observe is True:
             observe = Observer()
         if metrics is True:
             metrics = MachineMetrics()
-        if observe is not None and metrics is not None:
-            observer = CompositeObserver(observe, metrics)
-        else:
-            observer = metrics if observe is None else observe
+        observer = metrics if observe is None else observe
         if observer is not None:
             observer.benchmark = name
         disabled = (
@@ -201,9 +199,9 @@ class Runner:
     ) -> Dict[str, ProfileRun]:
         """Run on every configured profile; results keyed by profile name.
         Also asserts the paper's cross-runtime invariant: every profile's
-        recorded computation results are identical.  ``observe=True`` /
-        ``metrics=True`` attach a fresh Observer / MachineMetrics per
-        profile (both are single-machine)."""
+        recorded computation results are identical.  ``observe=True`` or
+        ``metrics=True`` (not both) attaches a fresh Observer or
+        MachineMetrics per profile (each is single-machine)."""
         out: Dict[str, ProfileRun] = {}
         for profile in self.profiles:
             out[profile.name] = self.run_on(

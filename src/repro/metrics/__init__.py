@@ -27,7 +27,7 @@ from .exposition import (
     render_exposition,
     validate_exposition,
 )
-from .instrument import JitMetricsTrace, MachineMetrics
+from .instrument import MachineMetrics
 from .registry import (
     Counter,
     Gauge,
@@ -44,7 +44,6 @@ __all__ = [
     "EXPOSITION_CONTENT_TYPE",
     "Gauge",
     "Histogram",
-    "JitMetricsTrace",
     "MachineMetrics",
     "MetricsError",
     "MetricsRegistry",

@@ -4,12 +4,13 @@
 :class:`~repro.observe.base.MachineObserver` protocol) that translates the
 measured engine's read-only hooks into registry updates: allocation sites,
 GC collections/pauses/live set, exception dispatch and unwinds, monitor
-contention, scheduler quanta and context switches, and — through
-:class:`JitMetricsTrace` — per-pass JIT instruction deltas and compile
-effort.  Like every observer it never mutates machine state, so a
-metric-instrumented run is cycle-for-cycle bit-identical to a bare run
-(``tests/test_metrics.py`` enforces it across benchmarks and the fuzz
-corpus).
+contention, scheduler quanta and context switches.  Its ``jit`` slot is
+the structural :class:`~repro.observe.jittrace.JitTrace`, the same
+recorder the profiler uses; :meth:`MachineMetrics.finalize` derives the
+per-pass JIT instruction deltas and compile counts from its records.  Like
+every observer it never mutates machine state, so a metric-instrumented
+run is cycle-for-cycle bit-identical to a bare run (``tests/test_metrics.py``
+enforces it across benchmarks and the fuzz corpus).
 
 It deliberately sets ``instr = None``: per-instruction data is the
 cycle-attribution profiler's job; the metrics layer reads the aggregate
@@ -35,7 +36,7 @@ Metric catalogue (all names created on first update):
 ``sched.quanta``          counter    scheduler quanta that charged cycles
 ``sched.quantum_cycles``  histogram  cycles per quantum
 ``sched.switches``        counter    context switches charged
-``jit.methods_compiled``  counter    pipeline compilations
+``jit.methods_compiled``  counter    finalize(): pipeline compilations
 ``jit.instrs_lowered``    counter    MIR instructions produced by lowering
 ``jit.instrs_final``      counter    MIR instructions after the pipeline
 ``jit.inline_requests``   counter    inline candidates asked for / available
@@ -56,9 +57,10 @@ Metric catalogue (all names created on first update):
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..observe.base import MachineObserver
+from ..observe.jittrace import JitTrace
 from .registry import Counter, MetricsRegistry
 
 #: pause/size-style histograms share the default geometric bounds from the
@@ -68,69 +70,16 @@ QUANTUM_BUCKETS = (
 )
 
 
-class JitMetricsTrace:
-    """JitTrace-compatible recorder feeding pass-level counters.
-
-    The pipeline drives it exactly like the structural
-    :class:`~repro.observe.jittrace.JitTrace` — ``begin`` per method,
-    ``rec.record_pass`` per pass, ``rec.finish`` at the end — so it can sit
-    behind a :class:`~repro.observe.composite.CompositeJitTrace` next to
-    the profiler's trace without the pipeline knowing.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-
-    def begin(self, method: str, inline_candidate: bool) -> "_CompileRec":
-        return _CompileRec(self.registry)
-
-
-class _CompileRec:
-    """One method's compilation, reduced to counter updates."""
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._registry = registry
-        self.lowered_instrs = 0
-        self.inline_decisions = _InlineCounter(registry)
-
-    def record_pass(self, name: str, before: int, fn) -> None:
-        registry = self._registry
-        registry.counter(f"jit.pass.{name}.runs").inc()
-        registry.counter(f"jit.pass.{name}.delta").add(len(fn.code) - before)
-
-    def finish(self, fn) -> None:
-        registry = self._registry
-        registry.counter("jit.methods_compiled").inc()
-        registry.counter("jit.instrs_lowered").add(self.lowered_instrs)
-        registry.counter("jit.instrs_final").add(len(fn.code))
-
-
-class _InlineCounter:
-    """List façade: the inliner appends InlineDecision records; we count."""
-
-    __slots__ = ("_requests", "_available")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._requests: Counter = registry.counter("jit.inline_requests")
-        self._available: Counter = registry.counter("jit.inline_available")
-
-    def append(self, decision) -> None:
-        self._requests.inc()
-        if decision.available:
-            self._available.inc()
-
-
 class MachineMetrics(MachineObserver):
-    """Attach to one machine; update a (possibly shared) registry."""
+    """Attach to one machine; record into its own registry."""
 
     #: skip the per-instruction hot-path callback entirely
     instr = None
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self) -> None:
+        self.registry = reg = MetricsRegistry()
         self.machine = None
-        self.jit = JitMetricsTrace(self.registry)
-        reg = self.registry
+        self.jit = JitTrace()
         # pre-create the hook-side metrics so hot hooks are attribute loads
         self._cat: Dict[str, Counter] = {}
         self._frames_pushed = reg.counter("calls.frames_pushed")
@@ -157,12 +106,14 @@ class MachineMetrics(MachineObserver):
         self.machine = machine
 
     def finalize(self) -> None:
-        """Publish end-of-run machine/scheduler/JIT totals as gauges.
+        """Publish end-of-run machine/scheduler totals as gauges and the
+        ``jit.*`` counters derived from the compile records.
 
         This is where the machine's formerly-internal counters
         (``gc_collections``, ``gc_live_objects``, ``allocated_bytes``) are
-        promoted into the registry.  Idempotent; the harness calls it after
-        every run, direct users call it before :meth:`snapshot`.
+        promoted into the registry.  Idempotent (every value is set, never
+        added); the harness calls it after every run, direct users call it
+        before :meth:`snapshot`.
         """
         machine = self.machine
         if machine is None:
@@ -177,6 +128,25 @@ class MachineMetrics(MachineObserver):
         reg.gauge("threads.quanta").set(sum(t.quanta for t in machine.threads))
         reg.gauge("threads.switches").set(sum(t.switches for t in machine.threads))
         reg.gauge("jit.compile_cycles").set(machine.jit.compile_effort)
+        methods = self.jit.methods
+        if not methods:
+            return
+        derived = {
+            "jit.methods_compiled": len(methods),
+            "jit.instrs_lowered": sum(rec.lowered_instrs for rec in methods),
+            "jit.instrs_final": sum(rec.final_instrs for rec in methods),
+            "jit.inline_requests": sum(len(rec.inline_decisions) for rec in methods),
+            "jit.inline_available": sum(
+                d.available for rec in methods for d in rec.inline_decisions
+            ),
+        }
+        for rec in methods:
+            for p in rec.passes:
+                runs, delta = f"jit.pass.{p.name}.runs", f"jit.pass.{p.name}.delta"
+                derived[runs] = derived.get(runs, 0) + 1
+                derived[delta] = derived.get(delta, 0) + p.delta
+        for name, value in derived.items():
+            reg.counter(name).value = value
 
     def snapshot(self) -> dict:
         """Finalize, then return the registry's JSON-ready snapshot."""

@@ -16,7 +16,6 @@ Command-line access: ``repro-prof report|diff|export`` (see
 """
 
 from .base import MachineObserver
-from .composite import CompositeJitTrace, CompositeObserver
 from .jittrace import JitTrace, MethodCompile
 from .recorder import (
     CAT_ALLOC,
@@ -50,8 +49,6 @@ __all__ = [
     "CAT_MEMTAX",
     "CAT_MONITOR",
     "CAT_RUNTIME",
-    "CompositeJitTrace",
-    "CompositeObserver",
     "CycleAttribution",
     "JitTrace",
     "MachineObserver",

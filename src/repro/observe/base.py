@@ -6,8 +6,7 @@ no-op.  Concrete observers — the cycle-attribution
 :class:`~repro.observe.recorder.Observer`, the metrics adapter
 (:class:`repro.metrics.instrument.MachineMetrics`), the flamegraph sampler
 (:class:`repro.metrics.sampler.StackSampler`) — subclass it and override
-only what they need, and :class:`~repro.observe.composite.CompositeObserver`
-fans the single slot out to several of them.
+only what they need.
 
 Contract (the **zero-perturbation invariant**): every hook is called at a
 point where the machine has already decided what to charge, and hooks must
@@ -22,9 +21,9 @@ Two hooks are special-cased for hot-loop cost:
   once per quantum (``obs_instr = observer.instr``) and skips the call when
   the attribute is ``None`` — an observer that does not need per-instruction
   data should set ``instr = None`` at class level rather than override it.
-* ``jit`` is an attribute, not a method: a
-  :class:`~repro.observe.jittrace.JitTrace`-compatible recorder handed to
-  the :class:`~repro.jit.pipeline.JitCompiler`, or ``None``.
+* ``jit`` is an attribute, not a method: the
+  :class:`~repro.observe.jittrace.JitTrace` handed to the
+  :class:`~repro.jit.pipeline.JitCompiler`, or ``None``.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from __future__ import annotations
 class MachineObserver:
     """No-op implementation of every machine observation hook."""
 
-    #: JitTrace-compatible compilation recorder, or None for no JIT tracing
+    #: JitTrace compilation recorder, or None for no JIT tracing
     jit = None
     #: benchmark name stamped by the harness for artifact naming
     benchmark = None

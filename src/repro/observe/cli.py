@@ -99,6 +99,18 @@ def _obtain(source: str, benchmark: Optional[str], params: List[str]) -> dict:
     return profile_to_dict(_profile_run(benchmark, source, params))
 
 
+def chrome_trace(observer: Observer, profile: dict) -> dict:
+    """The run's simulated-clock Chrome trace.  ``otherData.label`` is
+    ``<benchmark>@<runtime>``, so ``repro-trace export`` names the merged
+    process after the run."""
+    benchmark, runtime = profile["benchmark"], profile["runtime"]
+    return observer.timeline.to_chrome_trace(
+        profile["clock_hz"],
+        {"benchmark": benchmark, "runtime": runtime,
+         "label": f"{benchmark or 'run'}@{runtime}"},
+    )
+
+
 # ------------------------------------------------------------- subcommands
 
 
@@ -115,13 +127,7 @@ def write_artifacts(observer: Observer, out_dir: str, top: int = 12) -> Dict[str
     with open(paths["profile"], "w") as handle:
         json.dump(profile, handle, indent=1, sort_keys=True)
     with open(paths["trace"], "w") as handle:
-        json.dump(
-            observer.timeline.to_chrome_trace(
-                profile["clock_hz"],
-                {"benchmark": profile["benchmark"], "runtime": profile["runtime"]},
-            ),
-            handle,
-        )
+        json.dump(chrome_trace(observer, profile), handle)
     with open(paths["report"], "w") as handle:
         handle.write(render_report(profile, top=top) + "\n")
     return paths
@@ -152,11 +158,7 @@ def cmd_diff(args) -> int:
 
 def cmd_export(args) -> int:
     observer = _profile_run(args.benchmark, args.runtime, args.param or [])
-    profile = profile_to_dict(observer)
-    trace = observer.timeline.to_chrome_trace(
-        profile["clock_hz"],
-        {"benchmark": profile["benchmark"], "runtime": profile["runtime"]},
-    )
+    trace = chrome_trace(observer, profile_to_dict(observer))
     out_dir = os.path.dirname(args.out)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

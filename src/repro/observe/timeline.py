@@ -66,17 +66,14 @@ class Timeline:
     # --------------------------------------------------------------- export
 
     def to_chrome_trace(
-        self, clock_hz: float, meta: Optional[Dict[str, object]] = None,
-        pid: int = 1, label: Optional[str] = None,
+        self, clock_hz: float, meta: Optional[Dict[str, object]] = None
     ) -> Dict[str, object]:
         """The trace-event JSON object; ``ts`` in microseconds at
-        ``clock_hz`` (Perfetto's expected unit).
+        ``clock_hz`` (Perfetto's expected unit), every event on ``pid`` 1.
 
-        ``pid``/``label`` exist for multi-domain merges
-        (:func:`repro.trace.merge_chrome_trace` re-homes simulated
-        timelines next to wall-clock service spans); the defaults keep
-        the historical single-process output byte-identical — ``label``
-        lands in ``otherData`` only when given.
+        ``meta`` is merged into ``otherData``; its ``label`` key names the
+        process when :func:`repro.trace.merge_chrome_trace` re-homes the
+        timeline next to wall-clock service spans.
         """
         scale = 1e6 / clock_hz
         out: List[dict] = []
@@ -85,7 +82,7 @@ class Timeline:
                 "name": name,
                 "ph": ph,
                 "ts": ts * scale,
-                "pid": pid,
+                "pid": 1,
                 "tid": tid,
             }
             if cat:
@@ -105,8 +102,6 @@ class Timeline:
                 "dropped_events": self.dropped,
             },
         }
-        if label is not None:
-            trace["otherData"]["label"] = label
         if meta:
             trace["otherData"].update(meta)
         return trace

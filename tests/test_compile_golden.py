@@ -2,9 +2,12 @@
 
 The fixture fingerprints the token stream and every JIT-compiled MIR
 function, on every profile, of the corelib, the registry benchmarks and
-the fuzz corpus.  A rewrite of the lexer, parser or JIT passes that keeps
-compiled code identical keeps this test green; regenerate the fixture with
-``tools/freeze_compile_golden.py`` only for a change meant to move it.
+the fuzz corpus, plus the ``MachineMetrics`` snapshot of a small run of
+every benchmark and corpus program on every profile.  A rewrite of the
+lexer, parser, JIT passes or metrics layer that keeps compiled code and
+the metric catalogue identical keeps this test green; regenerate the
+fixture with ``tools/freeze_compile_golden.py`` only for a change meant
+to move it.
 """
 
 import importlib.util
@@ -53,6 +56,28 @@ def test_compiled_mir_matches(frozen, observed):
         for name, profiles in sorted(frozen["mir"].items())
         for profile, digest in sorted(profiles.items())
         if observed["mir"].get(name, {}).get(profile) != digest
+    ]
+    assert not mismatched
+
+
+def test_metrics_cover_every_benchmark_and_corpus_program(freezer, frozen):
+    from repro.benchmarks.registry import all_benchmarks
+    from repro.runtimes import ALL_PROFILES
+
+    names = [f"bench/{b.name}" for b in all_benchmarks()]
+    names += [name for name, _source, _corelib in freezer.programs()
+              if name.startswith("corpus/")]
+    assert sorted(frozen["metrics"]) == sorted(names)
+    for profiles in frozen["metrics"].values():
+        assert sorted(profiles) == sorted(p.name for p in ALL_PROFILES)
+
+
+def test_metrics_snapshots_match(frozen, observed):
+    mismatched = [
+        f"{name} on {profile}"
+        for name, profiles in sorted(frozen["metrics"].items())
+        for profile, digest in sorted(profiles.items())
+        if observed["metrics"].get(name, {}).get(profile) != digest
     ]
     assert not mismatched
 

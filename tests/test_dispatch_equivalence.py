@@ -17,10 +17,10 @@ form localizes a divergence to either the closure translation or the
 fuser.
 
 Coverage: every registered benchmark x all eight runtime profiles (scaled
-small), the fuzz corpus, observer-attached runs (zero-perturbation hooks
-must compose), and the frame-locals aliasing regressions (a guest
-exception caught mid-method — including mid-fused-run — must observe the
-same local values under every engine).
+small), the fuzz corpus, observer-attached runs (the zero-perturbation
+hooks must see the same stream from every engine), and the frame-locals
+aliasing regressions (a guest exception caught mid-method — including
+mid-fused-run — must observe the same local values under every engine).
 """
 
 import json
@@ -180,14 +180,11 @@ def test_observed_runs_identical_profiles_across_engines(bench, profile):
     perturbs the numbers the unobserved run produced."""
     params = SMALL_PARAMS[bench]
     with use_engine("classic"):
-        plain = run_fingerprint(
-            _runner.run_on(bench, profile, params, metrics=True)
-        )
+        plain = run_fingerprint(_runner.run_on(bench, profile, params))
     profiles = {}
     for engine in ("classic",) + ENGINES:
         with use_engine(engine):
-            run = _runner.run_on(bench, profile, params, observe=True,
-                                 metrics=True)
+            run = _runner.run_on(bench, profile, params, observe=True)
         observed = run_fingerprint(run)
         assert observed == plain, f"observer perturbed {engine}"
         profiles[engine] = json.dumps(

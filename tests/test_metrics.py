@@ -1,9 +1,7 @@
 """Tests for the repro.metrics subsystem.
 
 Same load-bearing property as the profiler: **zero perturbation** —
-attaching a :class:`~repro.metrics.MachineMetrics` (alone, or composed
-with the cycle-attribution Observer through
-:class:`~repro.observe.CompositeObserver`) must leave cycles,
+attaching a :class:`~repro.metrics.MachineMetrics` must leave cycles,
 instructions, and results bit-identical to a bare run.  On top of that:
 the registry semantics, the telemetry the hooks actually record
 (allocation, GC, exceptions, contention, scheduler), the deterministic
@@ -24,9 +22,7 @@ from repro.metrics import (
     StackSampler,
 )
 from repro.metrics.sampler import RUNTIME_FRAME
-from repro.observe import CompositeObserver, Observer
 from repro.observe.cli import main as prof_main
-from repro.observe.report import profile_to_dict
 from repro.runtimes import CLR11, MICRO_PROFILES, MONO023
 from repro.vm.loader import LoadedAssembly
 from repro.vm.machine import Machine
@@ -150,22 +146,6 @@ class TestZeroPerturbation:
         assert metered.cycles == plain.cycles
         assert metered.instructions == plain.instructions
 
-    @pytest.mark.parametrize("bench", sorted(BENCH_CASES))
-    def test_composite_observer_plus_metrics_bit_identical(self, bench):
-        plain, both = bench_pair(
-            bench, CLR11, BENCH_CASES[bench], observe=True, metrics=True
-        )
-        assert both.total_cycles == plain.total_cycles
-        assert both.instructions == plain.instructions
-        for name, sec in plain.sections.items():
-            assert both.sections[name].results == sec.results
-        # both sides of the composite saw the whole run
-        assert both.metrics["gauges"]["machine.cycles"] == plain.total_cycles
-        prof = profile_to_dict(both.observation)
-        assert prof["total_cycles"] == plain.total_cycles
-        assert sum(prof["categories"].values()) == plain.total_cycles
-        assert prof["jit"], "profiler's JIT trace must still record"
-
     def test_sampler_runs_bit_identical(self):
         plain, sampled = bench_pair(
             "scimark.sor", CLR11, BENCH_CASES["scimark.sor"],
@@ -173,6 +153,12 @@ class TestZeroPerturbation:
         )
         assert sampled.total_cycles == plain.total_cycles
         assert sampled.instructions == plain.instructions
+
+    def test_observer_and_metrics_together_rejected(self):
+        runner = Runner(profiles=[CLR11])
+        with pytest.raises(ValueError, match="not both"):
+            runner.run_on("micro.arith", CLR11, {"Reps": 60},
+                          observe=True, metrics=True)
 
     def test_metrics_observer_is_single_machine(self):
         metrics = MachineMetrics()
@@ -318,6 +304,29 @@ class TestTelemetry:
         }
         assert cycle_counters and all(v >= 0 for v in cycle_counters.values())
 
+    def test_jit_counters_derive_from_the_compile_records(self):
+        metrics = MachineMetrics()
+        machine_for("""
+        class C { static int Add(int a, int b) { return a + b; }
+            static int Main() { int s = 0;
+                for (int i = 0; i < 10; i++) { s = C.Add(s, i); }
+                return s; } }""", observer=metrics).run()
+        methods = metrics.jit.methods
+        counters = metrics.snapshot()["counters"]
+        assert counters["jit.methods_compiled"] == len(methods) > 0
+        assert counters["jit.instrs_final"] == sum(r.final_instrs for r in methods)
+        decisions = [d for r in methods for d in r.inline_decisions]
+        assert counters["jit.inline_requests"] == len(decisions) > 0
+        assert counters["jit.inline_available"] == sum(d.available for d in decisions)
+        assert counters["jit.pass.enregister.runs"] == len(methods)
+
+    def test_snapshot_is_idempotent(self):
+        metrics = MachineMetrics()
+        machine_for(self.CONTENTION_SRC, observer=metrics).run()
+        first = metrics.snapshot()
+        assert metrics.snapshot() == first
+        assert first["counters"]["jit.methods_compiled"] > 0
+
     def test_metrics_in_profile_run_fields(self):
         runner = Runner(profiles=[CLR11])
         run = runner.run_on("micro.arith", CLR11, {"Reps": 300}, metrics=True)
@@ -333,39 +342,6 @@ class TestTelemetry:
         assert all(r.metrics is not None for r in runs.values())
         snaps = [r.metrics for r in runs.values()]
         assert snaps[0] is not snaps[1]
-
-
-# ------------------------------------------------------------------ composite
-
-
-class TestCompositeObserver:
-    def test_empty_composite_rejected(self):
-        with pytest.raises(ValueError):
-            CompositeObserver()
-        with pytest.raises(ValueError):
-            CompositeObserver(None, None)
-
-    def test_benchmark_propagates_to_children(self):
-        obs, metrics = Observer(), MachineMetrics()
-        comp = CompositeObserver(obs, metrics)
-        comp.benchmark = "x.y"
-        assert obs.benchmark == "x.y" and metrics.benchmark == "x.y"
-
-    def test_instr_skipped_when_no_child_wants_it(self):
-        comp = CompositeObserver(MachineMetrics(), StackSampler())
-        assert comp.instr is None  # machine skips the per-instruction call
-
-    def test_jit_trace_fans_out(self):
-        obs, metrics = Observer(), MachineMetrics()
-        src = """
-        class C { static int Add(int a, int b) { return a + b; }
-            static int Main() { int s = 0;
-                for (int i = 0; i < 10; i++) { s = C.Add(s, i); }
-                return s; } }"""
-        machine_for(src, observer=CompositeObserver(obs, metrics)).run()
-        assert obs.jit.methods, "structural trace must record compilations"
-        snap = metrics.snapshot()
-        assert snap["counters"]["jit.methods_compiled"] == len(obs.jit.methods)
 
 
 # -------------------------------------------------------------------- sampler

@@ -309,6 +309,7 @@ class TestCli:
         assert data["runtime"] == "clr-1.1"
         tdata = json.loads(trace.read_text())
         assert tdata["traceEvents"]
+        assert tdata["otherData"]["label"] == "micro.arith@clr-1.1"
 
     def test_diff_live_and_saved(self, tmp_path, capsys):
         rc = prof_main([

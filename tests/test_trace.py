@@ -209,7 +209,7 @@ class TestChromeMerge:
     def test_merge_keeps_domains_in_separate_pids(self):
         timeline = Timeline()
         timeline.complete("guest", 0, 100, tid=0)
-        sim = timeline.to_chrome_trace(1e6, label="micro.arith@clr-1.1")
+        sim = timeline.to_chrome_trace(1e6, {"label": "micro.arith@clr-1.1"})
         merged = merge_chrome_trace(self._spans(), [sim])
         pids = {e.get("pid") for e in merged["traceEvents"]}
         assert pids == {2, 10}
@@ -234,9 +234,9 @@ class TestChromeMerge:
         assert set(trace) == {"traceEvents", "displayTimeUnit", "otherData"}
         assert "label" not in trace["otherData"]
         assert all(e["pid"] == 1 for e in trace["traceEvents"])
-        relabeled = timeline.to_chrome_trace(1e6, pid=7, label="x")
-        assert all(e["pid"] == 7 for e in relabeled["traceEvents"])
-        assert relabeled["otherData"]["label"] == "x"
+        labelled = timeline.to_chrome_trace(1e6, {"label": "x"})
+        assert all(e["pid"] == 1 for e in labelled["traceEvents"])
+        assert labelled["otherData"]["label"] == "x"
 
 
 class TestExposition:
@@ -526,7 +526,7 @@ class TestTraceCli:
         timeline.complete("guest", 0, 500, tid=0)
         sim_path = str(tmp_path / "sim.json")
         with open(sim_path, "w") as handle:
-            json.dump(timeline.to_chrome_trace(1e6, label="cell"), handle)
+            json.dump(timeline.to_chrome_trace(1e6, {"label": "cell"}), handle)
         out_path = str(tmp_path / "merged.json")
         assert main(["export", log, "--observe", sim_path,
                      "--out", out_path]) == 0
@@ -534,6 +534,25 @@ class TestTraceCli:
         pids = {e.get("pid") for e in merged["traceEvents"]}
         assert pids == {2, 10}
         assert set(merged["otherData"]["clock_domains"]) == {"pid 2", "pid 10"}
+
+    def test_export_names_a_prof_export_after_its_run(self, tmp_path, capsys):
+        from repro.observe.cli import main as prof_main
+        from repro.trace.cli import main
+
+        log, _trace_id = self._write_log(tmp_path)
+        sim_path = str(tmp_path / "sim.json")
+        assert prof_main(["export", "micro.arith", "--runtime", "clr-1.1",
+                          "--param", "Reps=60", "--out", sim_path]) == 0
+        out_path = str(tmp_path / "merged.json")
+        assert main(["export", log, "--observe", sim_path,
+                     "--out", out_path]) == 0
+        merged = json.load(open(out_path))
+        names = {
+            e["pid"]: e["args"]["name"]
+            for e in merged["traceEvents"]
+            if e["ph"] == "M" and e["name"] == "process_name"
+        }
+        assert names[10] == "micro.arith@clr-1.1 (simulated clock)"
 
     def test_unknown_trace_errors(self, tmp_path):
         from repro.trace.cli import main

@@ -3,7 +3,7 @@
 
     PYTHONPATH=src python tools/freeze_compile_golden.py
 
-The fixture holds sha256 fingerprints of two things, for the corelib,
+The fixture holds sha256 fingerprints of three things.  For the corelib,
 every registry benchmark source (default parameters) and every program
 in ``tests/fuzz_corpus``:
 
@@ -12,9 +12,16 @@ in ``tests/fuzz_corpus``:
   runtime profile: each ``MInstr`` field (``cost`` and ``bounds_check``
   included), plus ``in_register``, ``regions`` and ``stats``.
 
-A rewrite of the lexer, parser or JIT passes must leave them unchanged;
-``tests/test_compile_golden.py`` asserts it.  Regenerate the fixture only
-with a change meant to move compiled code, and say so.
+And, for every registry benchmark (at the small parameters of
+``tests/test_dispatch_equivalence.py``) and every fuzz-corpus program:
+
+* the :class:`~repro.metrics.MachineMetrics` snapshot of one run on
+  every runtime profile.
+
+A rewrite of the lexer, parser, JIT passes or metrics layer must leave
+them unchanged; ``tests/test_compile_golden.py`` asserts it.  Regenerate
+the fixture only with a change meant to move compiled code or the metric
+catalogue, and say so.
 """
 
 from __future__ import annotations
@@ -118,12 +125,48 @@ def mir_fingerprints(source: str, include_corelib: bool) -> Dict[str, str]:
     return out
 
 
+def metrics_fingerprints() -> Dict[str, Dict[str, str]]:
+    """program -> profile name -> fingerprint of the ``MachineMetrics``
+    snapshot of one run: benchmarks through ``Runner.run_on`` at the
+    dispatch-equivalence parameters, corpus programs on a bare machine."""
+    from repro.harness.runner import Runner
+    from repro.lang import compile_source
+    from repro.metrics import MachineMetrics
+    from repro.runtimes import ALL_PROFILES
+    from repro.vm.loader import LoadedAssembly
+    from repro.vm.machine import Machine
+
+    if ROOT not in sys.path:
+        sys.path.insert(0, ROOT)
+    from tests.test_dispatch_equivalence import SMALL_PARAMS
+
+    out: Dict[str, Dict[str, str]] = {}
+    runner = Runner(profiles=ALL_PROFILES)
+    for bench, params in sorted(SMALL_PARAMS.items()):
+        out[f"bench/{bench}"] = {
+            profile.name: _sha(
+                runner.run_on(bench, profile, params, metrics=True).metrics
+            )
+            for profile in ALL_PROFILES
+        }
+    for name, source, _corelib in programs():
+        if not name.startswith("corpus/"):
+            continue
+        assembly = compile_source(source)
+        out[name] = {}
+        for profile in ALL_PROFILES:
+            metrics = MachineMetrics()
+            Machine(LoadedAssembly(assembly), profile, observer=metrics).run()
+            out[name][profile.name] = _sha(metrics.snapshot())
+    return out
+
+
 def observe() -> dict:
     tokens, mir = {}, {}
     for name, source, include_corelib in programs():
         tokens[name] = token_fingerprint(source)
         mir[name] = mir_fingerprints(source, include_corelib)
-    return {"tokens": tokens, "mir": mir}
+    return {"tokens": tokens, "mir": mir, "metrics": metrics_fingerprints()}
 
 
 def main() -> int:
@@ -132,7 +175,8 @@ def main() -> int:
     with open(GOLDEN, "w", encoding="utf-8") as handle:
         json.dump(observed, handle, indent=1, sort_keys=True)
         handle.write("\n")
-    print(f"{GOLDEN}: {len(observed['tokens'])} programs")
+    print(f"{GOLDEN}: {len(observed['tokens'])} programs, "
+          f"{len(observed['metrics'])} metered")
     return 0
 
 
