@@ -4,6 +4,8 @@ per-kernel ops/sec on the four micro-section VMs."""
 from conftest import record_series
 
 from repro.harness.results import ExperimentResult
+from repro.harness.runner import plan, profile_cells, profile_runs
+from repro.runtimes import MICRO_PROFILES
 
 GRANDE = (
     "grande.fibonacci", "grande.sieve", "grande.hanoi", "grande.heapsort",
@@ -12,14 +14,16 @@ GRANDE = (
 )
 
 
-def run_grande_suite(runner):
+def run_grande_suite():
     result = ExperimentResult(
         experiment="grande-suite",
         title="Table 4 applications: Grande/DHPC kernels (ops/sec)",
         unit="ops/sec",
     )
+    cells = {name: profile_cells(name, None, MICRO_PROFILES, 2.8e9) for name in GRANDE}
+    planned = plan([cell for group in cells.values() for cell in group])
     for name in GRANDE:
-        runs = runner.run(name)
+        runs = profile_runs(planned, cells[name])
         sample = next(iter(runs.values()))
         for section in sample.sections:
             result.series[section] = {
@@ -28,10 +32,8 @@ def run_grande_suite(runner):
     return result
 
 
-def test_grande_suite(benchmark, micro_runner):
-    result = benchmark.pedantic(
-        run_grande_suite, args=(micro_runner,), rounds=1, iterations=1,
-    )
+def test_grande_suite(benchmark):
+    result = benchmark.pedantic(run_grande_suite, rounds=1, iterations=1)
     record_series(benchmark, result)
     # the JIT-quality ladder holds on application code too
     for section, per_profile in result.series.items():

@@ -5,10 +5,10 @@ from conftest import record_series
 from repro.harness.experiments import graph01_02_int_arith
 
 
-def test_graph01_02_int_arith(benchmark, micro_runner):
+def test_graph01_02_int_arith(benchmark):
     result = benchmark.pedantic(
         graph01_02_int_arith.run,
-        kwargs={"scale": 1.0, "runner": micro_runner},
+        kwargs={"scale": 1.0},
         rounds=1, iterations=1,
     )
     record_series(benchmark, result)

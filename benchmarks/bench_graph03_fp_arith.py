@@ -5,10 +5,10 @@ from conftest import record_series
 from repro.harness.experiments import graph03_fp_arith
 
 
-def test_graph03_fp_arith(benchmark, micro_runner):
+def test_graph03_fp_arith(benchmark):
     result = benchmark.pedantic(
         graph03_fp_arith.run,
-        kwargs={"scale": 1.0, "runner": micro_runner},
+        kwargs={"scale": 1.0},
         rounds=1, iterations=1,
     )
     record_series(benchmark, result)

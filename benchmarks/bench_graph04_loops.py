@@ -5,10 +5,10 @@ from conftest import record_series
 from repro.harness.experiments import graph04_loops
 
 
-def test_graph04_loops(benchmark, micro_runner):
+def test_graph04_loops(benchmark):
     result = benchmark.pedantic(
         graph04_loops.run,
-        kwargs={"scale": 1.0, "runner": micro_runner},
+        kwargs={"scale": 1.0},
         rounds=1, iterations=1,
     )
     record_series(benchmark, result)

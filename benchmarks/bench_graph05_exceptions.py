@@ -5,10 +5,10 @@ from conftest import record_series
 from repro.harness.experiments import graph05_exceptions
 
 
-def test_graph05_exceptions(benchmark, micro_runner):
+def test_graph05_exceptions(benchmark):
     result = benchmark.pedantic(
         graph05_exceptions.run,
-        kwargs={"scale": 1.0, "runner": micro_runner},
+        kwargs={"scale": 1.0},
         rounds=1, iterations=1,
     )
     record_series(benchmark, result)

@@ -5,10 +5,10 @@ from conftest import record_series
 from repro.harness.experiments import graph06_08_math
 
 
-def test_graph06_08_math(benchmark, micro_runner):
+def test_graph06_08_math(benchmark):
     result = benchmark.pedantic(
         graph06_08_math.run,
-        kwargs={"scale": 1.0, "runner": micro_runner},
+        kwargs={"scale": 1.0},
         rounds=1, iterations=1,
     )
     record_series(benchmark, result)

@@ -6,10 +6,10 @@ from conftest import record_series
 from repro.harness.experiments import graph09_scimark
 
 
-def test_graph09_scimark_composite(benchmark, full_runner):
+def test_graph09_scimark_composite(benchmark):
     result = benchmark.pedantic(
         graph09_scimark.run,
-        kwargs={"scale": 1.0, "runner": full_runner},
+        kwargs={"scale": 1.0},
         rounds=1, iterations=1,
     )
     record_series(benchmark, result)

@@ -5,10 +5,10 @@ from conftest import record_series
 from repro.harness.experiments import graph10_11_kernels
 
 
-def test_graph11_scimark_large(benchmark, full_runner):
+def test_graph11_scimark_large(benchmark):
     result = benchmark.pedantic(
         graph10_11_kernels.run,
-        kwargs={"scale": 1.0, "runner": full_runner, "model": "large"},
+        kwargs={"scale": 1.0, "model": "large"},
         rounds=1, iterations=1,
     )
     record_series(benchmark, result)

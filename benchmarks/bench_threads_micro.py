@@ -5,10 +5,11 @@ lock contention — across the four micro VMs."""
 from conftest import record_series
 
 from repro.harness.results import ExperimentResult
+from repro.harness.runner import plan, profile_cells, profile_runs
 from repro.runtimes import MICRO_PROFILES
 
 
-def run_threads_suite(runner):
+def run_threads_suite():
     result = ExperimentResult(
         experiment="threads-micro",
         title="Tables 2-3: multithreaded micro benchmarks (ops/sec)",
@@ -21,8 +22,11 @@ def run_threads_suite(runner):
         ("threads.thread", None),
         ("threads.lock", None),
     ]
-    for name, overrides in specs:
-        runs = runner.run(name, overrides)
+    cells = [profile_cells(name, overrides, MICRO_PROFILES, 2.8e9)
+             for name, overrides in specs]
+    planned = plan([cell for group in cells for cell in group])
+    for group in cells:
+        runs = profile_runs(planned, group)
         sample = next(iter(runs.values()))
         for section in sample.sections:
             result.series[section] = {
@@ -31,10 +35,8 @@ def run_threads_suite(runner):
     return result
 
 
-def test_threads_micro(benchmark, micro_runner):
-    result = benchmark.pedantic(
-        run_threads_suite, args=(micro_runner,), rounds=1, iterations=1,
-    )
+def test_threads_micro(benchmark):
+    result = benchmark.pedantic(run_threads_suite, rounds=1, iterations=1)
     record_series(benchmark, result)
     # JVM thin locks beat every CLI on uncontended monitors
     uncontended = result.series["Lock:Uncontended"]

@@ -1,19 +1,4 @@
-"""Shared fixtures for the benchmark harness (pytest-benchmark)."""
-
-import pytest
-
-from repro.harness.runner import Runner
-from repro.runtimes import ALL_PROFILES, MICRO_PROFILES
-
-
-@pytest.fixture(scope="session")
-def micro_runner():
-    return Runner(profiles=MICRO_PROFILES, clock_hz=2.8e9)
-
-
-@pytest.fixture(scope="session")
-def full_runner():
-    return Runner(profiles=ALL_PROFILES, clock_hz=2.2e9)
+"""Shared helpers for the benchmark harness (pytest-benchmark)."""
 
 
 def record_series(benchmark, result):

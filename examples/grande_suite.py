@@ -14,7 +14,7 @@ import sys
 
 from repro.benchmarks import get
 from repro.harness.charts import table
-from repro.harness.runner import Runner
+from repro.harness.runner import plan, profile_cells, profile_runs
 from repro.runtimes import MICRO_PROFILES
 
 KERNELS = (
@@ -38,12 +38,16 @@ FAST_OVERRIDES = {
 
 def main() -> None:
     fast = "--fast" in sys.argv
-    runner = Runner(profiles=MICRO_PROFILES, clock_hz=2.8e9)
+    cells = {
+        name: profile_cells(name, FAST_OVERRIDES[name] if fast else None,
+                            MICRO_PROFILES, 2.8e9)
+        for name in KERNELS
+    }
+    planned = plan([cell for group in cells.values() for cell in group])
     rows = {}
     for name in KERNELS:
         bench = get(name)
-        overrides = FAST_OVERRIDES[name] if fast else None
-        runs = runner.run(name, overrides)
+        runs = profile_runs(planned, cells[name])
         section = bench.sections[0]
         rows[section] = {
             p: r.section(section).ops_per_sec for p, r in runs.items()

@@ -10,7 +10,7 @@ Run:  python examples/matrix_styles.py
 """
 
 from repro.harness.charts import bar_chart
-from repro.harness.runner import Runner
+from repro.harness.runner import plan, profile_cells, profile_runs
 from repro.runtimes import CLR11, MONO023, NATIVE_C
 
 SECTIONS = ("Matrix:MultiDim", "Matrix:Jagged", "Matrix:ValueType", "Matrix:ObjectType")
@@ -18,8 +18,8 @@ SECTIONS = ("Matrix:MultiDim", "Matrix:Jagged", "Matrix:ValueType", "Matrix:Obje
 
 def main() -> None:
     profiles = [CLR11, MONO023, NATIVE_C]
-    runner = Runner(profiles=profiles, clock_hz=2.8e9)
-    runs = runner.run("clispec.matrix", {"N": 16, "Reps": 4})
+    cells = profile_cells("clispec.matrix", {"N": 16, "Reps": 4}, profiles, 2.8e9)
+    runs = profile_runs(plan(cells), cells)
 
     series = {
         s: {name: r.section(s).ops_per_sec for name, r in runs.items()}

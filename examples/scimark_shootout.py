@@ -11,20 +11,21 @@ import sys
 from repro.harness.charts import table
 from repro.harness.experiments.graph09_scimark import (
     SCIMARK_CLOCK,
+    cells,
     composite,
     kernel_mflops,
 )
-from repro.harness.runner import Runner
+from repro.harness.runner import plan
 from repro.runtimes import ALL_PROFILES
 
 
 def main() -> None:
     scale = 0.4 if "--fast" in sys.argv else 1.0
-    runner = Runner(profiles=ALL_PROFILES, clock_hz=SCIMARK_CLOCK)
+    runs = plan(cells(scale))  # both memory models, every profile
     order = [p.name for p in ALL_PROFILES]
 
     for model in ("small", "large"):
-        per_kernel = kernel_mflops(runner, model, scale)
+        per_kernel = kernel_mflops(runs, model, scale)
         per_kernel["composite"] = composite(
             {k: v for k, v in per_kernel.items() if k != "composite"}
         )

@@ -19,15 +19,16 @@ from typing import Dict, List, Optional
 from ..benchmarks import all_benchmarks, get as get_benchmark
 from ..runtimes import ALL_PROFILES, BY_NAME, MICRO_PROFILES, get_profile
 from .charts import bar_chart, table, to_csv
-from .experiments import ALL_EXPERIMENTS
-from .runner import Runner
+from .experiments import ALL_EXPERIMENTS, evaluate_all
 
 
-def _parse_overrides(pairs: List[str]) -> Dict[str, object]:
+def _parse_overrides(pairs: List[str]) -> Optional[Dict[str, object]]:
+    """``--param K=V`` pairs as overrides (ints, then floats, then
+    strings); None when there are none."""
     out: Dict[str, object] = {}
     for pair in pairs:
-        key, _, raw = pair.partition("=")
-        if not _:
+        key, sep, raw = pair.partition("=")
+        if not sep:
             raise SystemExit(f"bad --param {pair!r}; expected Key=Value")
         try:
             out[key] = int(raw)
@@ -36,7 +37,7 @@ def _parse_overrides(pairs: List[str]) -> Dict[str, object]:
                 out[key] = float(raw)
             except ValueError:
                 out[key] = raw
-    return out
+    return out or None
 
 
 def cmd_list(_args) -> int:
@@ -78,44 +79,34 @@ def cmd_run(args) -> int:
         jobs = None
     if plan is not None and args.profile:
         raise SystemExit("hpcnet run: --profile cannot be combined with fault injection")
-    faults_report = None
+    spec = {
+        "kind": "harness",
+        "observe": args.profile,
+        "clock_hz": args.clock,
+        "cache_dir": None if cache is None else cache.root,
+        "plan": plan,
+        "cell_timeout": args.cell_timeout,
+    }
+    cells = [(args.benchmark, overrides, p.name) for p in profiles]
+    payloads, report = run_cells(spec, cells, jobs=jobs)
+    runs = {
+        p.name: run
+        for p, run in zip(profiles, payloads)
+        if not isinstance(run, CellFailure)
+    }
+    check_cross_profile_results(args.benchmark, runs)
     if (resolve_jobs(jobs) > 1 and len(profiles) > 1) or plan is not None:
-        cells = [
-            (args.benchmark, overrides or None, p.name) for p in profiles
-        ]
-        spec = {
-            "kind": "harness",
-            "metrics": False,
-            "clock_hz": args.clock,
-            "cache_dir": None if cache is None else cache.root,
-            "plan": plan,
-            "cell_timeout": args.cell_timeout,
-        }
-        payloads, report = run_cells(spec, cells, jobs=jobs)
-        runs = {
-            p.name: run
-            for p, run in zip(profiles, payloads)
-            if not isinstance(run, CellFailure)
-        }
-        check_cross_profile_results(args.benchmark, runs)
         print(f"hpcnet: parallel {report.summary()}")
-        faults_report = annotate_cells(
-            [(args.benchmark, p.name) for p in profiles], payloads, plan
-        )
-        if faults_report.failures:
-            print(f"hpcnet: {faults_report.summary()}")
-            for line in faults_report.failure_lines():
-                print(f"hpcnet:   {line}")
-        if not runs:
-            print("hpcnet: no surviving profile runs")
-            return 0 if faults_report.contained else 1
-    else:
-        runner = Runner(
-            profiles=profiles,
-            clock_hz=args.clock,
-            compile_cache=cache,
-        )
-        runs = runner.run(args.benchmark, overrides or None, observe=args.profile)
+    faults_report = annotate_cells(
+        [(args.benchmark, p.name) for p in profiles], payloads, plan
+    )
+    if faults_report.failures:
+        print(f"hpcnet: {faults_report.summary()}")
+        for line in faults_report.failure_lines():
+            print(f"hpcnet:   {line}")
+    if not runs:
+        print("hpcnet: no surviving profile runs")
+        return 0 if faults_report.contained else 1
     bench = get_benchmark(args.benchmark)
     profiles = [p for p in profiles if p.name in runs]
     if args.profile:
@@ -140,30 +131,24 @@ def cmd_run(args) -> int:
     else:
         print(bar_chart(series, unit=unit, profile_order=[p.name for p in profiles],
                         title=f"{args.benchmark} ({bench.description})"))
-    if faults_report is not None and faults_report.failures:
-        return 0 if faults_report.contained else 1
-    return 0
+    return 0 if faults_report.contained else 1
 
 
 def cmd_experiment(args) -> int:
-    module = ALL_EXPERIMENTS.get(args.name)
-    if module is None:
+    if args.name not in ALL_EXPERIMENTS:
         known = ", ".join(sorted(ALL_EXPERIMENTS))
         raise SystemExit(f"unknown experiment {args.name!r}; known: {known}")
-    result = module.run(scale=args.scale)
-    print(result.text)
-    return 0 if result.all_passed else 1
+    results = evaluate_all([args.name], args.scale)
+    print("\n\n".join(result.text for result in results))
+    return 0 if all(result.all_passed for result in results) else 1
 
 
 def cmd_experiments(args) -> int:
-    status = 0
-    for name, module in ALL_EXPERIMENTS.items():
-        result = module.run(scale=args.scale)
+    results = evaluate_all(ALL_EXPERIMENTS, args.scale)
+    for result in results:
         print(result.text)
         print()
-        if not result.all_passed:
-            status = 1
-    return status
+    return 0 if all(result.all_passed for result in results) else 1
 
 
 def cmd_disasm(args) -> int:

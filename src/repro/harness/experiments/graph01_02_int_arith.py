@@ -8,12 +8,9 @@ SSCLI far behind.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ...runtimes import MICRO_PROFILES
-from ..charts import bar_chart
 from ..results import ExperimentCheck, ExperimentResult
-from ..runner import Runner
+from ..runner import plan, profile_cells, section_series
 
 SECTIONS = (
     "Arith:Add:Int", "Arith:Mul:Int", "Arith:Div:Int",
@@ -23,20 +20,22 @@ SECTIONS = (
 MICRO_CLOCK = 2.8e9  # P4 Xeon 2.8 GHz (paper section 4)
 
 
-def run(scale: float = 1.0, profiles=None, runner: Optional[Runner] = None) -> ExperimentResult:
-    runner = runner or Runner(profiles=profiles or MICRO_PROFILES, clock_hz=MICRO_CLOCK)
+def cells(scale: float = 1.0):
     reps = max(200, int(6000 * scale))
-    runs = runner.run("micro.arith", {"Reps": reps})
+    return profile_cells("micro.arith", {"Reps": reps}, MICRO_PROFILES, MICRO_CLOCK)
 
+
+def run(scale: float = 1.0) -> ExperimentResult:
+    return evaluate(plan(cells(scale)), scale)
+
+
+def evaluate(runs, scale: float = 1.0) -> ExperimentResult:
     result = ExperimentResult(
         experiment="graph01-02",
         title="Graphs 1-2: Integer arithmetic (ops/sec)",
         unit="ops/sec",
     )
-    for section in SECTIONS:
-        result.series[section] = {
-            name: run.section(section).ops_per_sec for name, run in runs.items()
-        }
+    result.series.update(section_series(runs, cells(scale), SECTIONS))
 
     def value(section, profile):
         return result.series[section][profile]
@@ -79,15 +78,5 @@ def run(scale: float = 1.0, profiles=None, runner: Optional[Runner] = None) -> E
     for description, passed, detail in checks:
         result.checks.append(ExperimentCheck(description, bool(passed), detail))
 
-    order = [p.name for p in (profiles or MICRO_PROFILES)]
-    result.text = bar_chart(result.series, unit=result.unit, profile_order=order, title=result.title)
-    result.text += "\n\n" + "\n".join(c.render() for c in result.checks)
+    result.render_text([p.name for p in MICRO_PROFILES])
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI helper
-    print(run().text)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

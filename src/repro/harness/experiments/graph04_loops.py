@@ -5,31 +5,30 @@ Paper section 5: "the loop overhead in CLR 1.1 is lower" than the JVM's.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ...runtimes import MICRO_PROFILES
-from ..charts import bar_chart
 from ..results import ExperimentCheck, ExperimentResult
-from ..runner import Runner
+from ..runner import plan, profile_cells, section_series
 from .graph01_02_int_arith import MICRO_CLOCK
 
 SECTIONS = ("Loop:For", "Loop:ReverseFor", "Loop:While")
 
 
-def run(scale: float = 1.0, profiles=None, runner: Optional[Runner] = None) -> ExperimentResult:
-    runner = runner or Runner(profiles=profiles or MICRO_PROFILES, clock_hz=MICRO_CLOCK)
+def cells(scale: float = 1.0):
     reps = max(1000, int(30000 * scale))
-    runs = runner.run("micro.loop", {"Reps": reps})
+    return profile_cells("micro.loop", {"Reps": reps}, MICRO_PROFILES, MICRO_CLOCK)
 
+
+def run(scale: float = 1.0) -> ExperimentResult:
+    return evaluate(plan(cells(scale)), scale)
+
+
+def evaluate(runs, scale: float = 1.0) -> ExperimentResult:
     result = ExperimentResult(
         experiment="graph04",
         title="Graph 4: Loop performance (iterations/sec)",
         unit="iterations/sec",
     )
-    for section in SECTIONS:
-        result.series[section] = {
-            name: r.section(section).ops_per_sec for name, r in runs.items()
-        }
+    result.series.update(section_series(runs, cells(scale), SECTIONS))
     v = lambda s, p: result.series[s][p]
     result.checks.append(ExperimentCheck(
         "CLR loop overhead lower than IBM JVM (paper sec. 5)",
@@ -43,11 +42,5 @@ def run(scale: float = 1.0, profiles=None, runner: Optional[Runner] = None) -> E
             for p in result.series["Loop:For"]
         ),
     ))
-    order = [p.name for p in (profiles or MICRO_PROFILES)]
-    result.text = bar_chart(result.series, unit=result.unit, profile_order=order, title=result.title)
-    result.text += "\n\n" + "\n".join(c.render() for c in result.checks)
+    result.render_text([p.name for p in MICRO_PROFILES])
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run().text)

@@ -6,31 +6,30 @@ significantly more costly than in the JVM."
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ...runtimes import MICRO_PROFILES
-from ..charts import bar_chart
 from ..results import ExperimentCheck, ExperimentResult
-from ..runner import Runner
+from ..runner import plan, profile_cells, section_series
 from .graph01_02_int_arith import MICRO_CLOCK
 
 SECTIONS = ("Exception:Throw", "Exception:New", "Exception:Method")
 
 
-def run(scale: float = 1.0, profiles=None, runner: Optional[Runner] = None) -> ExperimentResult:
-    runner = runner or Runner(profiles=profiles or MICRO_PROFILES, clock_hz=MICRO_CLOCK)
+def cells(scale: float = 1.0):
     reps = max(50, int(300 * scale))
-    runs = runner.run("micro.exception", {"Reps": reps})
+    return profile_cells("micro.exception", {"Reps": reps}, MICRO_PROFILES, MICRO_CLOCK)
 
+
+def run(scale: float = 1.0) -> ExperimentResult:
+    return evaluate(plan(cells(scale)), scale)
+
+
+def evaluate(runs, scale: float = 1.0) -> ExperimentResult:
     result = ExperimentResult(
         experiment="graph05",
         title="Graph 5: Exception handling (exceptions/sec)",
         unit="exceptions/sec",
     )
-    for section in SECTIONS:
-        result.series[section] = {
-            name: r.section(section).ops_per_sec for name, r in runs.items()
-        }
+    result.series.update(section_series(runs, cells(scale), SECTIONS))
     v = lambda s, p: result.series[s][p]
     cli = ("clr-1.1", "mono-0.23", "sscli-1.0")
     result.checks.append(ExperimentCheck(
@@ -48,11 +47,5 @@ def run(scale: float = 1.0, profiles=None, runner: Optional[Runner] = None) -> E
         all(v("Exception:Method", p) < v("Exception:Throw", p)
             for p in result.series["Exception:Method"]),
     ))
-    order = [p.name for p in (profiles or MICRO_PROFILES)]
-    result.text = bar_chart(result.series, unit=result.unit, profile_order=order, title=result.title)
-    result.text += "\n\n" + "\n".join(c.render() for c in result.checks)
+    result.render_text([p.name for p in MICRO_PROFILES])
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run().text)

@@ -6,30 +6,29 @@ perform better than the Java version."
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ...benchmarks.micro.math_bench import GROUP1, GROUP2, GROUP3
 from ...runtimes import MICRO_PROFILES
-from ..charts import bar_chart
 from ..results import ExperimentCheck, ExperimentResult
-from ..runner import Runner
+from ..runner import plan, profile_cells, section_series
 from .graph01_02_int_arith import MICRO_CLOCK
 
 
-def run(scale: float = 1.0, profiles=None, runner: Optional[Runner] = None) -> ExperimentResult:
-    runner = runner or Runner(profiles=profiles or MICRO_PROFILES, clock_hz=MICRO_CLOCK)
+def cells(scale: float = 1.0):
     reps = max(400, int(2000 * scale))
-    runs = runner.run("micro.math", {"Reps": reps})
+    return profile_cells("micro.math", {"Reps": reps}, MICRO_PROFILES, MICRO_CLOCK)
 
+
+def run(scale: float = 1.0) -> ExperimentResult:
+    return evaluate(plan(cells(scale)), scale)
+
+
+def evaluate(runs, scale: float = 1.0) -> ExperimentResult:
     result = ExperimentResult(
         experiment="graph06-08",
         title="Graphs 6-8: Math library calls/sec (groups I-III)",
         unit="calls/sec",
     )
-    for section in GROUP1 + GROUP2 + GROUP3:
-        result.series[section] = {
-            name: r.section(section).ops_per_sec for name, r in runs.items()
-        }
+    result.series.update(section_series(runs, cells(scale), GROUP1 + GROUP2 + GROUP3))
     v = lambda s, p: result.series[s][p]
     transcendental = ("Math:SinDouble", "Math:CosDouble", "Math:TanDouble",
                       "Math:ExpDouble", "Math:LogDouble", "Math:PowDouble",
@@ -49,11 +48,5 @@ def run(scale: float = 1.0, profiles=None, runner: Optional[Runner] = None) -> E
         sum(1 for s in GROUP2 + GROUP3
             if v(s, "clr-1.1") == max(result.series[s].values())) >= len(GROUP2 + GROUP3) * 0.7,
     ))
-    order = [p.name for p in (profiles or MICRO_PROFILES)]
-    result.text = bar_chart(result.series, unit=result.unit, profile_order=order, title=result.title)
-    result.text += "\n\n" + "\n".join(c.render() for c in result.checks)
+    result.render_text([p.name for p in MICRO_PROFILES])
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run().text)

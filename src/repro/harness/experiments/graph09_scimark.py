@@ -10,12 +10,12 @@ narrows the JVM's advantage thanks to the CLR's array management.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ...runtimes import ALL_PROFILES
-from ..charts import bar_chart, table
+from ..charts import table
 from ..results import ExperimentCheck, ExperimentResult
-from ..runner import Runner
+from ..runner import plan, profile_cells, profile_runs
 
 SCIMARK_CLOCK = 2.2e9  # dual P4 Xeon 2.2 GHz (paper section 4)
 
@@ -49,16 +49,26 @@ def _scale_params(params: Dict[str, int], scale: float) -> Dict[str, int]:
     return out
 
 
-def kernel_mflops(runner: Runner, model: str, scale: float = 1.0) -> Dict[str, Dict[str, float]]:
-    """kernel -> profile -> MFlops for the given memory model."""
+def kernel_cells(model: str, scale: float = 1.0) -> Dict[str, list]:
+    """kernel -> its cells on every profile for the given memory model."""
     index = MODEL_PARAMS[model]
-    out: Dict[str, Dict[str, float]] = {}
-    for kernel, spec in KERNELS.items():
-        bench, section = spec[0], spec[1]
-        params = _scale_params(spec[index], scale)
-        runs = runner.run(bench, params)
-        out[kernel] = {name: r.section(section).mflops for name, r in runs.items()}
-    return out
+    return {
+        kernel: profile_cells(spec[0], _scale_params(spec[index], scale),
+                              ALL_PROFILES, SCIMARK_CLOCK)
+        for kernel, spec in KERNELS.items()
+    }
+
+
+def kernel_mflops(runs, model: str, scale: float = 1.0) -> Dict[str, Dict[str, float]]:
+    """kernel -> profile -> MFlops for the given memory model, read from
+    planned ``runs`` (see :func:`repro.harness.runner.plan`)."""
+    return {
+        kernel: {
+            name: r.section(KERNELS[kernel][1]).mflops
+            for name, r in profile_runs(runs, group).items()
+        }
+        for kernel, group in kernel_cells(model, scale).items()
+    }
 
 
 def composite(per_kernel: Dict[str, Dict[str, float]]) -> Dict[str, float]:
@@ -70,12 +80,18 @@ def composite(per_kernel: Dict[str, Dict[str, float]]) -> Dict[str, float]:
     }
 
 
-def run(scale: float = 1.0, profiles=None, runner: Optional[Runner] = None) -> ExperimentResult:
-    profiles = profiles or ALL_PROFILES
-    runner = runner or Runner(profiles=profiles, clock_hz=SCIMARK_CLOCK)
+def cells(scale: float = 1.0):
+    return [cell for model in MODEL_PARAMS
+            for group in kernel_cells(model, scale).values() for cell in group]
 
-    small = composite(kernel_mflops(runner, "small", scale))
-    large = composite(kernel_mflops(runner, "large", scale))
+
+def run(scale: float = 1.0) -> ExperimentResult:
+    return evaluate(plan(cells(scale)), scale)
+
+
+def evaluate(runs, scale: float = 1.0) -> ExperimentResult:
+    small = composite(kernel_mflops(runs, "small", scale))
+    large = composite(kernel_mflops(runs, "large", scale))
 
     result = ExperimentResult(
         experiment="graph09",
@@ -121,14 +137,8 @@ def run(scale: float = 1.0, profiles=None, runner: Optional[Runner] = None) -> E
     for d, p, detail in checks:
         result.checks.append(ExperimentCheck(d, bool(p), detail))
 
-    order = [p.name for p in profiles]
-    result.text = bar_chart(result.series, unit="MFlops", profile_order=order, title=result.title)
-    result.text += "\n\n" + table(
+    order = [p.name for p in ALL_PROFILES]
+    result.render_text(order, table(
         {"small": small, "large": large}, columns=order, row_header="model"
-    )
-    result.text += "\n\n" + "\n".join(c.render() for c in result.checks)
+    ))
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run().text)

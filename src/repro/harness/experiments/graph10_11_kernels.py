@@ -11,20 +11,26 @@ Mono >> Rotor holds per kernel.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from ...runtimes import ALL_PROFILES
-from ..charts import bar_chart, table
+from ..charts import table
 from ..results import ExperimentCheck, ExperimentResult
-from ..runner import Runner
-from .graph09_scimark import KERNELS, SCIMARK_CLOCK, kernel_mflops
+from ..runner import plan
+from .graph09_scimark import MODEL_PARAMS, kernel_cells, kernel_mflops
+
+#: the memory models this module renders, in order: Graph 10, Graph 11
+MODELS = tuple(MODEL_PARAMS)
 
 
-def run(scale: float = 1.0, profiles=None, runner: Optional[Runner] = None,
-        model: str = "small") -> ExperimentResult:
-    profiles = profiles or ALL_PROFILES
-    runner = runner or Runner(profiles=profiles, clock_hz=SCIMARK_CLOCK)
-    per_kernel = kernel_mflops(runner, model, scale)
+def cells(scale: float = 1.0, model: str = "small"):
+    return [cell for group in kernel_cells(model, scale).values() for cell in group]
+
+
+def run(scale: float = 1.0, model: str = "small") -> ExperimentResult:
+    return evaluate(plan(cells(scale, model)), scale, model)
+
+
+def evaluate(runs, scale: float = 1.0, model: str = "small") -> ExperimentResult:
+    per_kernel = kernel_mflops(runs, model, scale)
 
     graph = "Graph 10" if model == "small" else "Graph 11"
     result = ExperimentResult(
@@ -66,14 +72,6 @@ def run(scale: float = 1.0, profiles=None, runner: Optional[Runner] = None,
         ) >= 4,
     ))
 
-    order = [p.name for p in profiles]
-    result.text = bar_chart(result.series, unit="MFlops", profile_order=order, title=result.title)
-    result.text += "\n\n" + table(per_kernel, columns=order, row_header="kernel")
-    result.text += "\n\n" + "\n".join(c.render() for c in result.checks)
+    order = [p.name for p in ALL_PROFILES]
+    result.render_text(order, table(per_kernel, columns=order, row_header="kernel"))
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run(model="small").text)
-    print()
-    print(run(model="large").text)

@@ -8,32 +8,30 @@ value-type matrices ahead of object-type ones.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ...runtimes import CLR11
-from ..charts import bar_chart
 from ..results import ExperimentCheck, ExperimentResult
-from ..runner import Runner
+from ..runner import plan, profile_cells, section_series
 from .graph01_02_int_arith import MICRO_CLOCK
 
 SECTIONS = ("Matrix:MultiDim", "Matrix:Jagged", "Matrix:ValueType", "Matrix:ObjectType")
 
 
-def run(scale: float = 1.0, profiles=None, runner: Optional[Runner] = None) -> ExperimentResult:
-    profiles = profiles or [CLR11]
-    runner = runner or Runner(profiles=profiles, clock_hz=MICRO_CLOCK)
+def cells(scale: float = 1.0):
     reps = max(2, int(4 * scale))
-    runs = runner.run("clispec.matrix", {"Reps": reps})
+    return profile_cells("clispec.matrix", {"Reps": reps}, [CLR11], MICRO_CLOCK)
 
+
+def run(scale: float = 1.0) -> ExperimentResult:
+    return evaluate(plan(cells(scale)), scale)
+
+
+def evaluate(runs, scale: float = 1.0) -> ExperimentResult:
     result = ExperimentResult(
         experiment="graph12",
         title="Graph 12: Matrix copy performance on .NET CLR 1.1 (copies/sec)",
         unit="copies/sec",
     )
-    for section in SECTIONS:
-        result.series[section] = {
-            name: r.section(section).ops_per_sec for name, r in runs.items()
-        }
+    result.series.update(section_series(runs, cells(scale), SECTIONS))
     clr = "clr-1.1"
     v = lambda s: result.series[s][clr]
     ratio = v("Matrix:MultiDim") / v("Matrix:Jagged")
@@ -51,11 +49,5 @@ def run(scale: float = 1.0, profiles=None, runner: Optional[Runner] = None) -> E
         "jagged arrays are the fastest matrix style",
         v("Matrix:Jagged") == max(v(s) for s in SECTIONS),
     ))
-    order = [p.name for p in profiles]
-    result.text = bar_chart(result.series, unit=result.unit, profile_order=order, title=result.title)
-    result.text += "\n\n" + "\n".join(c.render() for c in result.checks)
+    result.render_text([CLR11.name])
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run().text)

@@ -9,7 +9,7 @@ division loop once and renders every profile's generated code.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ...cil.disassembler import disassemble_body
 from ...jit.emitter import render_x86
@@ -18,6 +18,7 @@ from ...lang import compile_source
 from ...runtimes import CLR11, IBM131, MICRO_PROFILES, MONO023, SSCLI10
 from ...vm.loader import LoadedAssembly
 from ..results import ExperimentCheck, ExperimentResult
+from ..runner import plan
 
 #: the exact shape of the paper's Table 5 benchmark extract
 DIVISION_SOURCE = """
@@ -36,8 +37,16 @@ class DivBench {
 """
 
 
-def run(scale: float = 1.0, profiles=None, runner=None) -> ExperimentResult:
-    profiles = profiles or MICRO_PROFILES
+def cells(scale: float = 1.0):
+    """Tables 5-8 render generated code; they execute no benchmark."""
+    return []
+
+
+def run(scale: float = 1.0) -> ExperimentResult:
+    return evaluate(plan(cells(scale)), scale)
+
+
+def evaluate(runs, scale: float = 1.0) -> ExperimentResult:
     assembly = compile_source(DIVISION_SOURCE, assembly_name="divbench")
     method = assembly.find_method("DivBench", "Main")
 
@@ -57,7 +66,7 @@ def run(scale: float = 1.0, profiles=None, runner=None) -> ExperimentResult:
 
     renders: Dict[str, str] = {}
     stats: Dict[str, Dict[str, int]] = {}
-    for profile in profiles:
+    for profile in MICRO_PROFILES:
         jit = JitCompiler(LoadedAssembly(assembly), profile)
         fn = jit.compile(method)
         renders[profile.name] = render_x86(fn, profile)
@@ -106,7 +115,3 @@ def run(scale: float = 1.0, profiles=None, runner=None) -> ExperimentResult:
     parts.append("\n".join(c.render() for c in checks))
     result.text = "\n".join(parts)
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run().text)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from .charts import bar_chart
+
 
 @dataclass
 class SectionResult:
@@ -85,3 +87,11 @@ class ExperimentResult:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    def render_text(self, profile_order, *blocks: str) -> None:
+        """Set ``text``: the bar chart of ``series``, then each extra
+        block, then the rendered checks."""
+        chart = bar_chart(self.series, unit=self.unit,
+                          profile_order=profile_order, title=self.title)
+        checks = "\n".join(c.render() for c in self.checks)
+        self.text = "\n\n".join([chart, *blocks, checks])

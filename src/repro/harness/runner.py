@@ -4,13 +4,14 @@ This is the paper's methodology made executable: "we use a single compiler
 [...] to generate the intermediate code, and this code is then executed on
 each of the different runtimes."  One :class:`~repro.cil.metadata.Assembly`
 is produced per (benchmark, parameter set); each profile gets a fresh
-loader (fresh statics) over that same image.
+loader (fresh statics) over that same image.  :func:`plan` runs a list of
+declared cells, deduped, through ``repro.parallel.run_cells``.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..benchmarks import get as get_benchmark
 from ..cil.metadata import Assembly
@@ -18,7 +19,7 @@ from ..errors import BenchmarkError, ReproError
 from ..lang import compile_source
 from ..metrics import MachineMetrics
 from ..observe import Observer
-from ..runtimes import MICRO_PROFILES, RuntimeProfile
+from ..runtimes import RuntimeProfile
 from ..vm.loader import LoadedAssembly
 from ..vm.machine import Machine
 from .results import ProfileRun, SectionResult
@@ -67,13 +68,11 @@ def compile_key(
 class Runner:
     def __init__(
         self,
-        profiles: Optional[Iterable[RuntimeProfile]] = None,
         clock_hz: Optional[float] = None,
         quantum: int = 50_000,
         disabled_passes: Iterable[str] = (),
         compile_cache=None,
     ) -> None:
-        self.profiles: List[RuntimeProfile] = list(profiles or MICRO_PROFILES)
         #: override the nominal clock (the paper uses 2.8 GHz for micro,
         #: 2.2 GHz for the SciMark machine)
         self.clock_hz = clock_hz
@@ -190,34 +189,12 @@ class Runner:
             )
         return run
 
-    def run(
-        self,
-        name: str,
-        overrides: Optional[Dict[str, object]] = None,
-        observe: bool = False,
-        metrics: bool = False,
-    ) -> Dict[str, ProfileRun]:
-        """Run on every configured profile; results keyed by profile name.
-        Also asserts the paper's cross-runtime invariant: every profile's
-        recorded computation results are identical.  ``observe=True`` or
-        ``metrics=True`` (not both) attaches a fresh Observer or
-        MachineMetrics per profile (each is single-machine)."""
-        out: Dict[str, ProfileRun] = {}
-        for profile in self.profiles:
-            out[profile.name] = self.run_on(
-                name, profile, overrides,
-                observe=observe or None, metrics=metrics or None,
-            )
-        check_cross_profile_results(name, out)
-        return out
-
 
 def check_cross_profile_results(name: str, runs: Dict[str, ProfileRun]) -> None:
     """Assert the paper's cross-runtime invariant over a set of per-profile
     runs: every profile recorded identical computation results.  Shared by
-    the serial :meth:`Runner.run` path and the parallel-merge paths
-    (``hpcnet run --jobs``, ``repro-bench run --jobs``), so a fan-out can
-    never skip the check."""
+    :func:`plan` and the ``run_cells`` merge paths (``hpcnet run``,
+    ``repro-bench run``), so no way of running cells can skip the check."""
     reference: Optional[ProfileRun] = None
     for run in runs.values():
         if reference is None:
@@ -231,3 +208,69 @@ def check_cross_profile_results(name: str, runs: Dict[str, ProfileRun]) -> None:
                     f"{reference.profile} and {run.profile}: "
                     f"{ref.results} vs {sec.results}"
                 )
+
+
+# ------------------------------------------------------------------ planner
+#
+# A cell is ``(benchmark, overrides, profile name, clock_hz)``: one
+# benchmark with its parameters on one profile, read at one clock.
+
+
+def cell_key(cell) -> tuple:
+    """The dedupe key of one cell; overrides are keyed by
+    :func:`compile_key`, so 1, 1.0 and True never collide."""
+    name, overrides, profile, clock_hz = cell
+    return (compile_key(name, overrides), profile, clock_hz)
+
+
+def profile_cells(name: str, overrides, profiles, clock_hz: Optional[float]):
+    """One benchmark's cells on each of ``profiles``, in profile order."""
+    return [(name, overrides, profile.name, clock_hz) for profile in profiles]
+
+
+def profile_runs(runs, cells) -> Dict[str, ProfileRun]:
+    """The planned runs of ``cells`` keyed by profile name, in cell order."""
+    return {cell[2]: runs[cell_key(cell)] for cell in cells}
+
+
+def section_series(runs, cells, sections) -> Dict[str, Dict[str, float]]:
+    """``{section: {profile: ops/sec}}`` over the planned runs of ``cells``."""
+    by_profile = profile_runs(runs, cells)
+    return {
+        section: {name: run.section(section).ops_per_sec for name, run in by_profile.items()}
+        for section in sections
+    }
+
+
+def plan(cells) -> Dict[tuple, ProfileRun]:
+    """Run every distinct cell once; return ``{cell_key(cell): ProfileRun}``.
+
+    Duplicate cells share one ProfileRun, which readers must not mutate.
+    The dedupe table lives for this call only: calling ``plan`` again runs
+    everything again.  Cells run in declaration order, one in-process
+    ``run_cells`` call per clock; each (benchmark, overrides, clock) group
+    is checked for identical results across profiles.  A failed cell raises.
+    """
+    # imported here: repro.parallel builds Runners in turn
+    from ..faults.report import CellFailure
+    from ..parallel import run_cells
+
+    by_clock: Dict[Optional[float], Dict[tuple, tuple]] = {}
+    for cell in cells:
+        by_clock.setdefault(cell[3], {}).setdefault(cell_key(cell), cell)
+    runs: Dict[tuple, ProfileRun] = {}
+    for clock_hz, unique in by_clock.items():
+        spec = {"kind": "harness", "clock_hz": clock_hz}
+        payloads, _report = run_cells(
+            spec, [cell[:3] for cell in unique.values()], jobs=1
+        )
+        for key, cell, run in zip(unique, unique.values(), payloads):
+            if isinstance(run, CellFailure):
+                raise ReproError(f"{cell[0]}@{cell[2]}: {run.error}")
+            runs[key] = run
+    groups: Dict[tuple, Dict[str, ProfileRun]] = {}
+    for (bench_key, profile, clock_hz), run in runs.items():
+        groups.setdefault((bench_key, clock_hz), {})[profile] = run
+    for (bench_key, _clock_hz), group in groups.items():
+        check_cross_profile_results(bench_key[0], group)
+    return runs

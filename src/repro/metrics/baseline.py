@@ -234,22 +234,25 @@ def collect(
     """Run the suite on every profile with metrics attached; return the
     artifact dict (pure data, JSON-ready).
 
-    ``jobs`` (int or ``"auto"``) fans the (benchmark x profile) cells out
-    over a :mod:`repro.parallel` process pool; the merge is keyed by cell
-    index, so the returned artifact is bit-identical to a serial
-    collection.  The pool's operational report lands on the function
-    attribute ``collect.last_report`` (wall-clock telemetry only — it never
-    enters the artifact).  ``cache`` is an optional
-    :class:`repro.parallel.CompileCache` shared by workers and serial runs
-    alike.
+    Every (benchmark x profile) cell runs through
+    :func:`repro.parallel.run_cells`.  ``jobs`` (int or ``"auto"``) fans
+    the cells out over a process pool; the merge is keyed by cell index,
+    so the returned artifact is bit-identical to a serial (in-process)
+    collection.  The operational report lands on the function attribute
+    ``collect.last_report`` (wall-clock telemetry only — it never enters
+    the artifact), including the compile-cache hit/miss counts.
+    ``cache`` is an optional :class:`repro.parallel.CompileCache` whose
+    directory every run shares.
 
-    ``plan`` is an optional :class:`repro.faults.FaultPlan`: cells the
-    plan fails come back as structured failures instead of aborting the
-    collection — the artifact then carries a ``failures`` key, failed
-    (benchmark, profile) entries are simply absent from ``profiles`` /
-    ``ratios``, and the full :class:`repro.faults.FaultMatrixReport` lands
-    on ``collect.last_faults``.  An artifact collected with no plan is
-    byte-identical to one collected before fault injection existed.
+    A failed cell comes back as a structured failure instead of
+    aborting the collection — the artifact then carries a ``failures``
+    key, failed (benchmark, profile) entries are simply absent from
+    ``profiles`` / ``ratios``, and the full
+    :class:`repro.faults.FaultMatrixReport` lands on
+    ``collect.last_faults``.  ``plan`` is an optional
+    :class:`repro.faults.FaultPlan` that injects such failures.  A clean
+    artifact is byte-identical to one collected before fault injection
+    existed.
 
     ``store`` is an optional :class:`repro.store.ExperimentStore`: every
     cell is first looked up content-addressed (``sha256(COMPILER_VERSION,
@@ -275,8 +278,8 @@ def collect(
     """
     # imported here: the harness imports repro.metrics in turn
     from ..faults.report import CellFailure, annotate_cells
-    from ..harness.runner import Runner, check_cross_profile_results
-    from ..parallel import resolve_jobs, run_cells
+    from ..harness.runner import check_cross_profile_results
+    from ..parallel import run_cells
     from ..runtimes import ALL_PROFILES
     from ..trace import NULL_CONTEXT
 
@@ -295,115 +298,106 @@ def collect(
         )
 
     runs_by_bench: Dict[str, Dict[str, object]] = {}
-    faults_report = None
-    use_pool = resolve_jobs(jobs) > 1 and len(suite) * len(profiles) > 1
-    if use_pool or plan is not None or store is not None:
-        cells = [
-            (name, params or None, profile.name)
-            for name, params in suite
-            for profile in profiles
-        ]
-        precomputed = None
-        keys = None
-        if store is not None:
-            with trace.child("store.lookup", cells=len(cells),
-                             track="store") as lookup_span:
-                keys = [
-                    store.cell_key(name, pname, overrides=params)
-                    for name, params, pname in cells
-                ]
-                precomputed = {}
-                for index, key in enumerate(keys):
-                    run = store.lookup_run(key)
-                    if run is not None:
-                        precomputed[index] = run
-                lookup_span.set(hits=len(precomputed))
-            collect.last_store = {
-                "cells": len(cells),
-                "hits": len(precomputed),
-                "misses": len(cells) - len(precomputed),
-            }
-            if progress is not None:
-                progress(
-                    f"{len(precomputed)}/{len(cells)} cells served from "
-                    f"the store ({store.path})"
-                )
-            # compile accounting is measured *here*, inside whatever
-            # process runs the collection, so a daemon running jobs in
-            # isolated workers gets each job's own delta instead of
-            # sampling a shared global around an executor call (which
-            # double-counts the moment two jobs overlap)
-            from ..lang.compiler import COMPILE_STATS
-
-            compiles_before = COMPILE_STATS["compile_source_calls"]
-        spec = {
-            "kind": "harness",
-            "metrics": True,
-            "cache_dir": None if cache is None else cache.root,
-            "plan": plan,
-            "cell_timeout": cell_timeout,
+    cells = [
+        (name, params or None, profile.name)
+        for name, params in suite
+        for profile in profiles
+    ]
+    precomputed = None
+    keys = None
+    if store is not None:
+        with trace.child("store.lookup", cells=len(cells),
+                         track="store") as lookup_span:
+            keys = [
+                store.cell_key(name, pname, overrides=params)
+                for name, params, pname in cells
+            ]
+            precomputed = {}
+            for index, key in enumerate(keys):
+                run = store.lookup_run(key)
+                if run is not None:
+                    precomputed[index] = run
+            lookup_span.set(hits=len(precomputed))
+        collect.last_store = {
+            "cells": len(cells),
+            "hits": len(precomputed),
+            "misses": len(cells) - len(precomputed),
         }
         if progress is not None:
-            progress(f"{len(cells)} cells across jobs={jobs}")
-        payloads, report = run_cells(
-            spec, cells, jobs=jobs, precomputed=precomputed, trace=trace
-        )
-        collect.last_report = report
-        for (name, _params, pname), run in zip(cells, payloads):
-            if not isinstance(run, CellFailure):
-                runs_by_bench.setdefault(name, {})[pname] = run
-        for name, runs in runs_by_bench.items():
-            check_cross_profile_results(name, runs)
-        faults_report = annotate_cells(
-            [(name, pname) for name, _params, pname in cells], payloads, plan
-        )
-        collect.last_faults = faults_report
-        if store is not None:
-            from ..store import run_to_record
+            progress(
+                f"{len(precomputed)}/{len(cells)} cells served from "
+                f"the store ({store.path})"
+            )
+        # compile accounting is measured *here*, inside whatever
+        # process runs the collection, so a daemon running jobs in
+        # isolated workers gets each job's own delta instead of
+        # sampling a shared global around an executor call (which
+        # double-counts the moment two jobs overlap)
+        from ..lang.compiler import COMPILE_STATS
 
-            run_id = None
-            if record:
-                novel = [
-                    {
-                        "key": keys[index],
-                        "benchmark": cells[index][0],
-                        "profile": cells[index][2],
-                        "params": cells[index][1],
-                        "record": run_to_record(payloads[index]),
-                    }
-                    for index in range(len(cells))
-                    if index not in precomputed
-                    and not isinstance(payloads[index], CellFailure)
-                ]
-                with trace.child("store.record", novel=len(novel),
-                                 track="store") as record_span:
-                    run_id = store.record_collection(
-                        git_sha=sha,
-                        scale=scale,
-                        profiles=[p.name for p in profiles],
-                        suite=suite,
-                        store_hits=len(precomputed),
-                        cell_keys={
-                            f"{name}@{pname}": keys[index]
-                            for index, (name, _params, pname) in enumerate(cells)
-                        },
-                        novel=novel,
-                        failures=faults_report.failures,
-                    )
-                    record_span.set(run_id=run_id)
-            collect.last_store["run_id"] = run_id
-            collect.last_store["compile_calls"] = (
-                COMPILE_STATS["compile_source_calls"] - compiles_before
-            )
-            collect.last_store["cells_executed"] = (
-                collect.last_store["cells"] - collect.last_store["hits"]
-            )
-    else:
-        runner = Runner(profiles=profiles, compile_cache=cache)
-        for name, params in suite:
-            if progress is not None:
-                progress(f"{name} {params}")
-            runs_by_bench[name] = runner.run(name, params or None, metrics=True)
+        compiles_before = COMPILE_STATS["compile_source_calls"]
+    spec = {
+        "kind": "harness",
+        "metrics": True,
+        "cache_dir": None if cache is None else cache.root,
+        "plan": plan,
+        "cell_timeout": cell_timeout,
+    }
+    if progress is not None:
+        progress(f"{len(cells)} cells across jobs={jobs}")
+    payloads, report = run_cells(
+        spec, cells, jobs=jobs, precomputed=precomputed, trace=trace
+    )
+    collect.last_report = report
+    for (name, _params, pname), run in zip(cells, payloads):
+        if not isinstance(run, CellFailure):
+            runs_by_bench.setdefault(name, {})[pname] = run
+    for name, runs in runs_by_bench.items():
+        check_cross_profile_results(name, runs)
+    faults_report = annotate_cells(
+        [(name, pname) for name, _params, pname in cells], payloads, plan
+    )
+    collect.last_faults = faults_report
+    if store is not None:
+        from ..store import run_to_record
+
+        run_id = None
+        if record:
+            novel = [
+                {
+                    "key": keys[index],
+                    "benchmark": cells[index][0],
+                    "profile": cells[index][2],
+                    "params": cells[index][1],
+                    "record": run_to_record(payloads[index]),
+                }
+                for index in range(len(cells))
+                if index not in precomputed
+                and not isinstance(payloads[index], CellFailure)
+            ]
+            with trace.child("store.record", novel=len(novel),
+                             track="store") as record_span:
+                run_id = store.record_collection(
+                    git_sha=sha,
+                    scale=scale,
+                    profiles=[p.name for p in profiles],
+                    suite=suite,
+                    store_hits=len(precomputed),
+                    cell_keys={
+                        f"{name}@{pname}": keys[index]
+                        for index, (name, _params, pname) in enumerate(cells)
+                    },
+                    novel=novel,
+                    failures=faults_report.failures,
+                )
+                record_span.set(run_id=run_id)
+        collect.last_store["run_id"] = run_id
+        collect.last_store["compile_calls"] = (
+            COMPILE_STATS["compile_source_calls"] - compiles_before
+        )
+        collect.last_store["cells_executed"] = (
+            collect.last_store["cells"] - collect.last_store["hits"]
+        )
 
     entries_by_bench = {
         name: {pname: entry_from_run(run) for pname, run in runs.items()}
@@ -416,18 +410,17 @@ def collect(
         scale=scale,
         git_sha=sha,
     )
-    if faults_report is not None and faults_report.failures:
+    if faults_report.failures:
         # present only on faulted collections, so clean artifacts stay
         # byte-identical to the pre-fault-injection layout
         artifact["failures"] = faults_report.failures
     return artifact
 
 
-#: the last collection's repro.parallel.PoolReport (None for serial runs)
+#: the last collection's repro.parallel.PoolReport
 collect.last_report = None
 
-#: the last collection's repro.faults.FaultMatrixReport (None unless the
-#: collection went through the pool path — always the case with a plan)
+#: the last collection's repro.faults.FaultMatrixReport
 collect.last_faults = None
 
 #: the last collection's store-memoization accounting ({"cells", "hits",

@@ -63,7 +63,6 @@ def cmd_run(args) -> int:
     profiles = _resolve_profiles(args.profiles)
     suite = _resolve_suite(args.benchmarks, args.scale)
     execution = execution_from_args(args)
-    cache = execution.cache
     store = None
     if args.store:
         from ..store import ExperimentStore
@@ -77,7 +76,7 @@ def cmd_run(args) -> int:
             git_sha=args.git_sha,
             progress=lambda msg: print(f"repro-bench: {msg}", file=sys.stderr),
             jobs=execution.jobs,
-            cache=cache,
+            cache=execution.cache,
             plan=execution.plan,
             cell_timeout=execution.cell_timeout,
             store=store,
@@ -94,14 +93,7 @@ def cmd_run(args) -> int:
         f"({len(benches)} benchmarks x {len(artifact['profiles'])} profiles, "
         f"git {artifact['git_sha'][:12]})"
     )
-    report = baseline.collect.last_report
-    if report is not None:
-        print(f"repro-bench: parallel {report.summary()}")
-    elif cache is not None:
-        print(
-            f"repro-bench: compile cache {cache.hits} hits / "
-            f"{cache.misses} misses ({cache.root})"
-        )
+    print(f"repro-bench: parallel {baseline.collect.last_report.summary()}")
     store_stats = baseline.collect.last_store
     if store_stats is not None:
         print(

@@ -61,29 +61,13 @@ def resolve_profile(name: str) -> RuntimeProfile:
     raise SystemExit(f"unknown runtime {name!r}; known: {known_names}")
 
 
-def _parse_overrides(pairs: List[str]) -> Optional[Dict[str, object]]:
-    out: Dict[str, object] = {}
-    for pair in pairs:
-        key, sep, raw = pair.partition("=")
-        if not sep:
-            raise SystemExit(f"bad --param {pair!r}; expected Key=Value")
-        try:
-            out[key] = int(raw)
-        except ValueError:
-            try:
-                out[key] = float(raw)
-            except ValueError:
-                out[key] = raw
-    return out or None
-
-
 def _profile_run(benchmark: str, runtime: str, params: List[str]) -> Observer:
     # imported lazily: the harness imports this package in turn
+    from ..harness.cli import _parse_overrides
     from ..harness.runner import Runner
 
     profile = resolve_profile(runtime)
-    runner = Runner(profiles=[profile])
-    run = runner.run_on(benchmark, profile, _parse_overrides(params), observe=True)
+    run = Runner().run_on(benchmark, profile, _parse_overrides(params), observe=True)
     return run.observation
 
 
@@ -173,13 +157,13 @@ def cmd_export(args) -> int:
 
 def cmd_flame(args) -> int:
     # imported lazily: repro.metrics builds on this package
+    from ..harness.cli import _parse_overrides
     from ..harness.runner import Runner
     from ..metrics.sampler import StackSampler
 
     profile = resolve_profile(args.runtime)
     sampler = StackSampler(period=args.period)
-    runner = Runner(profiles=[profile])
-    runner.run_on(
+    Runner().run_on(
         args.benchmark, profile, _parse_overrides(args.param or []),
         observe=sampler,
     )

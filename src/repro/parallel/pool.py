@@ -213,11 +213,7 @@ def _make_state(spec: dict) -> dict:
         from ..harness.runner import Runner
 
         state["runner"] = Runner(
-            profiles=[],
-            clock_hz=spec.get("clock_hz"),
-            quantum=spec.get("quantum", 50_000),
-            disabled_passes=spec.get("disabled_passes", ()),
-            compile_cache=state["cache"],
+            clock_hz=spec.get("clock_hz"), compile_cache=state["cache"]
         )
     elif spec["kind"] == "fuzz":
         from ..runtimes import get_profile
@@ -246,6 +242,9 @@ def _run_cell(state: dict, spec: dict, cell, index: int) -> object:
                 bench,
                 get_profile(profile_name),
                 params,
+                # a live Observer does not pickle: only the in-process
+                # jobs=1 path may ask for one
+                observe=True if spec.get("observe") else None,
                 metrics=True if spec.get("metrics") else None,
                 faults=faults,
             )

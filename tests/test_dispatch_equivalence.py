@@ -84,7 +84,7 @@ SMALL_PARAMS = {
 
 #: one shared runner so each benchmark's source is compiled once for the
 #: whole module (the per-profile JIT still runs per machine, as it must)
-_runner = Runner(profiles=list(ALL_PROFILES))
+_runner = Runner()
 
 
 def run_fingerprint(run):

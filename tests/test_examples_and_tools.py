@@ -79,7 +79,7 @@ def test_dispatch_mix_counts_every_retired_instruction():
     mix = tool.Mix()
     restore = mix.install()
     try:
-        run = Runner(profiles=[CLR11]).run_on("scimark.lu", CLR11, {"N": 48})
+        run = Runner().run_on("scimark.lu", CLR11, {"N": 48})
     finally:
         restore()
     dispatches, instructions = mix.totals()

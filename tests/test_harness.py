@@ -5,13 +5,13 @@ import pytest
 from repro.harness.charts import bar_chart, format_sci, table, to_csv
 from repro.harness.cli import main as cli_main
 from repro.harness.results import ExperimentCheck, ExperimentResult
-from repro.harness.runner import Runner
+from repro.harness.runner import Runner, plan, profile_cells, profile_runs
 from repro.runtimes import CLR11, IBM131, SSCLI10
 
 
 @pytest.fixture(scope="module")
 def runner():
-    return Runner(profiles=[CLR11, SSCLI10], clock_hz=2.8e9)
+    return Runner(clock_hz=2.8e9)
 
 
 class TestRunner:
@@ -22,8 +22,9 @@ class TestRunner:
         c = runner.compile_benchmark("micro.loop", {"Reps": 200})
         assert c is not a
 
-    def test_run_produces_all_sections(self, runner):
-        runs = runner.run("micro.loop", {"Reps": 500})
+    def test_run_produces_all_sections(self):
+        cells = profile_cells("micro.loop", {"Reps": 500}, [CLR11, SSCLI10], 2.8e9)
+        runs = profile_runs(plan(cells), cells)
         assert set(runs) == {"clr-1.1", "sscli-1.0"}
         for run in runs.values():
             assert {"Loop:For", "Loop:ReverseFor", "Loop:While"} <= set(run.sections)
@@ -31,15 +32,17 @@ class TestRunner:
                 assert section.cycles > 0
                 assert section.ops_per_sec > 0
 
-    def test_cross_runtime_result_mismatch_detected(self, runner):
+    def test_cross_runtime_result_mismatch_detected(self):
         # same benchmark: results agree, so no error
-        runner.run("scimark.montecarlo", {"Samples": 300})
+        plan(profile_cells("scimark.montecarlo", {"Samples": 300},
+                           [CLR11, SSCLI10], 2.8e9))
 
     def test_clock_override_scales_rates(self):
-        fast = Runner(profiles=[CLR11], clock_hz=2.8e9)
-        slow = Runner(profiles=[CLR11], clock_hz=1.4e9)
-        a = fast.run("micro.loop", {"Reps": 500})["clr-1.1"].section("Loop:For")
-        b = slow.run("micro.loop", {"Reps": 500})["clr-1.1"].section("Loop:For")
+        fast = ("micro.loop", {"Reps": 500}, "clr-1.1", 2.8e9)
+        slow = ("micro.loop", {"Reps": 500}, "clr-1.1", 1.4e9)
+        runs = plan([fast, slow])
+        a = profile_runs(runs, [fast])["clr-1.1"].section("Loop:For")
+        b = profile_runs(runs, [slow])["clr-1.1"].section("Loop:For")
         assert a.ops_per_sec == pytest.approx(2 * b.ops_per_sec)
 
     def test_missing_section_raises_keyerror(self, runner):
@@ -48,11 +51,62 @@ class TestRunner:
             run.section("Nope")
 
     def test_deterministic_cycles(self):
-        r1 = Runner(profiles=[IBM131]).run_on("micro.cast", IBM131, {"Reps": 300})
-        r2 = Runner(profiles=[IBM131]).run_on("micro.cast", IBM131, {"Reps": 300})
+        r1 = Runner().run_on("micro.cast", IBM131, {"Reps": 300})
+        r2 = Runner().run_on("micro.cast", IBM131, {"Reps": 300})
         assert r1.total_cycles == r2.total_cycles
         for s in r1.sections:
             assert r1.sections[s].cycles == r2.sections[s].cycles
+
+
+class TestPlanner:
+    """Experiments declare cells; ``plan`` runs each distinct cell once."""
+
+    def test_declared_cells_dedupe_without_executing(self, monkeypatch):
+        from repro.harness.experiments import ALL_EXPERIMENTS, renders
+        from repro.harness.runner import cell_key
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("declaring cells must execute nothing")
+
+        monkeypatch.setattr(Runner, "run_on", refuse)
+        cells = [
+            cell
+            for name, module in ALL_EXPERIMENTS.items()
+            for kwargs in renders(name)
+            for cell in module.cells(1.0, **kwargs)
+        ]
+        assert len(cells) == 181
+        assert len({cell_key(cell) for cell in cells}) == 97
+        # Graph 11 is the large model: the CLI renders both
+        assert renders("graph10-11") == [{"model": "small"}, {"model": "large"}]
+
+    def test_shared_cells_run_once_and_evaluate_matches_run(self, monkeypatch):
+        from repro.harness.experiments import graph01_02_int_arith, graph03_fp_arith
+        from repro.store import run_to_record
+
+        modules = (graph01_02_int_arith, graph03_fp_arith)
+        standalone = [module.run(scale=0.05) for module in modules]
+        calls = []
+        run_on = Runner.run_on
+
+        def counted(self, name, profile, *args, **kwargs):
+            calls.append((name, profile.name))
+            return run_on(self, name, profile, *args, **kwargs)
+
+        monkeypatch.setattr(Runner, "run_on", counted)
+        runs = plan([cell for module in modules for cell in module.cells(0.05)])
+        assert sorted(calls) == sorted(
+            ("micro.arith", profile) for profile in
+            ("ibm-1.3.1", "clr-1.1", "mono-0.23", "sscli-1.0")
+        )
+        before = {key: run_to_record(run) for key, run in runs.items()}
+        for module, alone in zip(modules, standalone):
+            shared = module.evaluate(runs, 0.05)
+            assert shared.series == alone.series
+            assert shared.checks == alone.checks
+            assert shared.text == alone.text
+        # evaluate reads the shared ProfileRuns and never mutates them
+        assert {key: run_to_record(run) for key, run in runs.items()} == before
 
 
 class TestCharts:
@@ -134,6 +188,30 @@ class TestCli:
         with pytest.raises(SystemExit, match="bad --param"):
             cli_main(["run", "micro.loop", "--param", "Oops"])
 
+    def test_run_profile_writes_artifacts_serially(self, tmp_path, capsys):
+        code = cli_main([
+            "run", "micro.loop", "--profiles", "clr-1.1", "mono-0.23",
+            "--param", "Reps=200", "--profile",
+            "--profile-dir", str(tmp_path), "--no-compile-cache",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "hpcnet: parallel" not in out
+        for runtime in ("clr-1.1", "mono-0.23"):
+            for suffix in ("profile.json", "trace.json", "report.txt"):
+                path = tmp_path / f"micro.loop.{runtime}.{suffix}"
+                assert path.exists(), path
+                assert f"wrote {suffix.split('.')[0]}: {path}" in out
+        assert "Loop:For" in out
+
+    def test_parse_overrides(self):
+        from repro.harness.cli import _parse_overrides
+
+        assert _parse_overrides([]) is None
+        assert _parse_overrides(["N=3", "X=0.5", "S=abc"]) == {
+            "N": 3, "X": 0.5, "S": "abc",
+        }
+
     def test_disasm(self, capsys):
         assert cli_main(["disasm"]) == 0
         out = capsys.readouterr().out
@@ -196,6 +274,6 @@ class TestCompileKey:
     def test_runner_surfaces_the_same_error(self):
         from repro.errors import BenchmarkError
 
-        runner = Runner(profiles=[CLR11])
+        runner = Runner()
         with pytest.raises(BenchmarkError, match=r"'Reps'"):
             runner.compile_benchmark("micro.arith", {"Reps": [1, [2, {"x": 3}]]})

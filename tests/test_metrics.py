@@ -40,7 +40,7 @@ BENCH_CASES = {
 
 
 def bench_pair(name, profile, overrides, **kwargs):
-    runner = Runner(profiles=[profile])
+    runner = Runner()
     plain = runner.run_on(name, profile, overrides)
     instrumented = runner.run_on(name, profile, overrides, **kwargs)
     return plain, instrumented
@@ -155,7 +155,7 @@ class TestZeroPerturbation:
         assert sampled.instructions == plain.instructions
 
     def test_observer_and_metrics_together_rejected(self):
-        runner = Runner(profiles=[CLR11])
+        runner = Runner()
         with pytest.raises(ValueError, match="not both"):
             runner.run_on("micro.arith", CLR11, {"Reps": 60},
                           observe=True, metrics=True)
@@ -328,7 +328,7 @@ class TestTelemetry:
         assert first["counters"]["jit.methods_compiled"] > 0
 
     def test_metrics_in_profile_run_fields(self):
-        runner = Runner(profiles=[CLR11])
+        runner = Runner()
         run = runner.run_on("micro.arith", CLR11, {"Reps": 300}, metrics=True)
         assert run.metrics is not None
         assert run.metrics["gauges"]["machine.cycles"] == run.total_cycles
@@ -337,10 +337,14 @@ class TestTelemetry:
         assert bare.metrics is None
 
     def test_run_all_profiles_with_metrics(self):
-        runner = Runner(profiles=[CLR11, MONO023])
-        runs = runner.run("micro.arith", {"Reps": 300}, metrics=True)
-        assert all(r.metrics is not None for r in runs.values())
-        snaps = [r.metrics for r in runs.values()]
+        from repro.parallel import run_cells
+
+        runs, _report = run_cells(
+            {"kind": "harness", "metrics": True},
+            [("micro.arith", {"Reps": 300}, p.name) for p in (CLR11, MONO023)],
+        )
+        assert all(r.metrics is not None for r in runs)
+        snaps = [r.metrics for r in runs]
         assert snaps[0] is not snaps[1]
 
 
@@ -350,7 +354,7 @@ class TestTelemetry:
 class TestSampler:
     def _sample(self, period=500, bench="scimark.sor", profile=CLR11):
         sampler = StackSampler(period=period)
-        runner = Runner(profiles=[profile])
+        runner = Runner()
         run = runner.run_on(bench, profile, BENCH_CASES.get(bench), observe=sampler)
         return sampler, run
 
@@ -384,7 +388,7 @@ class TestSampler:
     def test_runtime_frame_for_unattributed_time(self):
         # a threaded run has scheduler time with no managed frame on stack
         sampler = StackSampler(period=200)
-        runner = Runner(profiles=[CLR11])
+        runner = Runner()
         runner.run_on("threads.lock", CLR11,
                       {"Reps": 60, "ContendedReps": 40}, observe=sampler)
         assert sampler.total_samples > 0

@@ -62,7 +62,7 @@ def run_pair(assembly_source, profile, quantum=50_000):
 
 
 def bench_pair(name, profile, overrides):
-    runner = Runner(profiles=[profile])
+    runner = Runner()
     plain = runner.run_on(name, profile, overrides)
     watched = runner.run_on(name, profile, overrides, observe=True)
     return plain, watched
@@ -242,7 +242,7 @@ class TestReportAndDiff:
 
 class TestHarnessPlumbing:
     def test_run_on_observe_true_attaches(self):
-        runner = Runner(profiles=[CLR11])
+        runner = Runner()
         run = runner.run_on("micro.arith", CLR11, {"Reps": 300}, observe=True)
         assert run.observation is not None
         assert run.observation.benchmark == "micro.arith"
@@ -250,21 +250,25 @@ class TestHarnessPlumbing:
         assert run.observation.machine.cycles == run.total_cycles
 
     def test_run_observe_gives_each_profile_its_own_observer(self):
-        runner = Runner(profiles=[CLR11, MONO023])
-        runs = runner.run("micro.arith", {"Reps": 300}, observe=True)
-        observers = [r.observation for r in runs.values()]
+        from repro.parallel import run_cells
+
+        runs, _report = run_cells(
+            {"kind": "harness", "observe": True},
+            [("micro.arith", {"Reps": 300}, p.name) for p in (CLR11, MONO023)],
+        )
+        observers = [r.observation for r in runs]
         assert all(o is not None for o in observers)
         assert observers[0] is not observers[1]
 
     def test_unobserved_run_has_no_observation(self):
-        runner = Runner(profiles=[CLR11])
+        runner = Runner()
         run = runner.run_on("micro.arith", CLR11, {"Reps": 300})
         assert run.observation is None
 
     def test_disabled_passes_flow_into_machine(self):
-        base = Runner(profiles=[CLR11]).run_on("scimark.sor", CLR11,
+        base = Runner().run_on("scimark.sor", CLR11,
                                                BENCH_CASES["scimark.sor"])
-        ablated_runner = Runner(profiles=[CLR11], disabled_passes=("enregister",))
+        ablated_runner = Runner(disabled_passes=("enregister",))
         ablated = ablated_runner.run_on("scimark.sor", CLR11,
                                         BENCH_CASES["scimark.sor"])
         # semantics preserved, costs changed
@@ -278,7 +282,7 @@ class TestHarnessPlumbing:
         assert override.total_cycles == base.total_cycles
 
     def test_section_seconds(self):
-        run = Runner(profiles=[CLR11]).run_on("micro.arith", CLR11, {"Reps": 300})
+        run = Runner().run_on("micro.arith", CLR11, {"Reps": 300})
         for sec in run.sections.values():
             assert sec.seconds == pytest.approx(sec.cycles / run.clock_hz)
 

@@ -141,16 +141,16 @@ class TestCompileCache:
 
     def test_runner_uses_cache(self, tmp_path):
         cache = CompileCache(str(tmp_path))
-        Runner(profiles=[CLR11], compile_cache=cache).run("micro.arith", {"Reps": 50})
+        Runner(compile_cache=cache).run_on("micro.arith", CLR11, {"Reps": 50})
         assert (cache.hits, cache.misses) == (0, 1)
         # a *new* runner (fresh in-memory dict) hits the persistent layer
         before = COMPILE_STATS["compile_source_calls"]
-        runs = Runner(profiles=[CLR11], compile_cache=cache).run(
-            "micro.arith", {"Reps": 50}
+        run = Runner(compile_cache=cache).run_on(
+            "micro.arith", CLR11, {"Reps": 50}
         )
         assert cache.hits == 1
         assert COMPILE_STATS["compile_source_calls"] == before
-        assert runs["clr-1.1"].total_cycles > 0
+        assert run.total_cycles > 0
 
 
 # ------------------------------------------------------------------ the pool
@@ -233,7 +233,7 @@ class TestBenchMatrixBitIdentity:
             profiles=ALL_PROFILES, suite=suite, scale=0.0,
             git_sha="parallel-test", cache=cache,
         )
-        assert cache.misses == len(suite)
+        assert baseline.collect.last_report.cache_misses == len(suite)
         before = COMPILE_STATS["compile_source_calls"]
         warm = baseline.collect(
             profiles=ALL_PROFILES, suite=suite, scale=0.0,
@@ -242,7 +242,7 @@ class TestBenchMatrixBitIdentity:
         assert COMPILE_STATS["compile_source_calls"] == before, (
             "a warm compile cache must eliminate every compile_source call"
         )
-        assert cache.hits == len(suite)
+        assert baseline.collect.last_report.cache_hits == len(suite)
         assert json.dumps(warm, sort_keys=True) == json.dumps(cold, sort_keys=True)
         assert json.dumps(warm, sort_keys=True) == json.dumps(serial, sort_keys=True)
 

@@ -155,8 +155,8 @@ class TestCodec:
 
         suite = baseline.resolve_suite("micro.arith", 0.0)
         name, params = suite[0]
-        runner = Runner(profiles=[get_profile("clr-1.1")])
-        run = runner.run(name, params or None, metrics=True)["clr-1.1"]
+        run = Runner().run_on(name, get_profile("clr-1.1"), params or None,
+                              metrics=True)
         record = run_to_record(run)
         # the record survives a JSON wire trip exactly
         wired = json.loads(json.dumps(record))

@@ -104,7 +104,7 @@ def run_benchmark(name, profile_name, params):
     from repro.runtimes import get_profile
 
     profile = get_profile(profile_name)
-    Runner(profiles=[profile]).run_on(name, profile, params or None)
+    Runner().run_on(name, profile, params or None)
 
 
 def run_experiments(scale):

@@ -141,7 +141,7 @@ def metrics_fingerprints() -> Dict[str, Dict[str, str]]:
     from tests.test_dispatch_equivalence import SMALL_PARAMS
 
     out: Dict[str, Dict[str, str]] = {}
-    runner = Runner(profiles=ALL_PROFILES)
+    runner = Runner()
     for bench, params in sorted(SMALL_PARAMS.items()):
         out[f"bench/{bench}"] = {
             profile.name: _sha(

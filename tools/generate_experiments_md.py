@@ -7,7 +7,7 @@ from __future__ import annotations
 import sys
 import time
 
-from repro.harness.experiments import ALL_EXPERIMENTS
+from repro.harness.experiments import ALL_EXPERIMENTS, evaluate_all
 from repro.harness.runner import Runner
 from repro.observe import profile_to_dict, render_diff_markdown
 from repro.runtimes import CLR11, MONO023
@@ -214,7 +214,7 @@ def observability_section(benchmark: str = "scimark.sor") -> str:
     """Profile one kernel on CLR 1.1 vs Mono and render the category
     attribution table (the section-4 'which component explains the gap?'
     analysis, regenerated from our own cycle accounting)."""
-    runner = Runner(profiles=[CLR11, MONO023])
+    runner = Runner()
     a = profile_to_dict(
         runner.run_on(benchmark, CLR11, observe=True).observation
     )
@@ -303,12 +303,9 @@ def main() -> None:
     sections = []
     summary = []
     total = passed = 0
-    for name, module in ALL_EXPERIMENTS.items():
+    for name in ALL_EXPERIMENTS:
         t0 = time.time()
-        if name == "graph10-11":
-            results = [module.run(model="small"), module.run(model="large")]
-        else:
-            results = [module.run()]
+        results = evaluate_all([name])
         wall = time.time() - t0
         title, claim = PAPER_NOTES[name]
         body = [f"## {title}", "", f"**Paper claim.** {claim}", ""]
