@@ -16,9 +16,12 @@ its core register/arith/branch ops get closures *generated as Python
 source* with the value-kind wrap/round math inlined
 (:func:`_make_single_gen`), and at :data:`_FUSE_RUNS` times its length its
 straight-line runs, array and field accesses included, become
-superinstructions (:func:`_make_fused_gen`).  Generated source carries no
-per-instruction literal — operands are default arguments — so it is keyed
-by the shape of the instruction or run and compiled once per process.
+superinstructions (:func:`_make_fused_gen`).  A function that reached the
+superinstruction tier once in the process starts in its last tier on
+every later machine (the tier memory, :data:`_HOT_CODE`).  Generated
+source carries no per-instruction literal — operands are default
+arguments — so it is keyed by the shape of the instruction or run and
+compiled once per process.
 
 Equivalence contract (enforced by ``tests/test_dispatch_equivalence.py``):
 a threaded machine is **bit-identical** to a classic one in ``cycles``,
@@ -38,7 +41,8 @@ fault-fire sites.  Two classic behaviours matter for that:
   addition is non-associative, so moving a flush boundary by even one
   instruction changes the low-order bits of the final cycle count.  The
   instruction counter therefore lives in :class:`ExecState` so fused runs
-  can break between elements exactly where the classic loop would have.
+  can count their elements into it, and a run that might cross a flush
+  boundary runs only its first element (the head fallback below).
 
 Closure protocol: ``ops[pc](R, st) -> next_pc``, where ``next_pc >= 0``
 continues in this frame, ``REBIND`` re-binds the top frame (call/ret/
@@ -51,21 +55,24 @@ one closure array is shared by *every* activation of the function
 Superinstructions: :func:`fuse_plan` greedily merges straight-line runs of
 register ops and array/field accesses (up to :data:`MAX_FUSE_RUN`,
 optionally ending in a branch) into one generated function per run
-(:func:`_make_fused_gen`).  Fusion changes host speed only.  Each fused
-body carries up to three paths (:func:`_run_source`): an *int fast path*
-(all costs int, no float memory tax, comfortably inside the budget and
-burst bounds) that executes the whole run with a single bookkeeping store;
-a *sequential path* for float sums — the large memory model's per-access
-tax, float cost profiles — that adds classic's costs in classic's order
-but skips the per-element checks when one margin-guarded entry check
-proves none could trip; and a *slow path* that re-checks the exact
-classic budget/burst predicates between elements and returns to the
-unfused interior pc when the quantum ends mid-run.  A raising element
-flushes the classic-partial ``spent`` / ``icount`` and records the
-precise raising pc in ``ExecState.raise_pc`` before the throw.  The fuser
-refuses to fuse into branch targets or exception-region boundaries, and
-stands down entirely on machines with a fault injector armed (every pc
-stays an attributable fire site).
+(:func:`_make_fused_gen`).  A run may end on a loop latch — the
+conditional jump at a branch target that closes a bottom-tested loop —
+so SOR's inner loop takes 2 dispatches per iteration.  Fusion changes
+host speed only.  Each fused body carries two paths (:func:`_run_source`):
+an *int fast path* (all costs int, no float memory tax, comfortably
+inside the budget and burst bounds) that executes the whole run with a
+single bookkeeping store, and a *sequential path* for float sums — the
+large memory model's per-access tax, float cost profiles — that adds
+classic's costs in classic's order but skips the per-element checks when
+one margin-guarded entry check proves none could trip.  When neither
+entry check passes the run falls back to its head: it calls ``F0``, the
+closure it replaced at its start, and the driver goes on through the
+interior pcs, which keep their own closures.  A raising element flushes
+the classic-partial ``spent`` / ``icount`` and records the precise
+raising pc in ``ExecState.raise_pc`` before the throw.  The fuser keeps
+branch targets and exception-region boundaries out of a run's interior
+(only a latch may end one), and stands down entirely on machines with a
+fault injector armed (every pc stays an attributable fire site).
 """
 
 from __future__ import annotations
@@ -176,19 +183,22 @@ def fuse_plan(code, regions, branch_targets, faults_armed: bool,
 
     All interior elements of a run must be in :data:`FUSABLE_FIRST` (pure
     register transforms that always fall through); the final element may
-    additionally be a branch (:data:`FUSABLE_SECOND`).  No element other
-    than the first may be a branch target or an exception region boundary
-    (try/handler start or end) — entering a run sideways must always hit a
-    plain closure.  With a fault injector armed nothing is fused at all:
-    every pc stays an individually observable fire site.
+    additionally be a branch (:data:`FUSABLE_SECOND`).  No interior element
+    may be a branch target or an exception region boundary (try/handler
+    start or end), and the last one may be a branch target only when it is
+    a conditional jump — the latch of a bottom-tested loop, which the
+    increment falls into — and no region boundary.  A run only replaces
+    the closure at its start, so entering it sideways, at the latch
+    included, always hits a plain closure.  With a fault injector armed
+    nothing is fused at all: every pc stays an individually observable
+    fire site.
     """
     if faults_armed:
         return []
-    boundaries = set(branch_targets)
+    edges = set()
     for reg in regions:
-        boundaries.update(
-            (reg.try_start, reg.try_end, reg.handler_start, reg.handler_end)
-        )
+        edges.update((reg.try_start, reg.try_end, reg.handler_start, reg.handler_end))
+    boundaries = edges.union(branch_targets)
     runs = []
     i = 0
     n = len(code)
@@ -197,8 +207,12 @@ def fuse_plan(code, regions, branch_targets, faults_armed: bool,
             i += 1
             continue
         j = i + 1
-        while j < n and j - i < max_run and j not in boundaries:
+        while j < n and j - i < max_run:
             op = code[j].op
+            if j in boundaries:
+                if op in mir.COND_JUMPS and j not in edges:
+                    j += 1  # a loop latch ends the run
+                break
             if op in FUSABLE_FIRST:
                 j += 1
             elif op in FUSABLE_SECOND:
@@ -224,16 +238,18 @@ def fuse_plan(code, regions, branch_targets, faults_armed: bool,
 # wall-clock.  For these opcodes the translator generates the closure
 # *source* with the wrap arithmetic inlined.  The source holds no
 # per-instruction literal: register slots, jump targets, next pcs, costs,
-# partial cost sums and raise/resume pcs are parameters, bound as default
-# arguments (``LOAD_FAST`` locals) when a closure is made.  Its text, and so
+# partial cost sums, raise pcs and a run's fallback closure are
+# parameters, bound as default arguments (``LOAD_FAST`` locals) when a
+# closure is made.  Its text, and so
 # its compiled code, depends only on the *shape* of the instruction or run
 # — opcode, value kind, CONV kind, position in the run, all-int costs — and
 # each shape is compiled once per process into ``_TEMPLATES``.  A template
-# is the code of a factory ``make(C, s, M)`` that reads the operands of
-# ``C[s:]`` and what the body needs of machine ``M`` (the loaded assembly
-# for raised exceptions, the working-set flag and memory tax for array
-# accesses) and returns the closure: a cache hit builds no string and calls
-# no ``compile()``.  The semantics are exactly those of the hand-written
+# is the code of ``op_(R, st, <params>)`` plus the names of its parameters;
+# an instance binds them, as ``__defaults__``, to the operands of its
+# instructions and to what the body needs of its machine (the loaded
+# assembly for raised exceptions, the working-set flag and memory tax for
+# array accesses): a cache hit builds no string and calls no
+# ``compile()``.  The semantics are exactly those of the hand-written
 # closures below; the differential suite holds the result to the classic
 # loop bit-for-bit.
 
@@ -254,21 +270,28 @@ _GEN_ENV = {
     "int": int,
 }
 _GEN_GLOBALS = {"__builtins__": builtins, **_GEN_ENV}
-_ENV_USE = {name: re.compile(rf"\b{name}\b") for name in _GEN_ENV}
 
-#: operand parameters of element ``k`` of a template: letter -> factory
-#: expression (``I{k}`` is the element's MInstr, ``s`` the start pc)
-_PARAM_EXPR = {
-    "A": "I{k}.a",
-    "B": "I{k}.b",
-    "D": "I{k}.dst",
-    "T": "I{k}.target",
-    "C": "I{k}.cost",
-    "V": "I{k}.c",  # stored value
-    "N": "s + {n}",  # next pc
-    "Q": "s + {k}",  # the element's own pc: raise and resume point
+#: machine-derived names a generated body may reference (``M`` is the
+#: machine)
+_MACHINE_ENV = {
+    "_loaded": lambda M: M.loaded,
+    "_M": lambda M: M,
+    "_memtax": lambda M: M.costs.large_array_extra,
 }
-_PARAM = re.compile(r"\b([ABCDNPQTV])(\d+)\b")
+_ENV_USE = re.compile(r"\b({})\b".format("|".join([*_GEN_ENV, *_MACHINE_ENV])))
+
+#: operand parameters of element ``k`` of a template: letter -> the
+#: element's MInstr field (``N``, ``Q``, ``P`` and ``F`` are derived, see
+#: :func:`_instantiate`)
+_OPERAND = {
+    "A": "a",
+    "B": "b",
+    "D": "dst",
+    "T": "target",
+    "C": "cost",
+    "V": "c",  # stored value
+}
+_PARAM = re.compile(r"\b([ABCDFNPQTV])(\d+)\b")
 
 _ARITH_SYM = {mir.ADD: "+", mir.SUB: "-", mir.MUL: "*"}
 _BIT_SYM = {mir.AND: "&", mir.OR: "|", mir.XOR: "^"}
@@ -681,114 +704,109 @@ def _run_source(shapes, all_int):
     )
     lines += ["    " + ln for ln in seq]
 
-    # Slow path: per-element cost accumulation and predicate checks, in
-    # exactly classic's order and grouping; resumes at the plain closure
-    # of element ``k`` (pc ``Q{k}``) when the quantum would end before it.
-    def check(k):
-        if k == 0:
-            return ["sp = spent + C0"]
-        return [
-            "if tot + sp >= bud or ic >= bur:",
-            "    st.spent = sp",
-            "    st.icount = ic",
-            f"    return Q{k}",
-            "ic += 1",
-            f"sp += C{k}",
-        ]
-
-    slow = path(
-        ("st.spent = sp", "st.icount = ic", "st.raise_pc = Q{k}"),
-        tax, check, ["st.spent = sp", "st.icount = ic"],
-    )
-    return None if slow is None else lines + slow
+    # Head fallback: the quantum may end inside the run, so run only its
+    # first element, through ``F0`` — the closure the run replaced at its
+    # start, exactly what the driver would have dispatched there.  The
+    # driver then checks the budget and burst and goes on through the
+    # interior pcs, which keep their own closures.
+    return lines + ["return F0(R, st)"]
 
 
-#: machine-derived names a generated body may reference -> factory
-#: expression (``M`` is the machine)
-_MACHINE_ENV = {
-    "_loaded": "M.loaded",
-    "_M": "M",
-    "_memtax": "M.costs.large_array_extra",
-}
-_MACHINE_USE = {name: re.compile(rf"\b{name}\b") for name in _MACHINE_ENV}
-
-
-def _compile_factory(lines, length):
-    """Compile a template body into the code of its factory
-    ``make(C, s, M)``, which binds every parameter the body uses."""
+def _compile_template(lines):
+    """Compile a template body into ``(code, operands, env)``: the code of
+    ``op_(R, st, <params>)``, the ``(letter, k)`` operand parameters it
+    reads and the environment names it uses, in parameter order."""
     text = "\n".join(lines)
-    params = sorted(set(_PARAM.findall(text)), key=lambda m: (int(m[1]), m[0]))
-    setup = [f"I{k} = C[s + {k}]" for k in range(length)]
-    binds = []
-    for letter, k in params:
-        k = int(k)
-        if letter == "P":
-            expr = " + ".join(f"I{j}.cost" for j in range(k + 1))
-        else:
-            expr = _PARAM_EXPR[letter].format(k=k, n=k + 1)
-        setup.append(f"{letter}{k} = {expr}")
-        binds.append(f"{letter}{k}={letter}{k}")
-    binds += [f"{name}={name}" for name, use in _ENV_USE.items() if use.search(text)]
-    binds += [
-        f"{name}={_MACHINE_ENV[name]}"
-        for name, use in _MACHINE_USE.items() if use.search(text)
-    ]
+    operands = tuple(sorted(
+        {(letter, int(k)) for letter, k in _PARAM.findall(text)},
+        key=lambda p: (p[1], p[0]),
+    ))
+    env = tuple(sorted(set(_ENV_USE.findall(text))))
+    params = [f"{letter}{k}" for letter, k in operands] + list(env)
     src = "\n".join(
-        ["def make(C, s, M):"]
-        + ["    " + ln for ln in setup]
-        + ["    def op_(R, st, {}):".format(", ".join(binds))]
-        + ["        " + ln for ln in lines]
-        + ["    return op_"]
+        ["def op_(R, st, {}):".format(", ".join(params))]
+        + ["    " + ln for ln in lines]
     )
-    ns = dict(_GEN_GLOBALS)
+    ns = {}
     exec(compile(src, "<dispatch-gen>", "exec"), ns)
-    return ns["make"].__code__
+    return ns["op_"].__code__, operands, env
 
 
-#: template key -> factory code object, or None for a shape outside the
-#: codegen subset.  A single's key is its shape; a fused run's is
-#: ``(all_int, shapes)``.  Bounded: the oldest entry goes first.
+def _instantiate(template, code, s, machine, fallback=None):
+    """A closure of ``template`` for the instructions ``code[s:]`` on
+    ``machine``; ``fallback`` is a fused run's ``F0``."""
+    fcode, operands, env = template
+    args = []
+    for letter, k in operands:
+        if letter == "N":
+            args.append(s + k + 1)  # next pc
+        elif letter == "Q":
+            args.append(s + k)  # the element's own pc: its raise point
+        elif letter == "P":
+            total = code[s].cost  # the cost of elements 0..k, summed in order
+            for j in range(1, k + 1):
+                total = total + code[s + j].cost
+            args.append(total)
+        elif letter == "F":
+            args.append(fallback)
+        else:
+            args.append(getattr(code[s + k], _OPERAND[letter]))
+    for name in env:
+        args.append(_GEN_ENV[name] if name in _GEN_ENV else _MACHINE_ENV[name](machine))
+    return FunctionType(fcode, _GEN_GLOBALS, "op_", tuple(args))
+
+
+#: template key -> ``(code, operands, env)`` (see :func:`_compile_template`),
+#: or None for a shape outside the codegen subset.  A single's key is its
+#: shape; a fused run's is ``(all_int, shapes)``.  Bounded: the oldest entry
+#: goes first.
 _TEMPLATES = {}
 _TEMPLATE_LIMIT = 4096
 _MISSING = object()
 
 
-def _factory(key, source, length):
-    """Factory code for template ``key``; compiles ``source()`` on a miss."""
-    factory = _TEMPLATES.get(key, _MISSING)
-    if factory is _MISSING:
+def _remember(cache, key, value):
+    """Store ``key`` in the bounded process-wide ``cache``, evicting the
+    oldest entry when it is full."""
+    if len(cache) >= _TEMPLATE_LIMIT:
+        try:
+            del cache[next(iter(cache))]
+        except (KeyError, RuntimeError, StopIteration):
+            pass  # another thread evicted first
+    cache[key] = value
+
+
+def _template(key, source):
+    """Template ``key``; compiles ``source()`` on a miss."""
+    template = _TEMPLATES.get(key, _MISSING)
+    if template is _MISSING:
         lines = source()
-        factory = None if lines is None else _compile_factory(lines, length)
-        if len(_TEMPLATES) >= _TEMPLATE_LIMIT:
-            try:
-                del _TEMPLATES[next(iter(_TEMPLATES))]
-            except (KeyError, RuntimeError, StopIteration):
-                pass  # another thread evicted first
-        _TEMPLATES[key] = factory
-    return factory
+        template = None if lines is None else _compile_template(lines)
+        _remember(_TEMPLATES, key, template)
+    return template
 
 
 def _make_single_gen(code, pc, machine):
     """Shape-templated closure for ``code[pc]``, or None outside the subset."""
     shape = _shape(code[pc])
-    factory = _factory(shape, lambda: _single_source(shape), 1)
-    if factory is None:
+    template = _template(shape, lambda: _single_source(shape))
+    if template is None:
         return None
-    return FunctionType(factory, _GEN_GLOBALS)(code, pc, machine)
+    return _instantiate(template, code, pc, machine)
 
 
-def _make_fused_gen(code, start, length, machine):
+def _make_fused_gen(code, start, length, machine, fallback=None):
     """Shape-templated superinstruction for ``code[start : start + length]``,
-    or None when an element is outside the subset."""
+    or None when an element is outside the subset.  ``fallback`` is the
+    closure it replaces at ``start``: the run calls it when the quantum may
+    end inside the run."""
     run = code[start:start + length]
     shapes = tuple(map(_shape, run))
     all_int = all(type(ins.cost) is int for ins in run)
-    factory = _factory(
-        (all_int, shapes), lambda: _run_source(shapes, all_int), length
-    )
-    if factory is None:
+    template = _template((all_int, shapes), lambda: _run_source(shapes, all_int))
+    if template is None:
         return None
-    return FunctionType(factory, _GEN_GLOBALS)(code, start, machine)
+    return _instantiate(template, code, start, machine, fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -1573,9 +1591,11 @@ def _observed(inner, obs_instr, fn, ins):
 # compile).  Once it has retired ``_HOT_RUNS`` times as many instructions
 # as it has (every instruction ran that often on average), :func:`build_ops`
 # replaces them in place with shape-templated singles, and at
-# ``_FUSE_RUNS`` its straight-line runs with superinstructions.  Tiers
-# change between bindings, never inside a closure, and only change host
-# speed: every tier is bit-identical to classic.
+# ``_FUSE_RUNS`` its straight-line runs with superinstructions.  A function
+# that reached the superinstruction tier once in this process starts in
+# its last tier on every later machine (:data:`_HOT_CODE`).  Tiers change
+# between bindings, never inside a closure, and only change host speed:
+# every tier is bit-identical to classic.
 
 #: a function tiers up to templated singles once it has retired this many
 #: times as many instructions as its length, and to superinstructions at
@@ -1585,6 +1605,22 @@ def _observed(inner, obs_instr, fn, ins):
 #: 4.5x slower)
 _HOT_RUNS = 20
 _FUSE_RUNS = 200
+
+#: tier memory: the :func:`_tier_key` of every function whose translation
+#: reached the superinstruction tier in this process.  Values are unused;
+#: bounded like ``_TEMPLATES``, and it holds only str and int.
+_HOT_CODE = {}
+
+
+def _tier_key(fn):
+    """``fn``'s tier-memory key: its full name and the CIL opcodes of its
+    body, or None without a body.  Every profile compiles the same CIL, so
+    a function hot on one runtime starts hot on the next; the opcodes keep
+    a different program that reuses the name from starting hot."""
+    method = fn.method
+    if method is None:
+        return None
+    return (fn.full_name, tuple([ins.opcode for ins in method.body]))
 
 
 class Translation:
@@ -1608,20 +1644,28 @@ class Translation:
 def build_ops(machine, fn, tr=None):
     """Translate ``fn`` for ``machine``; every translation goes through here.
 
-    Without ``tr``: a new :class:`Translation` of hand-written closures.
+    Without ``tr``: a new :class:`Translation` of hand-written closures,
+    tiered straight up to its last tier when the tier memory knows ``fn``.
     With ``tr`` (the function turned hot): tier it up in place.  The first
     tier-up gives each op in the codegen subset its templated single, the
     second each fusion run its superinstruction (not with an observer,
     whose per-instruction hook needs per-instruction closures, nor with a
     fault injector, see :func:`fuse_plan`).  Returns the translation.
     """
+    if tr is not None:
+        return _tier_up(machine, fn, tr)
+    closure = _closure_builder(machine, fn)
+    tr = Translation([closure(pc) for pc in range(len(fn.code))])
+    if _tier_key(fn) in _HOT_CODE:
+        while tr.heat > 0:
+            _tier_up(machine, fn, tr)
+    return tr
+
+
+def _tier_up(machine, fn, tr):
     code = fn.code
-    if tr is None:
-        closure = _closure_builder(machine, fn)
-        return Translation([closure(pc) for pc in range(len(code))])
     ops = tr.ops
     observer = machine.observer
-    fuse = observer is None
     tr.tier += 1
     if tr.tier == 1:
         obs_instr = None if observer is None else observer.instr
@@ -1631,17 +1675,20 @@ def build_ops(machine, fn, tr=None):
                 if obs_instr is not None:
                     op = _observed(op, obs_instr, fn, ins)
                 ops[pc] = op
-        if fuse:
-            tr.heat = (_FUSE_RUNS - _HOT_RUNS) * len(code)
+        tr.heat = (_FUSE_RUNS - _HOT_RUNS) * len(code) if observer is None else 0
         return tr
     targets = getattr(fn, "branch_targets", None)
     if targets is None:
         targets = mir.branch_targets(fn)
     faults_armed = machine.faults is not None
     for pc, length in fuse_plan(code, fn.regions, targets, faults_armed):
-        fused = _make_fused_gen(code, pc, length, machine)
+        fused = _make_fused_gen(code, pc, length, machine, ops[pc])
         if fused is not None:
             ops[pc] = fused
+    tr.heat = 0
+    key = _tier_key(fn)
+    if key is not None and key not in _HOT_CODE:
+        _remember(_HOT_CODE, key, True)
     return tr
 
 

@@ -68,6 +68,15 @@ def run_main():
     return _run
 
 
+@pytest.fixture(autouse=True)
+def _fresh_tier_memory():
+    """Start every test with an empty tier memory, so no test's tiering
+    depends on which tests ran before it in the process."""
+    from repro.vm import dispatch
+
+    dispatch._HOT_CODE.clear()
+
+
 #: a superinstruction tier-up count no test program reaches
 _NEVER_FUSE = 10**15
 
@@ -82,7 +91,8 @@ def use_engine(name):
     the harness runner, so ``Runner.run_on`` and pool workers forked
     inside the block build it too.  ``unfused`` is the threaded engine
     held below its superinstruction tier, which pins a divergence on
-    either the closure translation or the fuser.
+    either the closure translation or the fuser; it sees an empty tier
+    memory, so no function remembered from a fused run starts fused.
     """
     from repro.harness import runner
     from repro.vm import dispatch
@@ -91,6 +101,8 @@ def use_engine(name):
     assert name in ("classic", "threaded", "unfused"), name
     machine_class = ClassicMachine if name == "classic" else Machine
     fuse_runs = _NEVER_FUSE if name == "unfused" else dispatch._FUSE_RUNS
+    hot_code = {} if name == "unfused" else dispatch._HOT_CODE
     with mock.patch.object(runner, "Machine", machine_class), \
-            mock.patch.object(dispatch, "_FUSE_RUNS", fuse_runs):
+            mock.patch.object(dispatch, "_FUSE_RUNS", fuse_runs), \
+            mock.patch.object(dispatch, "_HOT_CODE", hot_code):
         yield machine_class

@@ -368,8 +368,8 @@ def tiering(monkeypatch):
             seen["tier_ups"] += 1
         return build_ops(machine, fn, tr)
 
-    def recording_make_fused(code, start, length, machine):
-        op = make_fused(code, start, length, machine)
+    def recording_make_fused(code, start, length, machine, fallback=None):
+        op = make_fused(code, start, length, machine, fallback)
         if op is None:
             return None
         seen["fused"].append([ins.op for ins in code[start:start + length]])

@@ -320,10 +320,11 @@ class TestFusePlan:
             ))
         plan = dispatch.fuse_plan(code, regions, frozenset(targets),
                                   faults_armed=False, max_run=max_run)
-        boundaries = set(targets)
+        edges = set()
         for reg in regions:
-            boundaries.update((reg.try_start, reg.try_end,
-                               reg.handler_start, reg.handler_end))
+            edges.update((reg.try_start, reg.try_end,
+                          reg.handler_start, reg.handler_end))
+        boundaries = edges | set(targets)
         prev_end = 0
         for start, length in plan:
             # non-overlapping, in order, and within bounds
@@ -335,10 +336,16 @@ class TestFusePlan:
             for k in range(length - 1):
                 assert code[start + k].op in dispatch.FUSABLE_FIRST
             assert code[start + length - 1].op in dispatch.FUSABLE_SECOND
-            # entering a run sideways is impossible: no interior element
-            # is a branch target or an exception region boundary
-            for k in range(1, length):
+            # no interior element is a branch target or an exception
+            # region boundary; the last may be a branch target only as a
+            # loop latch (a conditional jump), never a region boundary.
+            # A side entry lands on the latch's own closure.
+            for k in range(1, length - 1):
                 assert start + k not in boundaries, (start, length, k)
+            last = start + length - 1
+            assert last not in edges, (start, length)
+            if last in boundaries:
+                assert code[last].op in mir.COND_JUMPS, (start, length)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(_fusable_ops, min_size=2, max_size=12))
@@ -357,6 +364,24 @@ class TestFusePlan:
         assert whole == [(0, 6)]
         split = dispatch.fuse_plan(code, [], frozenset({3}), faults_armed=False)
         assert split == [(0, 3), (3, 3)]
+
+    def test_latch_at_branch_target_ends_a_run(self):
+        mir, dispatch = _mir_modules()
+        # a bottom-tested loop: the increment falls into the latch at 3,
+        # which the loop entry jumps to
+        code = _synthetic_code(mir, [mir.ADD, mir.ADD, mir.ADD, mir.JLT, mir.ADD, mir.ADD])
+        plan = dispatch.fuse_plan(code, [], frozenset({0, 3}), faults_armed=False)
+        assert plan == [(0, 4), (4, 2)]
+        # an unconditional jump at a branch target still dispatches alone
+        code[3] = mir.MInstr(op=mir.JMP)
+        plan = dispatch.fuse_plan(code, [], frozenset({0, 3}), faults_armed=False)
+        assert plan == [(0, 3), (4, 2)]
+        # ... and so does a latch on an exception region boundary
+        code[3] = mir.MInstr(op=mir.JLT)
+        region = mir.MIRRegion(kind="finally", try_start=0, try_end=3,
+                               handler_start=4, handler_end=6)
+        plan = dispatch.fuse_plan(code, [region], frozenset({3}), faults_armed=False)
+        assert plan == [(0, 3), (4, 2)]
 
     def test_handler_boundary_splits_a_run(self):
         mir, dispatch = _mir_modules()
@@ -405,4 +430,6 @@ class TestFusePlan:
         ]
         assert accesses
         assert [pc for pc in accesses if pc not in fused] == []
+        # each inner loop's latch is the last element of a run
+        assert [tail for head, tail in inner if tail not in fused] == []
 

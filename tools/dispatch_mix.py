@@ -15,10 +15,12 @@ dispatch fall below ``X``, which makes the tool a fusion gate.
 The engine carries no counter.  The tool wraps ``repro.vm.dispatch.
 build_ops`` and puts a counting shim around every closure it installs;
 a shim reads the instruction counter the closures already keep
-(``ExecState.icount``) before and after each call.  Tiering depends only
-on retired-instruction counts, so for a given input the numbers are
-deterministic; the shims slow the run down but change nothing it
-computes.
+(``ExecState.icount``) before and after each call.  It also tags the
+closures the template makers return, so a function that starts in its
+last tier (the engine's tier memory) is still counted by tier.  Tiering
+depends only on retired-instruction counts, so for a given input the
+numbers are deterministic; the shims slow the run down but change
+nothing it computes.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from repro.harness.cli import _parse_overrides
 from repro.jit import mir
 from repro.vm import dispatch
 
-#: tier label by ``Translation.tier`` at the time a closure is installed
+#: tier labels: hand-written closures, then what each template maker makes
 TIERS = ("closure", "single", "fused")
+MAKERS = {"_make_single_gen": "single", "_make_fused_gen": "fused"}
 
 
 class Mix:
@@ -53,26 +56,45 @@ class Mix:
                 cell[0] += 1
                 cell[1] += st.icount - before + 1
 
-        counted.counted = True
+        counted.inner = op
         return counted
 
     def install(self):
         """Count every closure ``build_ops`` installs from now on; returns
         the function that undoes the patch."""
-        build_ops = dispatch.build_ops
+        originals = {name: getattr(dispatch, name) for name in ("build_ops", *MAKERS)}
+        build_ops = originals["build_ops"]
+
+        def tagging(make, tier):
+            def tagged(*args):
+                op = make(*args)
+                if op is not None:
+                    op.tier = tier
+                return op
+            return tagged
 
         def counting_build_ops(machine, fn, tr=None):
+            if tr is not None:
+                # a fused run keeps the closure at its start as its
+                # fallback: hand it the closure, not a shim that would
+                # count that dispatch a second time
+                tr.ops[:] = [op.inner for op in tr.ops]
             tr = build_ops(machine, fn, tr)
-            tier = TIERS[tr.tier]
             code = fn.code
             ops = tr.ops
             for pc, op in enumerate(ops):
-                if not getattr(op, "counted", False):
-                    ops[pc] = self.wrap(op, tier, mir.name(code[pc].op))
+                tier = getattr(op, "tier", "closure")
+                ops[pc] = self.wrap(op, tier, mir.name(code[pc].op))
             return tr
 
+        for name, tier in MAKERS.items():
+            setattr(dispatch, name, tagging(originals[name], tier))
         dispatch.build_ops = counting_build_ops
-        return lambda: setattr(dispatch, "build_ops", build_ops)
+
+        def restore():
+            for name, original in originals.items():
+                setattr(dispatch, name, original)
+        return restore
 
     def totals(self, tier=None):
         rows = [c for (t, _), c in self.counts.items() if tier in (None, t)]
