@@ -9,19 +9,22 @@ closures* — one per pc, with operand vregs, cost constants, resolved call
 records and jump targets bound in — and the driver loop shrinks to
 ``pc = ops[pc](R, st)``.  Every :class:`~repro.vm.machine.Machine` runs it.
 
-Translation is tiered, so cold code costs close to nothing (see
-:func:`build_ops`): a function gets hand-written closures when it first
-runs.  Once it has run :data:`_HOT_RUNS` times its length in instructions
-its core register/arith/branch ops get closures *generated as Python
-source* with the value-kind wrap/round math inlined
-(:func:`_make_single_gen`), and at :data:`_FUSE_RUNS` times its length its
+Translation is tiered (see :func:`build_ops`).  Tier 0, built when a
+function first runs, is generated singles, with hand-written closures
+only for ops outside the template subset: each register, arithmetic,
+compare, branch and field op gets a closure *generated as Python source*
+with the value-kind wrap/round math inlined (:func:`_make_single_gen`);
+calls, allocation, MD arrays, box/unbox, casts, statics, switch,
+throw/leave, narrow converts and the array accesses (which carry the
+observer's memory-tax hook) keep hand-written closures.  Once a function
+has run :data:`_FUSE_RUNS` times its length in instructions its
 straight-line runs, array and field accesses included, become
 superinstructions (:func:`_make_fused_gen`).  A function that reached the
-superinstruction tier once in the process starts in its last tier on
-every later machine (the tier memory, :data:`_HOT_CODE`).  Generated
-source carries no per-instruction literal — operands are default
-arguments — so it is keyed by the shape of the instruction or run and
-compiled once per process.
+superinstruction tier once in the process starts in it on every later
+machine (the tier memory, :data:`_HOT_CODE`).  Generated source carries
+no per-instruction literal — operands are default arguments — so it is
+keyed by the shape of the instruction or run and compiled once per
+process.
 
 Equivalence contract (enforced by ``tests/test_dispatch_equivalence.py``):
 a threaded machine is **bit-identical** to a classic one in ``cycles``,
@@ -79,7 +82,6 @@ from __future__ import annotations
 
 import builtins
 import math
-import operator
 import re
 import struct
 from types import FunctionType
@@ -91,7 +93,7 @@ from ..observe.recorder import CAT_DISPATCH, CAT_EXECUTE, CAT_MEMTAX
 from .exceptions import GuestException, make_exception
 from .objects import BoxedValue, MDArray, StructValue
 from .threads import Frame, RUNNABLE
-from .values import i32, i64, r4
+from .values import r4
 
 #: closure sentinel returns (< 0 so real pcs stay >= 0)
 REBIND = -1
@@ -236,22 +238,21 @@ def fuse_plan(code, regions, branch_targets, faults_armed: bool,
 # call per retired instruction — an ``operator`` function, an ``i32``/``r4``
 # wrap, the second half of a composed pair — shows up directly in
 # wall-clock.  For these opcodes the translator generates the closure
-# *source* with the wrap arithmetic inlined.  The source holds no
-# per-instruction literal: register slots, jump targets, next pcs, costs,
-# partial cost sums, raise pcs and a run's fallback closure are
-# parameters, bound as default arguments (``LOAD_FAST`` locals) when a
-# closure is made.  Its text, and so
-# its compiled code, depends only on the *shape* of the instruction or run
-# — opcode, value kind, CONV kind, position in the run, all-int costs — and
+# *source* with the wrap arithmetic inlined; it is their only
+# implementation.  The source holds no per-instruction literal: register
+# slots, jump targets, next pcs, costs, partial cost sums, raise pcs and a
+# run's fallback closure are parameters, bound as default arguments
+# (``LOAD_FAST`` locals) when a closure is made.  Its text, and so its
+# compiled code, depends only on the *shape* of the instruction or run —
+# opcode, value kind, CONV kind, position in the run, all-int costs — and
 # each shape is compiled once per process into ``_TEMPLATES``.  A template
-# is the code of ``op_(R, st, <params>)`` plus the names of its parameters;
-# an instance binds them, as ``__defaults__``, to the operands of its
-# instructions and to what the body needs of its machine (the loaded
-# assembly for raised exceptions, the working-set flag and memory tax for
-# array accesses): a cache hit builds no string and calls no
-# ``compile()``.  The semantics are exactly those of the hand-written
-# closures below; the differential suite holds the result to the classic
-# loop bit-for-bit.
+# is the code of ``bind(code, s, M, F0)``, which holds ``op_(R, st,
+# <params>)`` as a nested definition whose defaults read the operands of
+# the instructions at ``code[s:]`` and what the body needs of machine
+# ``M`` (the loaded assembly for raised exceptions, the working-set flag
+# and memory tax for array accesses): a cache hit builds no string, calls
+# no ``compile()`` and interprets no operand list.  The differential suite
+# holds the result to the classic loop bit-for-bit.
 
 _F32 = struct.Struct("f")
 #: names a generated body may reference; the ones it does are bound as
@@ -271,18 +272,18 @@ _GEN_ENV = {
 }
 _GEN_GLOBALS = {"__builtins__": builtins, **_GEN_ENV}
 
-#: machine-derived names a generated body may reference (``M`` is the
-#: machine)
+#: machine-derived names a generated body may reference: name -> the
+#: source text ``bind`` evaluates on machine ``M``
 _MACHINE_ENV = {
-    "_loaded": lambda M: M.loaded,
-    "_M": lambda M: M,
-    "_memtax": lambda M: M.costs.large_array_extra,
+    "_loaded": "M.loaded",
+    "_M": "M",
+    "_memtax": "M.costs.large_array_extra",
 }
 _ENV_USE = re.compile(r"\b({})\b".format("|".join([*_GEN_ENV, *_MACHINE_ENV])))
 
 #: operand parameters of element ``k`` of a template: letter -> the
 #: element's MInstr field (``N``, ``Q``, ``P`` and ``F`` are derived, see
-#: :func:`_instantiate`)
+#: :func:`_operand_source`)
 _OPERAND = {
     "A": "a",
     "B": "b",
@@ -353,8 +354,8 @@ def _fragment(shape, k, sfx, raise_pre=(), memtax=()):
     record the raising pc before the exception unwinds.  ``memtax`` is
     spliced into an array access after its checks pass, where classic adds
     the large-memory-model tax.  Returns None for opcodes outside the
-    codegen subset — the caller keeps the hand-written closure, so the two
-    layers can never disagree about coverage silently.
+    codegen subset — the caller falls back to a hand-written closure, so
+    each op has exactly one implementation.
     """
     o, kind, ck = shape
     a = f"R[A{k}]"
@@ -601,9 +602,9 @@ def _fragment(shape, k, sfx, raise_pre=(), memtax=()):
 def _single_source(shape):
     """Body of a single-instruction template, or None outside the subset.
 
-    Memory ops keep their hand-written singles: those carry the observer's
-    memory-tax hook."""
-    if shape[0] in MEMORY_OPS:
+    The array accesses keep their hand-written singles: those carry the
+    observer's memory-tax hook."""
+    if shape[0] == mir.LDELEM or shape[0] == mir.STELEM:
         return None
     frag = _fragment(shape, 0, "")
     if frag is None:
@@ -712,51 +713,53 @@ def _run_source(shapes, all_int):
     return lines + ["return F0(R, st)"]
 
 
+def _operand_source(letter, k):
+    """The source text ``bind`` evaluates for operand ``letter`` of element
+    ``k``; ``I{k}`` is the element's MInstr, ``s`` the pc of element 0."""
+    if letter == "N":
+        return f"s + {k + 1}"  # next pc
+    if letter == "Q":
+        return f"s + {k}" if k else "s"  # the element's own pc: its raise point
+    if letter == "P" or letter == "F":
+        return f"{letter}{k}"  # a local of ``bind``
+    return f"I{k}.{_OPERAND[letter]}"
+
+
 def _compile_template(lines):
-    """Compile a template body into ``(code, operands, env)``: the code of
-    ``op_(R, st, <params>)``, the ``(letter, k)`` operand parameters it
-    reads and the environment names it uses, in parameter order."""
+    """Compile a template body into the code of ``bind(code, s, M, F0)``,
+    which returns a new ``op_(R, st, <params>)`` running ``lines``: its
+    defaults are the operands the body reads, of the instructions at
+    ``code[s:]``, then the environment names it uses, on machine ``M``."""
     text = "\n".join(lines)
-    operands = tuple(sorted(
+    operands = sorted(
         {(letter, int(k)) for letter, k in _PARAM.findall(text)},
         key=lambda p: (p[1], p[0]),
-    ))
-    env = tuple(sorted(set(_ENV_USE.findall(text))))
-    params = [f"{letter}{k}" for letter, k in operands] + list(env)
+    )
+    params = [f"{letter}{k}={_operand_source(letter, k)}" for letter, k in operands]
+    params += [
+        f"{name}={_MACHINE_ENV.get(name, name)}"
+        for name in sorted(set(_ENV_USE.findall(text)))
+    ]
+    # every element's cost is a parameter, so every element is loaded;
+    # ``P{k}``, the cost of elements 0..k, is summed left to right like
+    # classic's per-instruction adds
+    last = operands[-1][1]
+    sums = max([k for letter, k in operands if letter == "P"], default=-1)
     src = "\n".join(
-        ["def op_(R, st, {}):".format(", ".join(params))]
-        + ["    " + ln for ln in lines]
+        ["def bind(code, s, M, F0):", "    I0 = code[s]"]
+        + [f"    I{k} = code[s + {k}]" for k in range(1, last + 1)]
+        + ["    P0 = I0.cost"] * (sums >= 0)
+        + [f"    P{k} = P{k - 1} + I{k}.cost" for k in range(1, sums + 1)]
+        + ["    def op_(R, st, {}):".format(", ".join(params))]
+        + ["        " + ln for ln in lines]
+        + ["    return op_"]
     )
     ns = {}
     exec(compile(src, "<dispatch-gen>", "exec"), ns)
-    return ns["op_"].__code__, operands, env
+    return ns["bind"].__code__
 
 
-def _instantiate(template, code, s, machine, fallback=None):
-    """A closure of ``template`` for the instructions ``code[s:]`` on
-    ``machine``; ``fallback`` is a fused run's ``F0``."""
-    fcode, operands, env = template
-    args = []
-    for letter, k in operands:
-        if letter == "N":
-            args.append(s + k + 1)  # next pc
-        elif letter == "Q":
-            args.append(s + k)  # the element's own pc: its raise point
-        elif letter == "P":
-            total = code[s].cost  # the cost of elements 0..k, summed in order
-            for j in range(1, k + 1):
-                total = total + code[s + j].cost
-            args.append(total)
-        elif letter == "F":
-            args.append(fallback)
-        else:
-            args.append(getattr(code[s + k], _OPERAND[letter]))
-    for name in env:
-        args.append(_GEN_ENV[name] if name in _GEN_ENV else _MACHINE_ENV[name](machine))
-    return FunctionType(fcode, _GEN_GLOBALS, "op_", tuple(args))
-
-
-#: template key -> ``(code, operands, env)`` (see :func:`_compile_template`),
+#: template key -> the code of its ``bind`` (see :func:`_compile_template`),
 #: or None for a shape outside the codegen subset.  A single's key is its
 #: shape; a fused run's is ``(all_int, shapes)``.  Bounded: the oldest entry
 #: goes first.
@@ -776,11 +779,11 @@ def _remember(cache, key, value):
     cache[key] = value
 
 
-def _template(key, source):
-    """Template ``key``; compiles ``source()`` on a miss."""
+def _template(key, source, *args):
+    """Template ``key``; compiles ``source(*args)`` on a miss."""
     template = _TEMPLATES.get(key, _MISSING)
     if template is _MISSING:
-        lines = source()
+        lines = source(*args)
         template = None if lines is None else _compile_template(lines)
         _remember(_TEMPLATES, key, template)
     return template
@@ -789,10 +792,13 @@ def _template(key, source):
 def _make_single_gen(code, pc, machine):
     """Shape-templated closure for ``code[pc]``, or None outside the subset."""
     shape = _shape(code[pc])
-    template = _template(shape, lambda: _single_source(shape))
-    if template is None:
+    # the cache probe is inlined: this runs for every pc a function has
+    bind = _TEMPLATES.get(shape, _MISSING)
+    if bind is _MISSING:
+        bind = _template(shape, _single_source, shape)
+    if bind is None:
         return None
-    return _instantiate(template, code, pc, machine)
+    return FunctionType(bind, _GEN_GLOBALS)(code, pc, machine, None)
 
 
 def _make_fused_gen(code, start, length, machine, fallback=None):
@@ -803,42 +809,27 @@ def _make_fused_gen(code, start, length, machine, fallback=None):
     run = code[start:start + length]
     shapes = tuple(map(_shape, run))
     all_int = all(type(ins.cost) is int for ins in run)
-    template = _template((all_int, shapes), lambda: _run_source(shapes, all_int))
-    if template is None:
+    bind = _template((all_int, shapes), _run_source, shapes, all_int)
+    if bind is None:
         return None
-    return _instantiate(template, code, start, machine, fallback)
+    return FunctionType(bind, _GEN_GLOBALS)(code, start, machine, fallback)
 
 
 # ---------------------------------------------------------------------------
 # closure translation
 # ---------------------------------------------------------------------------
 
-_BIN_OPS = {mir.ADD: operator.add, mir.SUB: operator.sub, mir.MUL: operator.mul}
-_BIT_OPS = {mir.AND: operator.and_, mir.OR: operator.or_, mir.XOR: operator.xor}
-_CMP_OPS = {
-    mir.CLT: operator.lt,
-    mir.CLE: operator.le,
-    mir.CGT: operator.gt,
-    mir.CGE: operator.ge,
-}
-_JCC_OPS = {
-    mir.JLT: operator.lt,
-    mir.JLE: operator.le,
-    mir.JGT: operator.gt,
-    mir.JGE: operator.ge,
-}
-
 
 def _closure_builder(machine, fn):
-    """Return ``closure(pc)``: the hand-written closure for ``fn.code[pc]``
-    on ``machine``, wrapped for the observer's per-instruction hook when
-    one is attached.
+    """Return ``closure(pc)``: the generated single for ``fn.code[pc]`` on
+    ``machine``, or its hand-written closure outside the template subset,
+    wrapped for the observer's per-instruction hook when one is attached.
 
     Used strictly after :meth:`Machine._link` resolved field slots and
     call records in place.
     """
     # imported here: machine.py imports this module at top level
-    from .machine import _CONV_FNS, _box_matches, _int_div
+    from .machine import _CONV_FNS, _box_matches
 
     M = machine
     loaded = M.loaded
@@ -862,6 +853,9 @@ def _closure_builder(machine, fn):
     code = fn.code
 
     def build(pc):
+        op_ = _make_single_gen(code, pc, M)
+        if op_ is not None:
+            return op_
         ins = code[pc]
         o = ins.op
         cost = ins.cost
@@ -872,244 +866,12 @@ def _closure_builder(machine, fn):
         kind = ins.kind
         nxt = pc + 1
 
-        if o == mir.MOV:
-            if kind == "r4":
-                def op_(R, st, a=a, dst=dst, cost=cost, nxt=nxt):
-                    st.spent += cost
-                    v = R[a]
-                    if type(v) is float:
-                        v = r4(v)
-                    R[dst] = v
-                    return nxt
-            else:
-                def op_(R, st, a=a, dst=dst, cost=cost, nxt=nxt):
-                    st.spent += cost
-                    R[dst] = R[a]
-                    return nxt
-            return op_
-
-        if o == mir.LDI:
-            def op_(R, st, v=a, dst=dst, cost=cost, nxt=nxt):
-                st.spent += cost
-                R[dst] = v
-                return nxt
-            return op_
-
-        if o in _BIN_OPS:
-            fop = _BIN_OPS[o]
-            if kind == "i4":
-                wrap = i32
-            elif kind == "i8":
-                wrap = i64
-            elif kind == "r4":
-                wrap = r4
-            else:
-                wrap = None
-            if wrap is None:
-                def op_(R, st, a=a, b=b, dst=dst, cost=cost, nxt=nxt, fop=fop):
-                    st.spent += cost
-                    R[dst] = fop(R[a], R[b])
-                    return nxt
-            else:
-                def op_(R, st, a=a, b=b, dst=dst, cost=cost, nxt=nxt,
-                        fop=fop, wrap=wrap):
-                    st.spent += cost
-                    R[dst] = wrap(fop(R[a], R[b]))
-                    return nxt
-            return op_
-
-        if o == mir.DIV:
-            if kind in ("i4", "i8"):
-                wrap = i32 if kind == "i4" else i64
-                def op_(R, st, a=a, b=b, dst=dst, cost=cost, nxt=nxt, wrap=wrap):
-                    st.spent += cost
-                    y = R[b]
-                    if y == 0:
-                        raise make_exception(loaded, "DivideByZeroException")
-                    R[dst] = wrap(_int_div(R[a], y))
-                    return nxt
-            else:
-                fwrap = r4 if kind == "r4" else None
-                def op_(R, st, a=a, b=b, dst=dst, cost=cost, nxt=nxt, fwrap=fwrap):
-                    st.spent += cost
-                    x = R[a]
-                    y = R[b]
-                    if y == 0.0:
-                        if x == 0.0 or x != x:
-                            q = float("nan")
-                        else:
-                            pos = (x > 0) == (math.copysign(1.0, y) > 0)
-                            q = float("inf") if pos else float("-inf")
-                    else:
-                        q = x / y
-                    R[dst] = fwrap(q) if fwrap is not None else q
-                    return nxt
-            return op_
-
-        if o == mir.REM:
-            if kind in ("i4", "i8"):
-                def op_(R, st, a=a, b=b, dst=dst, cost=cost, nxt=nxt):
-                    st.spent += cost
-                    x = R[a]
-                    y = R[b]
-                    if y == 0:
-                        raise make_exception(loaded, "DivideByZeroException")
-                    R[dst] = x - _int_div(x, y) * y
-                    return nxt
-            else:
-                def op_(R, st, a=a, b=b, dst=dst, cost=cost, nxt=nxt):
-                    st.spent += cost
-                    y = R[b]
-                    R[dst] = math.fmod(R[a], y) if y != 0.0 else float("nan")
-                    return nxt
-            return op_
-
-        if o in _BIT_OPS:
-            fop = _BIT_OPS[o]
-            def op_(R, st, a=a, b=b, dst=dst, cost=cost, nxt=nxt, fop=fop):
-                st.spent += cost
-                R[dst] = fop(R[a], R[b])
-                return nxt
-            return op_
-
-        if o == mir.SHL:
-            if kind == "i4":
-                def op_(R, st, a=a, b=b, dst=dst, cost=cost, nxt=nxt):
-                    st.spent += cost
-                    R[dst] = i32(R[a] << (R[b] & 31))
-                    return nxt
-            else:
-                def op_(R, st, a=a, b=b, dst=dst, cost=cost, nxt=nxt):
-                    st.spent += cost
-                    R[dst] = i64(R[a] << (R[b] & 63))
-                    return nxt
-            return op_
-
-        if o == mir.SHR:
-            mask = 31 if kind == "i4" else 63
-            def op_(R, st, a=a, b=b, dst=dst, cost=cost, nxt=nxt, mask=mask):
-                st.spent += cost
-                R[dst] = R[a] >> (R[b] & mask)
-                return nxt
-            return op_
-
-        if o == mir.SHRU:
-            if kind == "i4":
-                def op_(R, st, a=a, b=b, dst=dst, cost=cost, nxt=nxt):
-                    st.spent += cost
-                    R[dst] = i32((R[a] & 0xFFFFFFFF) >> (R[b] & 31))
-                    return nxt
-            else:
-                def op_(R, st, a=a, b=b, dst=dst, cost=cost, nxt=nxt):
-                    st.spent += cost
-                    R[dst] = i64((R[a] & 0xFFFFFFFFFFFFFFFF) >> (R[b] & 63))
-                    return nxt
-            return op_
-
-        if o == mir.NEG:
-            if kind == "i4":
-                def op_(R, st, a=a, dst=dst, cost=cost, nxt=nxt):
-                    st.spent += cost
-                    R[dst] = i32(-R[a])
-                    return nxt
-            elif kind == "i8":
-                def op_(R, st, a=a, dst=dst, cost=cost, nxt=nxt):
-                    st.spent += cost
-                    R[dst] = i64(-R[a])
-                    return nxt
-            else:
-                def op_(R, st, a=a, dst=dst, cost=cost, nxt=nxt):
-                    st.spent += cost
-                    R[dst] = -R[a]
-                    return nxt
-            return op_
-
-        if o == mir.NOT:
-            wrap = i32 if kind == "i4" else i64
-            def op_(R, st, a=a, dst=dst, cost=cost, nxt=nxt, wrap=wrap):
-                st.spent += cost
-                R[dst] = wrap(~R[a])
-                return nxt
-            return op_
-
-        if o == mir.CEQ or o == mir.CNE:
-            on_nan = 0 if o == mir.CEQ else 1
-            def op_(R, st, a=a, b=b, dst=dst, cost=cost, nxt=nxt, on_nan=on_nan):
-                st.spent += cost
-                x = R[a]
-                y = R[b]
-                if (type(x) is float and x != x) or (type(y) is float and y != y):
-                    R[dst] = on_nan
-                else:
-                    eq = 1 if (x is y or x == y) else 0
-                    R[dst] = eq if on_nan == 0 else 1 - eq
-                return nxt
-            return op_
-
-        if o in _CMP_OPS:
-            cmp = _CMP_OPS[o]
-            def op_(R, st, a=a, b=b, dst=dst, cost=cost, nxt=nxt, cmp=cmp):
-                st.spent += cost
-                x = R[a]
-                y = R[b]
-                if (type(x) is float and x != x) or (type(y) is float and y != y):
-                    R[dst] = 0
-                else:
-                    R[dst] = 1 if cmp(x, y) else 0
-                return nxt
-            return op_
-
-        if o == mir.CONV:
+        if o == mir.CONV:  # narrow int converts
             conv = _CONV_FNS[ins.extra]
             def op_(R, st, a=a, dst=dst, cost=cost, nxt=nxt, conv=conv):
                 st.spent += cost
                 R[dst] = conv(R[a])
                 return nxt
-            return op_
-
-        if o == mir.JMP:
-            def op_(R, st, cost=cost, t=ins.target):
-                st.spent += cost
-                return t
-            return op_
-
-        if o == mir.JTRUE:
-            def op_(R, st, a=a, cost=cost, t=ins.target, nxt=nxt):
-                st.spent += cost
-                v = R[a]
-                return t if (v is not None and v != 0) else nxt
-            return op_
-
-        if o == mir.JFALSE:
-            def op_(R, st, a=a, cost=cost, t=ins.target, nxt=nxt):
-                st.spent += cost
-                v = R[a]
-                return t if (v is None or v == 0) else nxt
-            return op_
-
-        if o == mir.JEQ or o == mir.JNE:
-            want_eq = o == mir.JEQ
-            def op_(R, st, a=a, b=b, cost=cost, t=ins.target, nxt=nxt,
-                    want_eq=want_eq):
-                st.spent += cost
-                x = R[a]
-                y = R[b]
-                if (type(x) is float and x != x) or (type(y) is float and y != y):
-                    taken = not want_eq
-                else:
-                    taken = (x is y or x == y) == want_eq
-                return t if taken else nxt
-            return op_
-
-        if o in _JCC_OPS:
-            cmp = _JCC_OPS[o]
-            def op_(R, st, a=a, b=b, cost=cost, t=ins.target, nxt=nxt, cmp=cmp):
-                st.spent += cost
-                x = R[a]
-                y = R[b]
-                if (type(x) is float and x != x) or (type(y) is float and y != y):
-                    return nxt
-                return t if cmp(x, y) else nxt
             return op_
 
         if o == mir.SWITCH:
@@ -1157,30 +919,6 @@ def _closure_builder(machine, fn):
                 if coerce and type(v) is float:
                     v = r4(v)
                 data[idx] = v
-                return nxt
-            return op_
-
-        if o == mir.LDFLD:
-            def op_(R, st, a=a, dst=dst, slot=ins.b, cost=cost, nxt=nxt):
-                st.spent += cost
-                obj = R[a]
-                if obj is None:
-                    raise make_exception(loaded, "NullReferenceException")
-                R[dst] = obj.fields[slot]
-                return nxt
-            return op_
-
-        if o == mir.STFLD:
-            coerce = kind == "r4"
-            def op_(R, st, a=a, c=c, slot=ins.b, cost=cost, nxt=nxt, coerce=coerce):
-                st.spent += cost
-                obj = R[a]
-                if obj is None:
-                    raise make_exception(loaded, "NullReferenceException")
-                v = R[c]
-                if coerce and type(v) is float:
-                    v = r4(v)
-                obj.fields[slot] = v
                 return nxt
             return op_
 
@@ -1396,16 +1134,6 @@ def _closure_builder(machine, fn):
                 return nxt
             return op_
 
-        if o == mir.LDLEN:
-            def op_(R, st, a=a, dst=dst, cost=cost, nxt=nxt):
-                st.spent += cost
-                arr = R[a]
-                if arr is None:
-                    raise make_exception(loaded, "NullReferenceException")
-                R[dst] = arr.length
-                return nxt
-            return op_
-
         if o == mir.LDELEM_MD:
             args_t = tuple(ins.args or ())
             def op_(R, st, a=a, args_t=args_t, dst=dst, cost=cost, nxt=nxt):
@@ -1587,23 +1315,21 @@ def _observed(inner, obs_instr, fn, ins):
 # ---------------------------------------------------------------------------
 #
 # Translation is tiered, driven only by execution counts.  A function
-# gets hand-written closures when it first runs (cheap: no source, no
-# compile).  Once it has retired ``_HOT_RUNS`` times as many instructions
-# as it has (every instruction ran that often on average), :func:`build_ops`
-# replaces them in place with shape-templated singles, and at
-# ``_FUSE_RUNS`` its straight-line runs with superinstructions.  A function
-# that reached the superinstruction tier once in this process starts in
-# its last tier on every later machine (:data:`_HOT_CODE`).  Tiers change
-# between bindings, never inside a closure, and only change host speed:
-# every tier is bit-identical to classic.
+# gets generated singles when it first runs, with hand-written closures
+# only for ops outside the template subset (a single's few shapes are
+# soon all compiled).  Once it has retired ``_FUSE_RUNS`` times as many
+# instructions as it has (every instruction ran that often on average),
+# :func:`build_ops` replaces its straight-line runs in place with
+# superinstructions.  A function that reached the superinstruction tier
+# once in this process starts in it on every later machine
+# (:data:`_HOT_CODE`).  The tier-up happens between bindings, never inside
+# a closure, and only changes host speed: both tiers are bit-identical to
+# classic.
 
-#: a function tiers up to templated singles once it has retired this many
-#: times as many instructions as its length, and to superinstructions at
-#: the second count: a single's few shapes are soon all compiled, while
-#: each run shape costs a compile that only a hot run pays back (fusing
-#: every function on its first run made mostly-cold generated programs
-#: 4.5x slower)
-_HOT_RUNS = 20
+#: a function tiers up to superinstructions once it has retired this many
+#: times as many instructions as its length: each run shape costs a
+#: compile that only a hot run pays back (fusing every function on its
+#: first run made mostly-cold generated programs 4.5x slower)
 _FUSE_RUNS = 200
 
 #: tier memory: the :func:`_tier_key` of every function whose translation
@@ -1627,61 +1353,43 @@ class Translation:
     """One function's closures on one machine.
 
     ``ops`` is the closure array the driver dispatches through, shared by
-    every activation of the function and rewritten in place at each
-    tier-up; ``heat`` is the number of instructions left before the next
-    tier-up (<= 0 once the function is in its last tier); ``tier`` counts
-    the tier-ups so far.
+    every activation of the function and rewritten in place at the
+    tier-up; ``heat`` is the number of instructions left before the
+    tier-up (<= 0 once the function is in its last tier).
     """
 
-    __slots__ = ("ops", "heat", "tier")
+    __slots__ = ("ops", "heat")
 
     def __init__(self, ops) -> None:
         self.ops = ops
-        self.heat = _HOT_RUNS * len(ops)
-        self.tier = 0
+        self.heat = _FUSE_RUNS * len(ops)
 
 
 def build_ops(machine, fn, tr=None):
     """Translate ``fn`` for ``machine``; every translation goes through here.
 
-    Without ``tr``: a new :class:`Translation` of hand-written closures,
-    tiered straight up to its last tier when the tier memory knows ``fn``.
-    With ``tr`` (the function turned hot): tier it up in place.  The first
-    tier-up gives each op in the codegen subset its templated single, the
-    second each fusion run its superinstruction (not with an observer,
-    whose per-instruction hook needs per-instruction closures, nor with a
-    fault injector, see :func:`fuse_plan`).  Returns the translation.
+    Without ``tr``: a new :class:`Translation` of generated singles and
+    hand-written closures, fused at once when the tier memory knows ``fn``.
+    With ``tr`` (the function turned hot): give each fusion run its
+    superinstruction in place (none with a fault injector armed, see
+    :func:`fuse_plan`).  A machine with an observer never tiers up: its
+    per-instruction hook needs per-instruction closures.  Returns the
+    translation.
     """
-    if tr is not None:
-        return _tier_up(machine, fn, tr)
-    closure = _closure_builder(machine, fn)
-    tr = Translation([closure(pc) for pc in range(len(fn.code))])
-    if _tier_key(fn) in _HOT_CODE:
-        while tr.heat > 0:
-            _tier_up(machine, fn, tr)
-    return tr
-
-
-def _tier_up(machine, fn, tr):
+    if tr is None:
+        closure = _closure_builder(machine, fn)
+        tr = Translation([closure(pc) for pc in range(len(fn.code))])
+        if machine.observer is not None:
+            tr.heat = 0
+            return tr
+        if _tier_key(fn) not in _HOT_CODE:
+            return tr
     code = fn.code
     ops = tr.ops
-    observer = machine.observer
-    tr.tier += 1
-    if tr.tier == 1:
-        obs_instr = None if observer is None else observer.instr
-        for pc, ins in enumerate(code):
-            op = _make_single_gen(code, pc, machine)
-            if op is not None:
-                if obs_instr is not None:
-                    op = _observed(op, obs_instr, fn, ins)
-                ops[pc] = op
-        tr.heat = (_FUSE_RUNS - _HOT_RUNS) * len(code) if observer is None else 0
-        return tr
     targets = getattr(fn, "branch_targets", None)
     if targets is None:
         targets = mir.branch_targets(fn)
-    faults_armed = machine.faults is not None
-    for pc, length in fuse_plan(code, fn.regions, targets, faults_armed):
+    for pc, length in fuse_plan(code, fn.regions, targets, machine.faults is not None):
         fused = _make_fused_gen(code, pc, length, machine, ops[pc])
         if fused is not None:
             ops[pc] = fused

@@ -257,17 +257,18 @@ def test_catch_observes_same_locals_under_every_engine(source, expected, label):
 
 # ------------------------------------------------------ tier transitions
 #
-# A threaded function starts on hand-written closures and tiers up to
-# shape-templated singles and superinstructions once it is hot.  These
-# programs cross that threshold mid-run in every situation where a stale
-# or half-switched closure array would show: float cost sums, a throw from
-# inside a run that only exists after tier-up, live recursive and
-# concurrent activations, an armed fault injector, an observer.
+# A threaded function starts on generated singles (hand-written closures
+# only for ops outside the template subset) and tiers up to
+# superinstructions once it is hot.  These programs cross that threshold
+# mid-run in every situation where a stale or half-switched closure array
+# would show: float cost sums, a throw from inside a run that only exists
+# after tier-up, live recursive and concurrent activations, an armed
+# fault injector; an observed machine never tiers up.
 
-#: a kernel that tiers up during its first call and fuses its runs during
-#: a later one; the padding allocation puts the machine in the large
-#: working set, so every array access adds a float memory tax and the
-#: cycle sums are float from then on
+#: a kernel that tiers up to superinstructions mid-run; the padding
+#: allocation puts the machine in the large working set, so every array
+#: access adds a float memory tax and the cycle sums are float from then
+#: on
 HOT_FLOAT_LOOP = """
 class P {
     static double Kernel(double[] a, int n) {
@@ -488,8 +489,10 @@ def test_tier_up_with_observer_attached(tiering):
         streams[engine] = json.dumps(profile_to_dict(observer), sort_keys=True)
     for engine in ENGINES:
         assert streams[engine] == streams["classic"], engine
-    assert tiering["tier_ups"] > 0
-    assert tiering["fused"] == []  # per-instruction hooks: no fusion
+    # per-instruction hooks need per-instruction closures: an observed
+    # machine stays on its first translation
+    assert tiering["tier_ups"] == 0
+    assert tiering["fused"] == []
 
 
 # --------------------------------------------------- fused memory accesses
@@ -708,6 +711,45 @@ def test_same_shape_shares_code_but_binds_its_own_operands():
     assert (st.spent, st.icount) == (22, 4)
     R[4] = 100  # now 5 + 7 = 12 < 100: the branch goes to run_b's target
     assert run_b(R, st) == 1
+
+
+def test_first_translation_is_generated_exactly_where_templates_cover(monkeypatch):
+    """Drift guard: every op a single template covers has that template as
+    its only implementation.  On an unobserved machine the first
+    translation of every function — over every registered benchmark and
+    the fuzz corpus — is generated code at exactly the pcs whose shape has
+    a single template, and hand-written everywhere else."""
+    from repro.jit import mir
+    from repro.vm import dispatch
+
+    mismatches = []
+    kinds = {True: set(), False: set()}
+    build_ops = dispatch.build_ops
+
+    def checking_build_ops(machine, fn, tr=None):
+        if tr is None:
+            closure = dispatch._closure_builder(machine, fn)
+            for pc, ins in enumerate(fn.code):
+                shape = dispatch._shape(ins)
+                covered = dispatch._single_source(shape) is not None
+                generated = closure(pc).__code__.co_filename == "<dispatch-gen>"
+                kinds[generated].add(ins.op)
+                if generated != covered:
+                    mismatches.append((fn.full_name, pc, shape))
+        return build_ops(machine, fn, tr)
+
+    monkeypatch.setattr(dispatch, "build_ops", checking_build_ops)
+    for bench, params in sorted(SMALL_PARAMS.items()):
+        for profile in (CLR11, SSCLI10):
+            _runner.run_on(bench, profile, params)
+    for path in CORPUS_FILES:
+        assembly = compile_source(path.read_text(), assembly_name=path.stem)
+        for profile in (CLR11, SSCLI10):
+            Machine(LoadedAssembly(assembly), profile).run()
+    assert mismatches == []
+    # the programs exercise both sides of the split
+    assert {mir.ADD, mir.JLT, mir.LDFLD, mir.CONV} <= kinds[True]
+    assert {mir.CALL, mir.LDELEM, mir.STELEM, mir.NEWARR} <= kinds[False]
 
 
 # ------------------------------------------------------ released memory

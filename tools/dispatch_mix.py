@@ -6,11 +6,12 @@
     PYTHONPATH=src python tools/dispatch_mix.py --experiments [--scale 1.0]
 
 Prints closure dispatches, retired guest instructions and instructions
-per dispatch, broken down by tier (``closure``: the hand-written closures
-a function starts on; ``single``: shape-templated singles; ``fused``:
-superinstructions, listed under the opcode that starts the run) and by
-opcode.  ``--min-ipd X`` exits 1 when the overall instructions per
-dispatch fall below ``X``, which makes the tool a fusion gate.
+per dispatch, broken down by tier (``closure``: hand-written closures,
+for ops outside the template subset; ``single``: the generated singles a
+function starts on; ``fused``: superinstructions, listed under the opcode
+that starts the run) and by opcode.  ``--min-ipd X`` exits 1 when the
+overall instructions per dispatch fall below ``X``, which makes the tool
+a fusion gate.
 
 The engine carries no counter.  The tool wraps ``repro.vm.dispatch.
 build_ops`` and puts a counting shim around every closure it installs;

@@ -112,10 +112,10 @@ Every number below is collected with no plan armed.
 
 Methodology note on dispatch-engine invariance: the MIR executor is one
 threaded-code engine.  It translates by tier: a method gets pre-bound
-hand-written closures when it first runs, shape-templated generated
-closures once it has retired 20 times its length in instructions, and
-superinstructions for its straight-line runs, array and field accesses
-included, at 200 times its length.  The classic fetch/decode loop
+generated singles when it first runs, with hand-written closures only
+for ops outside the template subset, and superinstructions for its
+straight-line runs, array and field accesses included, once it has
+retired 200 times its length in instructions.  The classic fetch/decode loop
 survives only as a test oracle (``ClassicMachine``), which no command
 can select.  The two differ only in *host* wall-clock: every simulated
 observable — cycles including float cost-accumulation order, instruction
