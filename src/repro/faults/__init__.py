@@ -11,9 +11,8 @@ Three cooperating pieces:
   structured failure; travels the pool queue like a result) and
   :class:`FaultMatrixReport` (benchmark × profile × fault → outcome, with
   the attribution/containment exit-code policy).
-* :mod:`repro.faults.cli` — the ``repro-chaos`` campaign driver plus the
-  shared ``--fault-*`` argparse helpers used by ``hpcnet run`` and
-  ``repro-bench run``.
+* :mod:`repro.faults.cli` — the ``repro chaos`` campaigns (the shared
+  ``--fault-*`` options live in :mod:`repro.parallel.execargs`).
 """
 
 from .plan import (

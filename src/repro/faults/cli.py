@@ -1,15 +1,15 @@
-"""``repro-chaos``: seeded fault-matrix campaigns over the harness.
+"""``repro chaos``: seeded fault-matrix campaigns over the harness.
 
 ::
 
-    repro-chaos run --seed N [--sites a,b] [--rate R] [--pin INDEX:SITE ...]
+    repro chaos run --seed N [--sites a,b] [--rate R] [--pin INDEX:SITE ...]
                     [--heap-limit B] [--stack-limit F] [--cycle-limit C]
                     [--max-retries K] [--cell-timeout S]
                     [--benchmarks x,y] [--profiles a,b] [--scale S]
                     [--jobs N|auto] [--out REPORT.json]
-    repro-chaos verify --seed N [same matrix/fault flags]
-    repro-chaos check REPORT.json
-    repro-chaos service [--seed N] [--out REPORT.json]
+    repro chaos verify --seed N [same matrix/fault flags]
+    repro chaos check REPORT.json
+    repro chaos service [--seed N] [--out REPORT.json]
 
 ``run`` executes one (benchmark x profile) matrix under a
 :class:`~repro.faults.FaultPlan`, writes the failure-annotation report,
@@ -23,117 +23,19 @@ the exit-code contract without re-running the matrix.  ``service`` runs
 the seeded daemon-level chaos scenarios (subprocess kills, lease steals,
 store contention, dropped connections, overload) from
 :mod:`repro.faults.service_chaos` under the same containment policy.
-
-This module also hosts the shared ``--fault-*`` argparse helpers that
-``hpcnet run`` and ``repro-bench run`` use to accept a plan.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Tuple
 
-from .plan import ALL_SITES, FaultPlan
 from .report import FaultMatrixReport, annotate_cells, load_report
 
 #: default chaos-campaign matrix: covers allocation, exception unwinding,
 #: and recursion so every machine-level site has something to bite
 DEFAULT_BENCHMARKS = "micro.arith,micro.exception,grande.sieve"
-
-
-# ------------------------------------------------------- shared argparse glue
-
-
-def add_fault_arguments(parser, prefix: str = "fault") -> None:
-    """Attach the shared fault-plan options to an argparse parser.
-
-    ``hpcnet run`` / ``repro-bench run`` pass the default prefix, so their
-    flags read ``--fault-seed`` etc. and never collide with existing
-    options; ``repro-chaos`` itself uses bare names via ``prefix=''``.
-    """
-    p = f"--{prefix}-" if prefix else "--"
-    group = parser.add_argument_group("fault injection")
-    group.add_argument(f"{p}seed", type=int, default=None, metavar="N",
-                       dest="fault_seed",
-                       help="arm a deterministic FaultPlan with this seed")
-    group.add_argument(f"{p}sites", default=None, metavar="A,B",
-                       dest="fault_sites",
-                       help="comma-separated fault sites to arm probabilistically "
-                            f"(known: {','.join(ALL_SITES)})")
-    group.add_argument(f"{p}rate", type=float, default=0.25, metavar="R",
-                       dest="fault_rate",
-                       help="per-(cell, site) arming probability (default: 0.25)")
-    group.add_argument(f"{p}pin", action="append", default=[],
-                       metavar="INDEX:SITE", dest="fault_pin",
-                       help="force SITE on cell INDEX regardless of rate "
-                            "(repeatable)")
-    group.add_argument("--heap-limit", type=int, default=None, metavar="BYTES",
-                       help="guest heap ceiling; exceeding it raises a guest "
-                            "OutOfMemoryException")
-    group.add_argument("--stack-limit", type=int, default=None, metavar="FRAMES",
-                       help="guest call-depth ceiling; exceeding it raises a "
-                            "guest StackOverflowException")
-    group.add_argument("--cycle-limit", type=int, default=None, metavar="CYCLES",
-                       help="per-cell cycle watchdog; exceeding it is a "
-                            "structured CellTimeout")
-    group.add_argument("--max-retries", type=int, default=2, metavar="K",
-                       help="worker retry budget before a cell is quarantined "
-                            "(default: 2)")
-    group.add_argument("--cell-timeout", type=float, default=None, metavar="SECONDS",
-                       help="pool-wide silence watchdog before unfinished "
-                            "workers are presumed hung (default: 20 with a "
-                            "plan, off without)")
-
-
-def _parse_pins(pins: List[str]) -> Tuple[Tuple[int, str], ...]:
-    out = []
-    for pin in pins:
-        index, sep, site = pin.partition(":")
-        try:
-            out.append((int(index), site.strip()))
-        except ValueError:
-            raise SystemExit(f"bad --pin {pin!r} (expected INDEX:SITE)")
-        if not sep or not site.strip():
-            raise SystemExit(f"bad --pin {pin!r} (expected INDEX:SITE)")
-    return tuple(out)
-
-
-def plan_from_args(args) -> Optional[FaultPlan]:
-    """Build the FaultPlan an argparse namespace describes, or None when no
-    fault option was armed (the zero-perturbation default)."""
-    sites = tuple(
-        s.strip() for s in (args.fault_sites or "").split(",") if s.strip()
-    )
-    pinned = _parse_pins(args.fault_pin)
-    armed = (
-        args.fault_seed is not None
-        or sites
-        or pinned
-        or args.heap_limit is not None
-        or args.stack_limit is not None
-        or args.cycle_limit is not None
-    )
-    if not armed:
-        return None
-    try:
-        return FaultPlan(
-            seed=args.fault_seed if args.fault_seed is not None else 0,
-            sites=sites,
-            rate=args.fault_rate,
-            pinned=pinned,
-            heap_limit=args.heap_limit,
-            stack_limit=args.stack_limit,
-            cycle_limit=args.cycle_limit,
-            max_retries=args.max_retries,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"fault plan: {exc}")
-
-
-# --------------------------------------------------------------- the campaign
 
 
 def _campaign_cells(args):
@@ -181,6 +83,8 @@ def _run_campaign(args, plan, jobs) -> FaultMatrixReport:
 
 
 def cmd_run(args) -> int:
+    from ..parallel.execargs import plan_from_args
+
     plan = plan_from_args(args)
     if plan is None:
         raise SystemExit(
@@ -202,6 +106,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from ..parallel.execargs import plan_from_args
+
     plan = plan_from_args(args)
     if plan is None:
         raise SystemExit("repro-chaos verify: no fault armed; pass --seed")
@@ -234,47 +140,39 @@ def cmd_check(args) -> int:
     return 0 if report.contained else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from ..parallel import add_execution_args
+def register(sub) -> None:
+    """Declare ``repro chaos run|verify|check|service`` on the root subparsers."""
+    from ..parallel.execargs import add_execution_args, add_matrix_arguments
 
-    parser = argparse.ArgumentParser(
-        prog="repro-chaos",
-        description="seeded fault-matrix campaigns with the containment "
-        "exit-code policy (0 = every failure attributed, 1 = uncontained)",
+    chaos = sub.add_parser(
+        "chaos",
+        help="seeded fault-matrix campaigns with the containment exit-code "
+        "policy (0 = every failure attributed, 1 = uncontained)",
+    ).add_subparsers(dest="command", required=True)
+
+    run = chaos.add_parser("run", help="one campaign; write the report; exit by containment")
+    verify = chaos.add_parser(
+        "verify", help="same campaign at --jobs 1/2/4; assert byte-identical reports"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_matrix_arguments(p) -> None:
-        # chaos takes the shared execution flags with bare fault names
-        # (--seed, --sites, ...); verify ignores --jobs (it pins 1/2/4)
+    for p in (run, verify):
+        # bare fault names (--seed, --sites, ...); verify ignores --jobs
+        # (it pins 1/2/4)
         add_execution_args(p, fault_prefix="")
-        p.add_argument("--benchmarks", default=DEFAULT_BENCHMARKS,
-                       help=f"comma-separated benchmarks (default: {DEFAULT_BENCHMARKS})")
-        p.add_argument("--profiles", default=None,
-                       help="comma-separated runtime profiles (default: micro set)")
-        p.add_argument("--scale", type=float, default=0.05,
-                       help="benchmark problem-size scale (default: 0.05)")
-
-    run = sub.add_parser("run", help="one campaign; write the report; exit by containment")
-    add_matrix_arguments(run)
+        add_matrix_arguments(p, benchmarks=DEFAULT_BENCHMARKS, scale=0.05,
+                             profiles="micro set")
     run.add_argument("--out", default="chaos-report.json", metavar="PATH",
                      help="failure-annotation report path (default: "
                           "chaos-report.json; '' to skip)")
     run.set_defaults(func=cmd_run)
-
-    verify = sub.add_parser(
-        "verify", help="same campaign at --jobs 1/2/4; assert byte-identical reports"
-    )
-    add_matrix_arguments(verify)
     verify.set_defaults(func=cmd_verify)
 
-    check = sub.add_parser(
+    check = chaos.add_parser(
         "check", help="re-evaluate an existing report's containment policy"
     )
     check.add_argument("report", help="a repro.faults/1 report JSON file")
     check.set_defaults(func=cmd_check)
 
-    service = sub.add_parser(
+    service = chaos.add_parser(
         "service",
         help="seeded daemon-level chaos scenarios (kills, lease steals, "
              "contention, dropped connections, overload); exit by containment",
@@ -286,13 +184,3 @@ def build_parser() -> argparse.ArgumentParser:
     service.add_argument("--out", default="", metavar="PATH",
                          help="scenario report JSON path ('' to skip)")
     service.set_defaults(func=cmd_service)
-    return parser
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

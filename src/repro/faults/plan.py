@@ -7,7 +7,7 @@ backoff each retry records.  Every decision is a pure function of
 ``(plan seed, cell index, site name)`` via SHA-256 — never of worker
 arrival order, process ids, or wall clock — so the failure-annotation
 report built from a plan is byte-identical at ``--jobs 1``, ``2``, and
-``4`` (asserted by ``repro-chaos verify`` and ``tests/test_faults.py``).
+``4`` (asserted by ``repro chaos verify`` and ``tests/test_faults.py``).
 
 Three layers consume a plan:
 
@@ -42,7 +42,7 @@ CACHE_SITES = ("cache_corrupt",)
 
 #: injection sites that fire at the experiment-service level — consumed
 #: by the daemon's drain tasks (keyed by *job id*, not cell index) and
-#: the ``repro-chaos service`` harness.  ``connection_drop`` is
+#: the ``repro chaos service`` harness.  ``connection_drop`` is
 #: client-side (the harness drops the socket mid-request); the other
 #: three are injected daemon-side just before the job executes.
 SERVICE_SITES = (

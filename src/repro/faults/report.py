@@ -17,7 +17,7 @@ A failure is *attributed* when the report can explain it: a fault site
 actually fired inside the machine (``fired``), a worker-level fault was
 armed by the plan (``fault``), or it is a fuzz-budget ``deadline`` skip.
 ``contained`` means every failure is attributed — the exit-code policy of
-``repro-chaos`` (and the fault modes of ``hpcnet run`` / ``repro-bench
+``repro chaos`` (and the fault modes of ``repro run`` / ``repro bench
 run``): 0 when contained, 1 when any failure lacks an explanation.
 """
 
@@ -124,7 +124,7 @@ class FaultMatrixReport:
 
     def to_json(self) -> str:
         """Deterministic serialization: byte-identical for identical plan
-        seeds regardless of job count (the ``repro-chaos verify`` check)."""
+        seeds regardless of job count (the ``repro chaos verify`` check)."""
         return json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
 
     def failure_lines(self) -> List[str]:
@@ -207,7 +207,7 @@ def annotate_cells(
 
 
 def load_report(path: str) -> FaultMatrixReport:
-    """Rehydrate a written report (``repro-chaos check``); the plan is kept
+    """Rehydrate a written report (``repro chaos check``); the plan is kept
     as raw dict data — containment is recomputed from the cells alone."""
     with open(path) as handle:
         data = json.load(handle)

@@ -1,4 +1,4 @@
-"""``repro-chaos service`` — seeded chaos scenarios against a live daemon.
+"""``repro chaos service`` — seeded chaos scenarios against a live daemon.
 
 The harness runs an in-process :class:`~repro.service.ExperimentService`
 (event loop on a thread, ephemeral port — the same shape the test suite
@@ -26,7 +26,7 @@ expiry:
 Faults are injected through a seeded :class:`~repro.faults.FaultPlan`
 with the relevant site pinned to the scenario's job id, so the campaign
 is reproducible for a given ``--seed``.  The exit-code contract is the
-same containment policy as ``repro-chaos run``: **0** when every
+same containment policy as ``repro chaos run``: **0** when every
 scenario's failures are structured and attributed, **1** otherwise.
 """
 

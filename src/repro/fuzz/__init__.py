@@ -14,7 +14,7 @@ benchmarks:
   return value, recorded bench results, stdout, or guest exception type;
 * :mod:`repro.fuzz.shrink` — greedy AST-level minimizer that reduces a
   diverging program to a small repro for the corpus;
-* :mod:`repro.fuzz.cli` — the ``repro-fuzz`` console entry point
+* :mod:`repro.fuzz.cli` — the ``repro fuzz`` console entry point
   (``run`` / ``shrink`` / ``replay``).
 """
 

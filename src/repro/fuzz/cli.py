@@ -1,15 +1,15 @@
-"""``repro-fuzz`` command-line interface.
+"""The ``repro fuzz`` verbs.
 
-Subcommands::
+::
 
-    repro-fuzz run --seed 42 --count 50        # differential campaign
-    repro-fuzz run --seed 42 --count 200 --time-limit 60
-    repro-fuzz run --seed 42 --count 200 --jobs auto   # process-pool fan-out
-    repro-fuzz run --seed 7 --count 20 --inject-bug simplify   # mutation check
-    repro-fuzz shrink --seed 123456            # minimize one diverging seed
-    repro-fuzz shrink --file repro.cs
-    repro-fuzz replay                          # re-run tests/fuzz_corpus/
-    repro-fuzz replay path/to/prog.cs ...
+    repro fuzz run --seed 42 --count 50        # differential campaign
+    repro fuzz run --seed 42 --count 200 --time-limit 60
+    repro fuzz run --seed 42 --count 200 --jobs auto   # process-pool fan-out
+    repro fuzz run --seed 7 --count 20 --inject-bug simplify   # mutation check
+    repro fuzz shrink --seed 123456            # minimize one diverging seed
+    repro fuzz shrink --file repro.cs
+    repro fuzz replay                          # re-run tests/fuzz_corpus/
+    repro fuzz replay path/to/prog.cs ...
 
 ``run`` exits non-zero on any divergence (or on a generated program that
 fails to compile).  With ``--shrink-failures`` every diverging program is
@@ -20,10 +20,9 @@ what CI enforces.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .genprog import generate_program
 from .oracle import (
@@ -65,7 +64,7 @@ def _write_repro(corpus: Path, seed: int, source: str, divergences: Sequence[Div
 
 
 def cmd_run(args) -> int:
-    from ..parallel import CompileCache
+    from ..parallel import execution_from_args
 
     def report(pr) -> None:
         status = "DIVERGED" if pr.divergences else "ok"
@@ -80,7 +79,7 @@ def cmd_run(args) -> int:
         + (f" jobs={args.jobs}" if args.jobs else "")
         + (f" inject-bug={args.inject_bug}" if args.inject_bug else "")
     )
-    cache = None if args.no_compile_cache else CompileCache(args.cache_dir)
+    cache = execution_from_args(args).cache
     result = run_campaign(
         seed=args.seed,
         count=args.count,
@@ -166,9 +165,9 @@ def cmd_shrink(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    from ..parallel import CompileCache
+    from ..parallel import execution_from_args
 
-    cache = None if args.no_compile_cache else CompileCache(args.cache_dir)
+    cache = execution_from_args(args).cache
     paths: List[Path]
     if args.paths:
         paths = [Path(p) for p in args.paths]
@@ -197,15 +196,17 @@ def cmd_replay(args) -> int:
     return 1 if bad else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-fuzz",
-        description="Differential fuzzer: generated Kernel-C# programs, "
-        "interpreter-vs-machine oracle, pass-ablation matrix.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def register(sub) -> None:
+    """Declare ``repro fuzz run|shrink|replay`` on the root subparsers."""
+    from ..parallel.execargs import add_cache_arguments, add_jobs_argument
 
-    p_run = sub.add_parser("run", help="run a fuzzing campaign")
+    fuzz = sub.add_parser(
+        "fuzz",
+        help="differential fuzzer: generated Kernel-C# programs, "
+        "interpreter-vs-machine oracle, pass-ablation matrix",
+    ).add_subparsers(dest="command", required=True)
+
+    p_run = fuzz.add_parser("run", help="run a fuzzing campaign")
     p_run.add_argument("--seed", type=int, default=42, help="campaign seed")
     p_run.add_argument("--count", type=int, default=50, help="programs to generate")
     p_run.add_argument("--budget", type=int, default=40, help="statement budget per program")
@@ -217,17 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="minimize each diverging program into the corpus")
     p_run.add_argument("--corpus", default=str(DEFAULT_CORPUS), help="corpus directory")
     p_run.add_argument("--verbose", action="store_true", help="print every program")
-    from ..parallel import add_jobs_argument, default_cache_dir
-
     add_jobs_argument(p_run)
-    p_run.add_argument("--cache-dir", default=default_cache_dir(), metavar="DIR",
-                       help="persistent compile cache location "
-                            "(default: $REPRO_CACHE_DIR or .repro-cache)")
-    p_run.add_argument("--no-compile-cache", action="store_true",
-                       help="compile from scratch; do not read or write the cache")
+    add_cache_arguments(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_shrink = sub.add_parser("shrink", help="minimize one diverging program")
+    p_shrink = fuzz.add_parser("shrink", help="minimize one diverging program")
     group = p_shrink.add_mutually_exclusive_group(required=True)
     group.add_argument("--seed", type=int, help="program seed (as printed by `run`)")
     group.add_argument("--file", help="path to a Kernel-C# source file")
@@ -239,22 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="corpus directory (used when --out is not given)")
     p_shrink.set_defaults(func=cmd_shrink)
 
-    p_replay = sub.add_parser("replay", help="re-run saved corpus repros")
+    p_replay = fuzz.add_parser("replay", help="re-run saved corpus repros")
     p_replay.add_argument("paths", nargs="*", help="specific files (default: corpus dir)")
     p_replay.add_argument("--corpus", default=str(DEFAULT_CORPUS), help="corpus directory")
-    p_replay.add_argument("--cache-dir", default=default_cache_dir(), metavar="DIR",
-                          help="persistent compile cache location")
-    p_replay.add_argument("--no-compile-cache", action="store_true",
-                          help="compile from scratch; do not read or write the cache")
+    add_cache_arguments(p_replay)
     p_replay.set_defaults(func=cmd_replay)
-
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

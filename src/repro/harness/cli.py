@@ -1,19 +1,17 @@
-"""``hpcnet`` command-line interface.
+"""The harness verbs of the ``repro`` command.
 
-Subcommands::
+::
 
-    hpcnet list                         # all benchmarks with suites + sizes
-    hpcnet profiles                     # the runtime profile table
-    hpcnet run micro.arith [options]    # one benchmark across profiles
-    hpcnet experiment graph09 [...]     # regenerate one paper graph/table
-    hpcnet experiments                  # regenerate everything (EXPERIMENTS.md body)
-    hpcnet disasm [--profile clr-1.1]   # Table 5-8 style code listings
+    repro list                          # all benchmarks with suites + sizes
+    repro profiles                      # the runtime profile table
+    repro run micro.arith [options]     # one benchmark across profiles
+    repro experiment graph09 [...]      # regenerate one paper graph/table
+    repro experiments                   # regenerate everything (EXPERIMENTS.md body)
+    repro disasm                        # Table 5-8 style code listings
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from typing import Dict, List, Optional
 
 from ..benchmarks import all_benchmarks, get as get_benchmark
@@ -159,12 +157,9 @@ def cmd_disasm(args) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="hpcnet",
-        description="HPC.NET reproduction harness (Vogels, SC'03)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def register(sub) -> None:
+    """Declare the harness verbs on the root ``repro`` subparsers."""
+    from ..parallel.execargs import add_execution_args
 
     sub.add_parser("list", help="list benchmarks").set_defaults(func=cmd_list)
     sub.add_parser("profiles", help="list runtime profiles").set_defaults(func=cmd_profiles)
@@ -181,8 +176,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "profile/trace/report artifacts per runtime")
     p_run.add_argument("--profile-dir", default="profile-artifacts", metavar="DIR",
                        help="where --profile writes artifacts")
-    from ..parallel import add_execution_args
-
     add_execution_args(p_run)
     p_run.set_defaults(func=cmd_run)
 
@@ -195,12 +188,4 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_all.add_argument("--scale", type=float, default=1.0)
     p_all.set_defaults(func=cmd_experiments)
 
-    p_dis = sub.add_parser("disasm", help="Tables 5-8 code listings")
-    p_dis.set_defaults(func=cmd_disasm)
-
-    args = parser.parse_args(argv)
-    return args.func(args)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sub.add_parser("disasm", help="Tables 5-8 code listings").set_defaults(func=cmd_disasm)

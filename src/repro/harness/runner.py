@@ -193,8 +193,8 @@ class Runner:
 def check_cross_profile_results(name: str, runs: Dict[str, ProfileRun]) -> None:
     """Assert the paper's cross-runtime invariant over a set of per-profile
     runs: every profile recorded identical computation results.  Shared by
-    :func:`plan` and the ``run_cells`` merge paths (``hpcnet run``,
-    ``repro-bench run``), so no way of running cells can skip the check."""
+    :func:`plan` and the ``run_cells`` merge paths (``repro run``,
+    ``repro bench run``), so no way of running cells can skip the check."""
     reference: Optional[ProfileRun] = None
     for run in runs.values():
         if reference is None:

@@ -6,7 +6,7 @@ streaming histograms); :mod:`.instrument` adapts the machine's observer
 hooks into registry updates; :mod:`.sampler` turns the same hooks into
 collapsed-stack flamegraphs; :mod:`.baseline` runs the graph suite with
 metrics attached and writes/compares ``BENCH_<seq>.json`` artifacts
-(:mod:`.cli` is the ``repro-bench`` entry point).
+(:mod:`.cli` is the ``repro bench`` entry point).
 """
 
 from .baseline import (

@@ -5,7 +5,7 @@ this repo's engine is deterministic, so a perf baseline can be an *exact*
 artifact: ``BENCH_<seq>.json`` records, for every graph-suite benchmark on
 every runtime profile, the simulated cycles, instruction counts, metric
 snapshots, and the cross-runtime cycle ratios — keyed by schema version and
-git SHA.  ``repro-bench compare`` diffs two artifacts under per-metric
+git SHA.  ``repro bench compare`` diffs two artifacts under per-metric
 tolerances and exits nonzero on regression; CI runs it between the base
 ref's artifact and the PR's, so a JIT or cost-model change that silently
 shifts a runtime ratio fails the gate instead of shipping unnoticed.
@@ -79,7 +79,7 @@ def graph_suite(scale: float = 1.0) -> List[Tuple[str, Dict[str, object]]]:
 def resolve_profiles(spec=None):
     """Normalize a profile selection — ``None`` (all), a comma-separated
     string, or an iterable of names — to RuntimeProfile objects.  Shared
-    by ``repro-bench`` and the experiment service so a submission and a
+    by ``repro bench`` and the experiment service so a submission and a
     direct run resolve identically.  Unknown names raise ValueError."""
     from ..runtimes import ALL_PROFILES, BY_NAME, get_profile
 

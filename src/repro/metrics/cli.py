@@ -1,13 +1,13 @@
-"""``repro-bench``: benchmark-trajectory artifacts and the regression gate.
+"""``repro bench``: benchmark-trajectory artifacts and the regression gate.
 
 ::
 
-    repro-bench run [--out DIR] [--seq N] [--scale S]
+    repro bench run [--out DIR] [--seq N] [--scale S]
                     [--profiles a,b] [--benchmarks x,y] [--git-sha SHA]
                     [--jobs N|auto] [--cache-dir DIR] [--no-compile-cache]
-    repro-bench compare BASE.json NEW.json [--tolerance metric=frac ...]
+    repro bench compare BASE.json NEW.json [--tolerance metric=frac ...]
                     [--show-ok]
-    repro-bench compare NEW.json --store DB [--base-sha SHA]
+    repro bench compare NEW.json --store DB [--base-sha SHA]
 
 ``run`` executes the graph suite on every runtime profile with the metrics
 registry attached and writes ``BENCH_<seq>.json`` (sequence auto-increments
@@ -19,9 +19,8 @@ Artifacts carry simulated numbers only: no host wall clock enters them.
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from . import baseline
 
@@ -43,25 +42,14 @@ def _parse_tolerances(pairs: List[str]) -> Dict[str, float]:
     return out
 
 
-def _resolve_profiles(spec: Optional[str]):
-    try:
-        return baseline.resolve_profiles(spec)
-    except ValueError as exc:
-        raise SystemExit(f"repro-bench: {exc}")
-
-
-def _resolve_suite(spec: Optional[str], scale: float):
-    try:
-        return baseline.resolve_suite(spec, scale)
-    except ValueError as exc:
-        raise SystemExit(f"repro-bench: {exc}")
-
-
 def cmd_run(args) -> int:
     from ..parallel import execution_from_args
 
-    profiles = _resolve_profiles(args.profiles)
-    suite = _resolve_suite(args.benchmarks, args.scale)
+    try:
+        profiles = baseline.resolve_profiles(args.profiles)
+        suite = baseline.resolve_suite(args.benchmarks, args.scale)
+    except ValueError as exc:
+        raise SystemExit(f"repro-bench: {exc}")
     execution = execution_from_args(args)
     store = None
     if args.store:
@@ -172,34 +160,28 @@ def _store_baseline(args, new: dict) -> dict:
     return base
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-bench",
-        description="benchmark-trajectory artifacts and regression gate",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def register(sub) -> None:
+    """Declare ``repro bench run|compare`` on the root subparsers."""
+    from ..parallel.execargs import add_execution_args, add_matrix_arguments
 
-    run = sub.add_parser("run", help="collect a BENCH_<seq>.json artifact")
+    bench = sub.add_parser(
+        "bench", help="benchmark-trajectory artifacts and regression gate",
+    ).add_subparsers(dest="command", required=True)
+
+    run = bench.add_parser("run", help="collect a BENCH_<seq>.json artifact")
     run.add_argument("--out", default="bench", help="output directory (default: bench/)")
     run.add_argument("--seq", type=int, default=None,
                      help="artifact sequence number (default: next free)")
-    run.add_argument("--scale", type=float, default=1.0,
-                     help="problem-size scale factor (default: 1.0)")
-    run.add_argument("--profiles", default=None,
-                     help="comma-separated runtime profile names (default: all)")
-    run.add_argument("--benchmarks", default=None,
-                     help="comma-separated subset of the graph suite (default: all)")
+    add_matrix_arguments(run)
     run.add_argument("--git-sha", default=None,
                      help="override the recorded git SHA (default: git rev-parse HEAD)")
     run.add_argument("--store", default=None, metavar="DB",
                      help="also record the collection into this SQLite "
                           "experiment store (and serve repeat cells from it)")
-    from ..parallel import add_execution_args
-
     add_execution_args(run)
     run.set_defaults(func=cmd_run)
 
-    compare = sub.add_parser("compare", help="diff two artifacts; exit 1 on regression")
+    compare = bench.add_parser("compare", help="diff two artifacts; exit 1 on regression")
     compare.add_argument("base", help="baseline BENCH_*.json (with --store: "
                                       "the candidate artifact)")
     compare.add_argument("new", nargs="?", default=None,
@@ -216,14 +198,3 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--show-ok", action="store_true",
                          help="also list within-tolerance comparisons")
     compare.set_defaults(func=cmd_compare)
-
-    return parser
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

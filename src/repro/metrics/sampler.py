@@ -16,7 +16,7 @@ stack, frames ``;``-joined root-first, weight last::
     main;Program::Main;SOR::Execute 1042
 
 which feeds ``flamegraph.pl``, speedscope, or any folded-stack viewer
-directly (``repro-prof flame`` writes it).  Weights are *samples*; multiply
+directly (``repro prof flame`` writes it).  Weights are *samples*; multiply
 by ``period`` for approximate cycles.
 
 Like every :class:`~repro.observe.base.MachineObserver`, attaching the

@@ -11,8 +11,8 @@ timeline of the run is recorded — all without perturbing the measurement
 (observed and unobserved runs are bit-identical in cycles, instructions,
 and results).
 
-Command-line access: ``repro-prof report|diff|export`` (see
-:mod:`repro.observe.cli`) or ``hpcnet run ... --profile``.
+Command-line access: ``repro prof report|diff|export`` (see
+:mod:`repro.observe.cli`) or ``repro run ... --profile``.
 """
 
 from .base import MachineObserver

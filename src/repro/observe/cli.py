@@ -1,11 +1,11 @@
-"""``repro-prof`` command-line interface.
+"""The ``repro prof`` verbs.
 
-Subcommands::
+::
 
-    repro-prof report micro.loop --runtime clr-1.1 [--param Reps=20000]
-    repro-prof diff clr11 mono023 --benchmark scimark.sor
-    repro-prof export micro.loop --runtime clr-1.1 --out trace.json
-    repro-prof flame scimark.sor --runtime clr-1.1 --out sor.folded
+    repro prof report micro.loop --runtime clr-1.1 [--param Reps=20000]
+    repro prof diff clr11 mono023 --benchmark scimark.sor
+    repro prof export micro.loop --runtime clr-1.1 --out trace.json
+    repro prof flame scimark.sor --runtime clr-1.1 --out sor.folded
 
 ``report`` profiles one benchmark on one runtime and prints the
 cycle-attribution report (optionally saving the JSON profile, Chrome
@@ -25,7 +25,6 @@ Runtime names are matched loosely: ``clr11``, ``CLR-1.1`` and
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -85,7 +84,7 @@ def _obtain(source: str, benchmark: Optional[str], params: List[str]) -> dict:
 
 def chrome_trace(observer: Observer, profile: dict) -> dict:
     """The run's simulated-clock Chrome trace.  ``otherData.label`` is
-    ``<benchmark>@<runtime>``, so ``repro-trace export`` names the merged
+    ``<benchmark>@<runtime>``, so ``repro trace export`` names the merged
     process after the run."""
     benchmark, runtime = profile["benchmark"], profile["runtime"]
     return observer.timeline.to_chrome_trace(
@@ -183,24 +182,28 @@ def cmd_flame(args) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-prof",
-        description="cycle-attribution profiler for the HPC.NET reproduction",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def register(sub) -> None:
+    """Declare ``repro prof report|diff|export|flame`` on the root subparsers."""
+    prof = sub.add_parser(
+        "prof", help="cycle-attribution profiler for the HPC.NET reproduction",
+    ).add_subparsers(dest="command", required=True)
 
-    p_rep = sub.add_parser("report", help="profile one benchmark on one runtime")
-    p_rep.add_argument("benchmark")
-    p_rep.add_argument("--runtime", default="clr-1.1",
+    def add_run(name, help):
+        """A subcommand profiling one benchmark on one runtime."""
+        p = prof.add_parser(name, help=help)
+        p.add_argument("benchmark")
+        p.add_argument("--runtime", default="clr-1.1",
                        help=f"runtime profile ({', '.join(BY_NAME)})")
-    p_rep.add_argument("--param", action="append", metavar="K=V")
+        p.add_argument("--param", action="append", metavar="K=V")
+        return p
+
+    p_rep = add_run("report", "profile one benchmark on one runtime")
     p_rep.add_argument("--top", type=int, default=12, help="rows per table")
     p_rep.add_argument("--out", metavar="DIR",
                        help="also write profile.json/trace.json/report.txt here")
     p_rep.set_defaults(func=cmd_report)
 
-    p_diff = sub.add_parser(
+    p_diff = prof.add_parser(
         "diff", help="rank categories explaining the gap between two runtimes"
     )
     p_diff.add_argument("a", help="runtime name or saved *.profile.json")
@@ -210,28 +213,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_diff.add_argument("--top", type=int, default=10)
     p_diff.set_defaults(func=cmd_diff)
 
-    p_exp = sub.add_parser("export", help="write the Chrome trace-event timeline")
-    p_exp.add_argument("benchmark")
-    p_exp.add_argument("--runtime", default="clr-1.1")
-    p_exp.add_argument("--param", action="append", metavar="K=V")
+    p_exp = add_run("export", "write the Chrome trace-event timeline")
     p_exp.add_argument("--out", required=True, metavar="FILE.json")
     p_exp.set_defaults(func=cmd_export)
 
-    p_flame = sub.add_parser(
-        "flame", help="write a collapsed-stack (folded) flamegraph profile"
-    )
-    p_flame.add_argument("benchmark")
-    p_flame.add_argument("--runtime", default="clr-1.1")
-    p_flame.add_argument("--param", action="append", metavar="K=V")
+    p_flame = add_run("flame", "write a collapsed-stack (folded) flamegraph profile")
     p_flame.add_argument("--period", type=int, default=1000,
                          help="simulated cycles per sample (default: 1000)")
     p_flame.add_argument("--out", metavar="FILE.folded",
                          help="output path (default: stdout)")
     p_flame.set_defaults(func=cmd_flame)
-
-    args = parser.parse_args(argv)
-    return args.func(args)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -10,7 +10,7 @@ Three artifact kinds:
   contribution to the cycle gap between two profiles: the paper's
   section-4 "which component explains the 2x?" analysis as a command.
 
-Reports work from the serialized dict, so ``repro-prof diff`` accepts both
+Reports work from the serialized dict, so ``repro prof diff`` accepts both
 live runs and saved ``*.profile.json`` artifacts interchangeably.
 """
 

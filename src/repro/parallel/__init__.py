@@ -13,8 +13,13 @@ Two cooperating pieces:
 """
 
 from .cache import CACHE_DIR_ENV, DEFAULT_CACHE_DIR, CompileCache, default_cache_dir
-from .execargs import ExecutionConfig, add_execution_args, execution_from_args
-from .pool import PoolError, PoolReport, add_jobs_argument, resolve_jobs, run_cells
+from .execargs import (
+    ExecutionConfig,
+    add_execution_args,
+    add_jobs_argument,
+    execution_from_args,
+)
+from .pool import PoolError, PoolReport, resolve_jobs, run_cells
 
 __all__ = [
     "CACHE_DIR_ENV",

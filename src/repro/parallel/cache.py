@@ -2,7 +2,7 @@
 
 The paper's methodology compiles each benchmark once and runs the identical
 image on every runtime, so across harness invocations (CI jobs, repeated
-``repro-bench run``, fuzz-corpus replays) the compiler is pure function of
+``repro bench run``, fuzz-corpus replays) the compiler is pure function of
 its source text.  This cache makes that purity pay: a cache entry is keyed
 by SHA-256 over (compiler version, assembly name, source), the value is the
 :meth:`~repro.cil.metadata.Assembly.to_bytes` payload, and a warm cache

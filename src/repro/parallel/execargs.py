@@ -1,21 +1,26 @@
-"""Shared execution-plumbing argparse wiring.
+"""The options several ``repro`` verbs share, declared once.
 
-``hpcnet run``, ``repro-bench run``, ``repro-chaos`` and ``repro-client
-submit`` all take the same operational options: ``--jobs``,
-``--cache-dir`` / ``--no-compile-cache`` and the ``--fault-*`` plan
-flags.  :func:`add_execution_args` attaches them once and
-:func:`execution_from_args` folds the parsed namespace into an
-:class:`ExecutionConfig`, so the four CLIs cannot drift on defaults,
-help text or destination names.
+* the execution plumbing — ``--jobs``, ``--cache-dir`` /
+  ``--no-compile-cache`` and the ``--fault-*`` plan flags — taken by
+  ``repro run``, ``repro bench run``, ``repro chaos run|verify``, ``repro
+  fuzz`` and (in part) ``repro serve`` and ``repro client submit``;
+  :func:`execution_from_args` folds them into an :class:`ExecutionConfig`;
+* the matrix selection (``--benchmarks``, ``--profiles``, ``--scale``) of
+  ``repro bench run``, ``repro chaos run|verify`` and ``repro client
+  submit``, each with the caller's defaults;
+* the trend filters of ``repro store trends|report`` and ``repro client
+  trends``.
+
+So no two verbs can drift on a flag's name, default, help text or
+destination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from .cache import CompileCache, default_cache_dir
-from .pool import add_jobs_argument
 
 
 @dataclass
@@ -23,14 +28,6 @@ class ExecutionConfig:
     """One CLI invocation's execution plumbing, parsed and resolved."""
 
     jobs: Optional[object] = None
-    #: service-level concurrency (``repro-serve --workers``): how many
-    #: jobs the daemon executes at once, orthogonal to ``jobs`` (the
-    #: per-collection cell fan-out)
-    workers: Optional[object] = None
-    #: admission bound on queued jobs (``repro-serve --max-queue N|auto``;
-    #: "auto" = 4x workers, None = unbounded) — over-capacity submissions
-    #: are shed with a structured 429 + Retry-After
-    max_queue: Optional[object] = None
     cache_dir: Optional[str] = None
     use_compile_cache: bool = True
     plan: Optional[object] = None
@@ -55,60 +52,166 @@ class ExecutionConfig:
         return {"jobs": self.jobs}
 
 
-def add_execution_args(parser, *, fault_prefix: str = "fault",
-                       jobs_default=None, include_faults: bool = True,
-                       include_workers: bool = False) -> None:
-    """Attach the shared execution options to an argparse parser.
+def add_jobs_argument(parser) -> None:
+    """Attach the shared ``--jobs N|auto`` option."""
+    parser.add_argument(
+        "--jobs",
+        default=None,
+        metavar="N",
+        help="worker processes for the experiment matrix: an int, or 'auto' "
+        "for one per CPU (default: serial; output is bit-identical either way)",
+    )
 
-    ``fault_prefix`` follows the :func:`repro.faults.cli.add_fault_arguments`
-    convention: ``"fault"`` yields ``--fault-seed`` etc. (hpcnet /
-    repro-bench), ``""`` yields bare ``--seed`` (repro-chaos).  Pass
-    ``include_faults=False`` for surfaces that cannot accept a plan at
-    all (the service client).  ``include_workers=True`` adds the daemon's
-    ``--workers N|auto`` concurrency flag (repro-serve only).
-    """
-    add_jobs_argument(parser, default=jobs_default)
-    if include_workers:
-        parser.add_argument(
-            "--workers", default=None, metavar="N",
-            help="concurrent job executions (int or 'auto' for one per "
-                 "CPU; default: 1).  Each job runs in its own isolated "
-                 "subprocess; identical in-flight submissions coalesce "
-                 "onto one execution.",
-        )
-        parser.add_argument(
-            "--max-queue", default=None, metavar="N",
-            help="admission bound on queued jobs (int, or 'auto' for 4x "
-                 "workers; default: unbounded).  Over-capacity "
-                 "submissions get a structured 429 with a deterministic "
-                 "Retry-After instead of growing the queue without "
-                 "bound.",
-        )
+
+def add_cache_arguments(parser) -> None:
+    """Attach ``--cache-dir DIR`` and ``--no-compile-cache``."""
     parser.add_argument("--cache-dir", default=default_cache_dir(), metavar="DIR",
                         help="persistent compile cache location "
                              "(default: $REPRO_CACHE_DIR or .repro-cache)")
     parser.add_argument("--no-compile-cache", action="store_true",
                         help="compile from scratch; do not read or write the cache")
-    if include_faults:
-        from ..faults.cli import add_fault_arguments
 
+
+def add_fault_arguments(parser, prefix: str = "fault") -> None:
+    """Attach the fault-plan options.
+
+    With the default prefix the flags read ``--fault-seed`` etc. and never
+    collide with a verb's own options; ``repro chaos`` passes ``prefix=''``
+    for bare ``--seed``, ``--sites`` ...
+    """
+    from ..faults.plan import ALL_SITES
+
+    p = f"--{prefix}-" if prefix else "--"
+    group = parser.add_argument_group("fault injection")
+    group.add_argument(f"{p}seed", type=int, default=None, metavar="N",
+                       dest="fault_seed",
+                       help="arm a deterministic FaultPlan with this seed")
+    group.add_argument(f"{p}sites", default=None, metavar="A,B",
+                       dest="fault_sites",
+                       help="comma-separated fault sites to arm probabilistically "
+                            f"(known: {','.join(ALL_SITES)})")
+    group.add_argument(f"{p}rate", type=float, default=0.25, metavar="R",
+                       dest="fault_rate",
+                       help="per-(cell, site) arming probability (default: 0.25)")
+    group.add_argument(f"{p}pin", action="append", default=[],
+                       metavar="INDEX:SITE", dest="fault_pin",
+                       help="force SITE on cell INDEX regardless of rate "
+                            "(repeatable)")
+    group.add_argument("--heap-limit", type=int, default=None, metavar="BYTES",
+                       help="guest heap ceiling; exceeding it raises a guest "
+                            "OutOfMemoryException")
+    group.add_argument("--stack-limit", type=int, default=None, metavar="FRAMES",
+                       help="guest call-depth ceiling; exceeding it raises a "
+                            "guest StackOverflowException")
+    group.add_argument("--cycle-limit", type=int, default=None, metavar="CYCLES",
+                       help="per-cell cycle watchdog; exceeding it is a "
+                            "structured CellTimeout")
+    group.add_argument("--max-retries", type=int, default=2, metavar="K",
+                       help="worker retry budget before a cell is quarantined "
+                            "(default: 2)")
+    group.add_argument("--cell-timeout", type=float, default=None, metavar="SECONDS",
+                       help="pool-wide silence watchdog before unfinished "
+                            "workers are presumed hung (default: 20 with a "
+                            "plan, off without)")
+
+
+def add_execution_args(parser, *, fault_prefix: str = "fault",
+                       include_faults: bool = True) -> None:
+    """Attach ``--jobs``, the cache options and the fault-plan options.
+
+    ``fault_prefix`` is passed to :func:`add_fault_arguments`.  ``repro
+    serve`` passes ``include_faults=False``: the daemon takes no plan.
+    """
+    add_jobs_argument(parser)
+    add_cache_arguments(parser)
+    if include_faults:
         add_fault_arguments(parser, prefix=fault_prefix)
+
+
+def add_matrix_arguments(parser, *, benchmarks: Optional[str] = None,
+                         scale: float = 1.0, profiles: str = "all") -> None:
+    """Attach ``--benchmarks A,B``, ``--profiles X,Y`` and ``--scale S``.
+
+    ``benchmarks`` and ``scale`` are the defaults; ``profiles`` names, for
+    the help text, what an omitted ``--profiles`` selects.
+    """
+    parser.add_argument("--benchmarks", default=benchmarks,
+                        help="comma-separated benchmarks (default: "
+                             f"{benchmarks or 'the whole graph suite'})")
+    parser.add_argument("--profiles", default=None,
+                        help=f"comma-separated runtime profiles (default: {profiles})")
+    parser.add_argument("--scale", type=float, default=scale,
+                        help=f"problem-size scale factor (default: {scale:g})")
+
+
+def add_trend_filters(parser, *, metric: bool = True) -> None:
+    """Attach the trend-query filters and ``--json``; ``metric=False`` leaves
+    out ``--metric`` (the anchored-ratio report has no metric axis)."""
+    parser.add_argument("--benchmark", default=None)
+    parser.add_argument("--profile", default=None)
+    parser.add_argument("--ratio-base", default=None,
+                        help="ratio anchor profile (default: clr-1.1)")
+    if metric:
+        parser.add_argument("--metric", default=None,
+                            help="flattened counter/gauge name instead of cycles")
+    parser.add_argument("--json", action="store_true",
+                        help="raw JSON instead of the text listing")
+
+
+def _parse_pins(pins: List[str]) -> Tuple[Tuple[int, str], ...]:
+    out = []
+    for pin in pins:
+        index, sep, site = pin.partition(":")
+        try:
+            out.append((int(index), site.strip()))
+        except ValueError:
+            raise SystemExit(f"bad --pin {pin!r} (expected INDEX:SITE)")
+        if not sep or not site.strip():
+            raise SystemExit(f"bad --pin {pin!r} (expected INDEX:SITE)")
+    return tuple(out)
+
+
+def plan_from_args(args):
+    """Build the FaultPlan an :func:`add_fault_arguments` namespace
+    describes, or None when no fault option was armed (the
+    zero-perturbation default)."""
+    from ..faults.plan import FaultPlan
+
+    sites = tuple(
+        s.strip() for s in (args.fault_sites or "").split(",") if s.strip()
+    )
+    pinned = _parse_pins(args.fault_pin)
+    armed = (
+        args.fault_seed is not None
+        or sites
+        or pinned
+        or args.heap_limit is not None
+        or args.stack_limit is not None
+        or args.cycle_limit is not None
+    )
+    if not armed:
+        return None
+    try:
+        return FaultPlan(
+            seed=args.fault_seed if args.fault_seed is not None else 0,
+            sites=sites,
+            rate=args.fault_rate,
+            pinned=pinned,
+            heap_limit=args.heap_limit,
+            stack_limit=args.stack_limit,
+            cycle_limit=args.cycle_limit,
+            max_retries=args.max_retries,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"fault plan: {exc}")
 
 
 def execution_from_args(args) -> ExecutionConfig:
     """Fold an :func:`add_execution_args` namespace into an ExecutionConfig."""
-    plan = None
-    cell_timeout = getattr(args, "cell_timeout", None)
-    if hasattr(args, "fault_seed"):
-        from ..faults.cli import plan_from_args
-
-        plan = plan_from_args(args)
     return ExecutionConfig(
         jobs=getattr(args, "jobs", None),
-        workers=getattr(args, "workers", None),
-        max_queue=getattr(args, "max_queue", None),
         cache_dir=getattr(args, "cache_dir", None),
         use_compile_cache=not getattr(args, "no_compile_cache", False),
-        plan=plan,
-        cell_timeout=cell_timeout,
+        plan=plan_from_args(args) if hasattr(args, "fault_seed") else None,
+        cell_timeout=getattr(args, "cell_timeout", None),
     )

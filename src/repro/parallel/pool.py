@@ -1,7 +1,7 @@
 """Deterministic, fault-resilient process-pool fan-out over experiment cells.
 
 The experiment matrices this repo runs — (benchmark x runtime profile) in
-the harness and ``repro-bench``, (program x profile x pass-ablation) in the
+the harness and ``repro bench``, (program x profile x pass-ablation) in the
 differential fuzzer — are embarrassingly parallel by construction: every
 cell compiles-or-loads the same immutable CIL image and executes on its own
 :class:`~repro.vm.machine.Machine` on the *simulated* clock.  Wall-clock
@@ -94,17 +94,6 @@ def resolve_jobs(jobs) -> int:
     if jobs < 0:
         return max(1, multiprocessing.cpu_count())
     return max(1, jobs)
-
-
-def add_jobs_argument(parser, default=None) -> None:
-    """Attach the shared ``--jobs N|auto`` option to an argparse parser."""
-    parser.add_argument(
-        "--jobs",
-        default=default,
-        metavar="N",
-        help="worker processes for the experiment matrix: an int, or 'auto' "
-        "for one per CPU (default: serial; output is bit-identical either way)",
-    )
 
 
 # ------------------------------------------------------------------- reports

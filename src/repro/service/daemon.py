@@ -10,7 +10,7 @@ execute, through the same resilient pool every CLI uses.
 The returned artifact is byte-identical to a direct serial run: that is
 the daemon-vs-direct identity invariant the test suite pins.
 
-Concurrency model (``workers=`` / ``repro-serve --workers N|auto``):
+Concurrency model (``workers=`` / ``repro serve --workers N|auto``):
 
 * N drain tasks pull from one queue into a thread-pool executor, and
   **each job executes in its own forked subprocess** — per-job isolation
@@ -55,7 +55,7 @@ Robustness layer (overload, wedged jobs, crashed daemons, shared stores):
   mid-job gets a structured ``lease-lost`` failure, never a torn append.
   The lease loser degrades to memo-only and retries acquisition with
   deterministic jittered backoff.
-* **Graceful drain** — ``drain()`` (SIGTERM in ``repro-serve``) stops
+* **Graceful drain** — ``drain()`` (SIGTERM in ``repro serve``) stops
   admission immediately (structured 503s), sheds queued jobs, lets
   running jobs finish up to the drain budget then kills their groups,
   flushes trace sinks and releases the lease.
@@ -890,7 +890,7 @@ class ExperimentService:
             raise HttpError(
                 409,
                 "the service does not accept fault plans: memoized results "
-                "must stay perturbation-free (run repro-chaos directly)",
+                "must stay perturbation-free (run repro chaos directly)",
             )
         scale = request.get("scale", 1.0)
         if not isinstance(scale, (int, float)) or isinstance(scale, bool):

@@ -6,7 +6,7 @@ every cell result is recorded across history, keyed content-addressed on
 "classic", seed)`` (the constant holds a removed engine slot, so old
 records stay addressable), so the bench gate, the experiment service's memo
 cache, and cross-PR trend queries all read one database.  BENCH JSON
-remains as an import/export format (``repro-store import/export``).
+remains as an import/export format (``repro store import/export``).
 """
 
 from .codec import (

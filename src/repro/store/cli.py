@@ -1,19 +1,19 @@
-"""``repro-store`` — inspect, backfill and export the experiment store.
+"""``repro store`` — inspect, backfill and export the experiment store.
 
 ::
 
-    repro-store [--db DB] import BENCH_1.json [BENCH_2.json ...]
-    repro-store [--db DB] export (--run ID | --seq N) [--out FILE]
-    repro-store [--db DB] runs
-    repro-store [--db DB] trends [--benchmark B] [--profile P]
+    repro store [--db DB] import BENCH_1.json [BENCH_2.json ...]
+    repro store [--db DB] export (--run ID | --seq N) [--out FILE]
+    repro store [--db DB] runs
+    repro store [--db DB] trends [--benchmark B] [--profile P]
                 [--ratio-base R] [--metric M]
-    repro-store [--db DB] report [--benchmark B] [--profile P]
+    repro store [--db DB] report [--benchmark B] [--profile P]
                 [--attribute BASE NEW] [--json]
 
 ``import`` backfills point-in-time ``BENCH_<seq>.json`` artifacts into
 the append-only store (as ``imported`` records — trend and export
 fodder, never served by the memo cache).  ``export`` reconstructs a
-run's artifact byte-identically to what ``repro-bench run`` wrote, so
+run's artifact byte-identically to what ``repro bench run`` wrote, so
 BENCH JSON is now an interchange format, not the substrate.  ``report``
 renders the cross-run anchored-ratio history as sparkline trend ladders
 (one per benchmark x profile) and, with ``--attribute BASE NEW``, breaks
@@ -23,10 +23,9 @@ snapshot to name the cells responsible for a flagged regression.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List
 
 from .schema import StoreError
 from .store import ExperimentStore
@@ -255,21 +254,24 @@ def cmd_report(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-store",
-        description="SQLite experiment store: backfill, export, trends",
-    )
-    parser.add_argument("--db", default=None, metavar="DB",
-                        help="store path (default: $REPRO_STORE or "
-                             "experiments.sqlite)")
-    sub = parser.add_subparsers(dest="command", required=True)
+def register(sub) -> None:
+    """Declare ``repro store import|export|runs|trends|report`` on the root
+    subparsers."""
+    from ..parallel.execargs import add_trend_filters
 
-    imp = sub.add_parser("import", help="backfill BENCH_*.json artifacts")
+    store = sub.add_parser(
+        "store", help="SQLite experiment store: backfill, export, trends",
+    )
+    store.add_argument("--db", default=None, metavar="DB",
+                       help="store path (default: $REPRO_STORE or "
+                            "experiments.sqlite)")
+    commands = store.add_subparsers(dest="command", required=True)
+
+    imp = commands.add_parser("import", help="backfill BENCH_*.json artifacts")
     imp.add_argument("files", nargs="+", metavar="BENCH.json")
     imp.set_defaults(func=cmd_import)
 
-    exp = sub.add_parser("export", help="reconstruct one run's BENCH artifact")
+    exp = commands.add_parser("export", help="reconstruct one run's BENCH artifact")
     group = exp.add_mutually_exclusive_group(required=True)
     group.add_argument("--run", type=int, default=None, help="run id")
     group.add_argument("--seq", type=int, default=None,
@@ -277,42 +279,21 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--out", default=None, metavar="FILE")
     exp.set_defaults(func=cmd_export)
 
-    runs = sub.add_parser("runs", help="list recorded runs")
-    runs.set_defaults(func=cmd_runs)
+    commands.add_parser("runs", help="list recorded runs").set_defaults(func=cmd_runs)
 
-    trends = sub.add_parser("trends", help="cross-run ratio ladder / metric history")
-    trends.add_argument("--benchmark", default=None)
-    trends.add_argument("--profile", default=None)
-    trends.add_argument("--ratio-base", default=None,
-                        help="ratio anchor profile (default: clr-1.1)")
-    trends.add_argument("--metric", default=None,
-                        help="flattened counter/gauge name instead of cycles")
-    trends.add_argument("--json", action="store_true")
+    trends = commands.add_parser("trends", help="cross-run ratio ladder / metric history")
+    add_trend_filters(trends)
     trends.set_defaults(func=cmd_trends)
 
-    report = sub.add_parser(
+    report = commands.add_parser(
         "report",
         help="sparkline trend ladders + two-run regression attribution",
     )
-    report.add_argument("--benchmark", default=None)
-    report.add_argument("--profile", default=None)
-    report.add_argument("--ratio-base", default=None,
-                        help="ratio anchor profile (default: clr-1.1)")
+    add_trend_filters(report, metric=False)
     report.add_argument("--cycles", action="store_true",
                         help="ladder raw cycles instead of anchored ratios")
     report.add_argument("--attribute", nargs=2, type=int, default=None,
                         metavar=("BASE", "NEW"),
                         help="attribute the BASE->NEW run delta to "
                              "responsible cells")
-    report.add_argument("--json", action="store_true")
     report.set_defaults(func=cmd_report)
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -164,7 +164,7 @@ def enable_wal(conn: sqlite3.Connection) -> str:
     mode (lowercased).
 
     WAL is what makes the daemon's read paths cheap under load: readers
-    (``/v1/trends``, ``/v1/stats``, a live ``repro-store report``) never
+    (``/v1/trends``, ``/v1/stats``, a live ``repro store report``) never
     block the single appender and never see a half-committed collection.
     The mode is persistent — set once, every later open inherits it.
     SQLite may refuse (e.g. some network filesystems); callers treat the

@@ -419,7 +419,7 @@ class ExperimentStore:
         """Id of the most recent run, optionally pinned to one git SHA
         (``git_sha=``) or to history before a SHA (``exclude_sha=`` skips
         runs stamped with it) — the baseline-selection primitive behind
-        ``repro-bench compare --store``."""
+        ``repro bench compare --store``."""
         query = "SELECT id FROM runs"
         clauses, args = [], []
         if git_sha is not None:

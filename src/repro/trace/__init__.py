@@ -7,7 +7,7 @@ fan-out, and the store — propagated via the ``X-Repro-Trace`` header and
 a :class:`TraceContext` threaded through ``baseline.collect`` and
 ``run_cells``.  Sinks: an in-memory ring buffer, a JSONL event log, and
 Chrome trace-event export merging both clock domains into one file
-(:mod:`repro.trace.chrome`; ``repro-trace`` is the CLI).
+(:mod:`repro.trace.chrome`; ``repro trace`` is the CLI).
 """
 
 from .chrome import SIM_PID_BASE, WALL_PID, merge_chrome_trace, spans_to_events

@@ -85,7 +85,7 @@ def merge_chrome_trace(
 
     ``observe_traces`` are trace dicts as produced by
     :meth:`repro.observe.Timeline.to_chrome_trace` (or loaded from a
-    ``repro-prof export`` file); their events keep their own timestamps
+    ``repro prof export`` file); their events keep their own timestamps
     but move to a dedicated pid so the wall-clock events never interleave
     with them on a track.
     """

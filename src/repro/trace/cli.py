@@ -1,23 +1,22 @@
-"""``repro-trace`` — inspect and export service trace logs.
+"""``repro trace`` — inspect and export service trace logs.
 
 ::
 
-    repro-trace ls LOG.jsonl
-    repro-trace show LOG.jsonl [--trace ID]
-    repro-trace export LOG.jsonl [--trace ID] [--observe SIM.json ...]
+    repro trace ls LOG.jsonl
+    repro trace show LOG.jsonl [--trace ID]
+    repro trace export LOG.jsonl [--trace ID] [--observe SIM.json ...]
                 [--out MERGED.json]
 
 ``ls`` lists the traces in a JSONL span log with span counts and
 end-to-end wall time; ``show`` prints one trace as an indented span
 tree; ``export`` renders the wall-clock spans — optionally merged with
-simulated-clock timelines from ``repro-prof export`` — into a single
+simulated-clock timelines from ``repro prof export`` — into a single
 Chrome trace-event file (two clock domains, one file; see
 :mod:`repro.trace.chrome`).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from typing import Dict, List, Optional
@@ -124,40 +123,29 @@ def cmd_export(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-trace",
-        description="inspect / export service trace JSONL logs",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def register(sub) -> None:
+    """Declare ``repro trace ls|show|export`` on the root subparsers."""
+    trace = sub.add_parser(
+        "trace", help="inspect / export service trace JSONL logs",
+    ).add_subparsers(dest="command", required=True)
 
-    ls = sub.add_parser("ls", help="list traces in a span log")
-    ls.add_argument("log", help="JSONL span log (repro-serve --trace-log)")
+    ls = trace.add_parser("ls", help="list traces in a span log")
+    ls.add_argument("log", help="JSONL span log (repro serve --trace-log)")
     ls.set_defaults(func=cmd_ls)
 
-    show = sub.add_parser("show", help="print a trace as a span tree")
+    show = trace.add_parser("show", help="print a trace as a span tree")
     show.add_argument("log")
     show.add_argument("--trace", default=None, help="trace id (prefix ok)")
     show.set_defaults(func=cmd_show)
 
-    export = sub.add_parser(
+    export = trace.add_parser(
         "export", help="Chrome trace-event export (wall + simulated domains)"
     )
     export.add_argument("log")
     export.add_argument("--trace", default=None, help="trace id (prefix ok)")
     export.add_argument("--observe", action="append", default=[],
                         metavar="SIM.json",
-                        help="simulated-clock trace file(s) from repro-prof "
+                        help="simulated-clock trace file(s) from repro prof "
                              "export to merge in (repeatable)")
     export.add_argument("--out", default=None, metavar="FILE")
     export.set_defaults(func=cmd_export)
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -23,7 +23,7 @@ from repro.metrics.baseline import (
     render_compare,
     write_artifact,
 )
-from repro.metrics.cli import main as bench_main
+from repro.cli import main
 from repro.runtimes import ALL_PROFILES, CLR11, MONO023
 
 #: one tiny real collection shared by the whole module (deterministic, so
@@ -185,8 +185,8 @@ class TestCli:
             "--benchmarks", "micro.arith",
             "--git-sha", "cli-test",
         ]
-        assert bench_main(["run"] + argv_common) == 0
-        assert bench_main(["run"] + argv_common) == 0
+        assert main(["bench", "run"] + argv_common) == 0
+        assert main(["bench", "run"] + argv_common) == 0
         capsys.readouterr()
         base = f"{out}/BENCH_0.json"
         new = f"{out}/BENCH_1.json"
@@ -195,33 +195,33 @@ class TestCli:
         assert data["schema"] == BENCH_SCHEMA
 
         # identical collections: the gate passes
-        assert bench_main(["compare", base, new]) == 0
+        assert main(["bench", "compare", base, new]) == 0
         assert "VERDICT: ok" in capsys.readouterr().out
 
         # inject a regression: the gate fails with a readable table
         art = perturbed(load_artifact(new), "micro.arith", "mono-0.23", 1.25)
         doctored = tmp_path / "BENCH_bad.json"
         doctored.write_text(json.dumps(art))
-        assert bench_main(["compare", base, str(doctored)]) == 1
+        assert main(["bench", "compare", base, str(doctored)]) == 1
         text = capsys.readouterr().out
         assert "REGRESSION" in text and "micro.arith" in text
 
         # ...unless tolerances say otherwise
-        assert bench_main([
-            "compare", base, str(doctored),
+        assert main([
+            "bench", "compare", base, str(doctored),
             "--tolerance", "cycles=0.5", "--tolerance", "ratio=0.5",
         ]) == 0
 
     def test_run_rejects_unknown_benchmark(self, tmp_path):
         with pytest.raises(SystemExit, match="not in the graph suite"):
-            bench_main([
-                "run", "--out", str(tmp_path), "--benchmarks", "micro.nope",
+            main([
+                "bench", "run", "--out", str(tmp_path), "--benchmarks", "micro.nope",
             ])
 
     def test_compare_rejects_bad_tolerance_syntax(self, tmp_path, artifact):
         path = write_artifact(artifact, str(tmp_path))
         with pytest.raises(SystemExit, match="tolerance"):
-            bench_main(["compare", path, path, "--tolerance", "cycles"])
+            main(["bench", "compare", path, path, "--tolerance", "cycles"])
 
 
 class TestStoreGate:
@@ -229,8 +229,8 @@ class TestStoreGate:
     store history instead of a checked-in BENCH file."""
 
     def _run(self, out, db, sha):
-        assert bench_main([
-            "run", "--out", out, "--scale", "0.01",
+        assert main([
+            "bench", "run", "--out", out, "--scale", "0.01",
             "--profiles", "clr-1.1,mono-0.23", "--benchmarks", "micro.arith",
             "--git-sha", sha, "--store", db,
         ]) == 0
@@ -244,7 +244,7 @@ class TestStoreGate:
     def test_clean_candidate_passes_and_skips_own_sha(self, tmp_path, capsys):
         out, db = self._history(tmp_path)
         candidate = f"{out}/BENCH_1.json"  # git_sha shaB
-        assert bench_main(["compare", candidate, "--store", db]) == 0
+        assert main(["bench", "compare", candidate, "--store", db]) == 0
         captured = capsys.readouterr()
         # the rerun-of-HEAD rule: shaB's own run is skipped as baseline
         assert "baseline = store run 1 (git shaA)" in captured.err
@@ -253,12 +253,12 @@ class TestStoreGate:
     def test_base_sha_pins_the_baseline(self, tmp_path, capsys):
         out, db = self._history(tmp_path)
         candidate = f"{out}/BENCH_0.json"
-        assert bench_main(["compare", candidate, "--store", db,
-                           "--base-sha", "shaB"]) == 0
+        assert main(["bench", "compare", candidate, "--store", db,
+                     "--base-sha", "shaB"]) == 0
         assert "baseline = store run 2 (git shaB)" in capsys.readouterr().err
         with pytest.raises(SystemExit, match="no run with git sha"):
-            bench_main(["compare", candidate, "--store", db,
-                        "--base-sha", "nope"])
+            main(["bench", "compare", candidate, "--store", db,
+                  "--base-sha", "nope"])
 
     def test_injected_regression_fails_the_gate(self, tmp_path, capsys):
         out, db = self._history(tmp_path)
@@ -269,7 +269,7 @@ class TestStoreGate:
         doctored["git_sha"] = "shaC"
         bad = tmp_path / "BENCH_bad.json"
         bad.write_text(json.dumps(doctored))
-        assert bench_main(["compare", str(bad), "--store", db]) == 1
+        assert main(["bench", "compare", str(bad), "--store", db]) == 1
         captured = capsys.readouterr()
         assert "baseline = store run 2" in captured.err  # latest non-shaC run
         assert "REGRESSION" in captured.out
@@ -279,9 +279,9 @@ class TestStoreGate:
         path = write_artifact(artifact, str(tmp_path))
         db = str(tmp_path / "exp.sqlite")
         with pytest.raises(SystemExit, match="takes one artifact"):
-            bench_main(["compare", path, path, "--store", db])
+            main(["bench", "compare", path, path, "--store", db])
         with pytest.raises(SystemExit, match="needs BASE.json"):
-            bench_main(["compare", path])
+            main(["bench", "compare", path])
 
     def test_empty_store_is_a_clean_error(self, tmp_path, artifact):
         from repro.store import ExperimentStore
@@ -290,4 +290,4 @@ class TestStoreGate:
         db = str(tmp_path / "exp.sqlite")
         ExperimentStore(db).close()
         with pytest.raises(SystemExit, match="no runs"):
-            bench_main(["compare", path, "--store", db])
+            main(["bench", "compare", path, "--store", db])

@@ -462,11 +462,11 @@ class TestFuzzDeadline:
 
 class TestChaosCli:
     def test_run_writes_report_and_exit_policy(self, tmp_path, capsys):
-        from repro.faults.cli import main
+        from repro.cli import main
 
         out = tmp_path / "report.json"
         code = main([
-            "run", "--seed", "6",
+            "chaos", "run", "--seed", "6",
             "--pin", "0:worker_crash",
             "--max-retries", "0",
             "--benchmarks", "micro.arith",
@@ -486,8 +486,8 @@ class TestChaosCli:
             cell.pop("fired", None)
         doctored = tmp_path / "doctored.json"
         doctored.write_text(json.dumps(data))
-        assert main(["check", str(doctored)]) == 1
-        assert main(["check", str(out)]) == 0
+        assert main(["chaos", "check", str(doctored)]) == 1
+        assert main(["chaos", "check", str(out)]) == 0
         capsys.readouterr()
 
     def test_report_roundtrip_and_schema_guard(self, tmp_path):
@@ -509,7 +509,7 @@ class TestChaosCli:
 
 class TestHarnessCliFaults:
     def test_run_with_plan_reports_partial_results(self, capsys):
-        from repro.harness.cli import main
+        from repro.cli import main
 
         code = main([
             "run", "micro.arith",

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness.charts import bar_chart, format_sci, table, to_csv
-from repro.harness.cli import main as cli_main
+from repro.cli import main as cli_main
 from repro.harness.results import ExperimentCheck, ExperimentResult
 from repro.harness.runner import Runner, plan, profile_cells, profile_runs
 from repro.runtimes import CLR11, IBM131, SSCLI10

@@ -22,7 +22,7 @@ from repro.metrics import (
     StackSampler,
 )
 from repro.metrics.sampler import RUNTIME_FRAME
-from repro.observe.cli import main as prof_main
+from repro.cli import main
 from repro.runtimes import CLR11, MICRO_PROFILES, MONO023
 from repro.vm.loader import LoadedAssembly
 from repro.vm.machine import Machine
@@ -399,8 +399,8 @@ class TestSampler:
 
     def test_flame_cli_writes_folded_file(self, tmp_path, capsys):
         out = tmp_path / "sor.folded"
-        rc = prof_main([
-            "flame", "scimark.sor", "--runtime", "clr11",
+        rc = main([
+            "prof", "flame", "scimark.sor", "--runtime", "clr11",
             "--param", "N=10", "--param", "Iters=2",
             "--period", "500", "--out", str(out),
         ])
@@ -412,8 +412,8 @@ class TestSampler:
         assert text == sampler.collapsed()
 
     def test_flame_cli_stdout(self, capsys):
-        rc = prof_main([
-            "flame", "micro.arith", "--runtime", "clr-1.1",
+        rc = main([
+            "prof", "flame", "micro.arith", "--runtime", "clr-1.1",
             "--param", "Reps=300",
         ])
         assert rc == 0

@@ -28,7 +28,8 @@ from repro.observe import (
     render_diff_markdown,
     render_report,
 )
-from repro.observe.cli import main as prof_main, resolve_profile
+from repro.cli import main
+from repro.observe.cli import resolve_profile
 from repro.runtimes import CLR11, MICRO_PROFILES, MONO023
 from repro.vm.loader import LoadedAssembly
 from repro.vm.machine import Machine
@@ -297,8 +298,8 @@ class TestCli:
 
     def test_report_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "artifacts"
-        rc = prof_main([
-            "report", "micro.arith", "--runtime", "clr11",
+        rc = main([
+            "prof", "report", "micro.arith", "--runtime", "clr11",
             "--param", "Reps=300", "--out", str(out),
         ])
         assert rc == 0
@@ -316,8 +317,8 @@ class TestCli:
         assert tdata["otherData"]["label"] == "micro.arith@clr-1.1"
 
     def test_diff_live_and_saved(self, tmp_path, capsys):
-        rc = prof_main([
-            "diff", "clr11", "mono023",
+        rc = main([
+            "prof", "diff", "clr11", "mono023",
             "--benchmark", "grande.sieve",
             "--param", "Limit=600", "--param", "Reps=1",
         ])
@@ -328,8 +329,8 @@ class TestCli:
 
     def test_export_trace(self, tmp_path, capsys):
         out = tmp_path / "t.trace.json"
-        rc = prof_main([
-            "export", "micro.arith", "--runtime", "clr-1.1",
+        rc = main([
+            "prof", "export", "micro.arith", "--runtime", "clr-1.1",
             "--param", "Reps=300", "--out", str(out),
         ])
         assert rc == 0

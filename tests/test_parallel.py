@@ -303,7 +303,7 @@ class TestFuzzCampaignBitIdentity:
 
 class TestHarnessCliParallel:
     def test_run_jobs_matches_serial_output(self, tmp_path, capsys):
-        from repro.harness.cli import main as cli_main
+        from repro.cli import main as cli_main
 
         argv = ["run", "micro.arith", "--param", "Reps=60", "--csv",
                 "--cache-dir", str(tmp_path / "cc")]
@@ -319,13 +319,14 @@ class TestHarnessCliParallel:
         assert parallel_csv == serial_csv
 
     def test_bench_cli_jobs_writes_identical_artifact(self, tmp_path, capsys):
-        from repro.metrics.cli import main as bench_main
+        from repro.cli import main
 
-        common = ["run", "--scale", "0.01", "--profiles", "clr-1.1,mono-0.23",
+        common = ["bench", "run", "--scale", "0.01",
+                  "--profiles", "clr-1.1,mono-0.23",
                   "--benchmarks", "micro.arith", "--git-sha", "t",
                   "--cache-dir", str(tmp_path / "cc")]
-        assert bench_main(common + ["--out", str(tmp_path / "a")]) == 0
-        assert bench_main(common + ["--out", str(tmp_path / "b"), "--jobs", "2"]) == 0
+        assert main(common + ["--out", str(tmp_path / "a")]) == 0
+        assert main(common + ["--out", str(tmp_path / "b"), "--jobs", "2"]) == 0
         capsys.readouterr()
         a = (tmp_path / "a" / "BENCH_0.json").read_bytes()
         b = (tmp_path / "b" / "BENCH_0.json").read_bytes()

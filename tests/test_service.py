@@ -174,10 +174,10 @@ class TestJobTiming:
         daemon.client.wait(second["id"])
 
     def test_status_cli_prints_timing_line(self, daemon, capsys):
-        from repro.service.cli import client_main
+        from repro.cli import main
 
         daemon.client.wait(daemon.client.submit(SMALL)["id"])
-        assert client_main(["--url", daemon.url, "status", "1"]) == 0
+        assert main(["client", "--url", daemon.url, "status", "1"]) == 0
         captured = capsys.readouterr()
         json.loads(captured.out)  # stdout stays machine-readable
         assert "job 1 done" in captured.err
@@ -229,9 +229,9 @@ class TestMetricsEndpoint:
 
     def test_metrics_cli_prints_exposition(self, daemon, capsys):
         from repro.metrics import validate_exposition
-        from repro.service.cli import client_main
+        from repro.cli import main
 
-        assert client_main(["--url", daemon.url, "metrics"]) == 0
+        assert main(["client", "--url", daemon.url, "metrics"]) == 0
         validate_exposition(capsys.readouterr().out)
 
 
@@ -333,28 +333,28 @@ class TestCacheGc:
 
 class TestClientCli:
     def test_submit_wait_out_and_result(self, daemon, tmp_path, capsys):
-        from repro.service.cli import client_main
+        from repro.cli import main
 
         cold = str(tmp_path / "cold.json")
         warm = str(tmp_path / "warm.json")
-        base = ["--url", daemon.url, "submit",
+        base = ["client", "--url", daemon.url, "submit",
                 "--benchmarks", "micro.arith", "--profiles", "clr-1.1,native-c",
                 "--scale", "0.0", "--git-sha", "cafe", "--wait"]
-        assert client_main(base + ["--out", cold]) == 0
-        assert client_main(base + ["--out", warm]) == 0
+        assert main(base + ["--out", cold]) == 0
+        assert main(base + ["--out", warm]) == 0
         assert open(cold, "rb").read() == open(warm, "rb").read()
-        assert client_main(["--url", daemon.url, "status", "1"]) == 0
+        assert main(["client", "--url", daemon.url, "status", "1"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["status"] == "done"
-        assert client_main(["--url", daemon.url, "result", "2"]) == 0
+        assert main(["client", "--url", daemon.url, "result", "2"]) == 0
         artifact = json.loads(capsys.readouterr().out)
         assert artifact == json.load(open(cold))
 
     def test_bare_trace_flag_before_subcommand(self, daemon, capsys):
         # argparse's nargs="?" would otherwise eat "stats" as the trace id
-        from repro.service.cli import client_main
+        from repro.cli import main
 
-        assert client_main(["--url", daemon.url, "--trace", "stats"]) == 0
+        assert main(["client", "--url", daemon.url, "--trace", "stats"]) == 0
         captured = capsys.readouterr()
         assert "repro-client: trace " in captured.err
         minted = captured.err.split("repro-client: trace ")[1].split()[0]
@@ -362,22 +362,31 @@ class TestClientCli:
         json.loads(captured.out)  # stats still ran and printed JSON
 
         # an explicit id is passed through untouched
-        assert client_main(
-            ["--url", daemon.url, "--trace", "feedface", "stats"]) == 0
+        assert main(
+            ["client", "--url", daemon.url, "--trace", "feedface", "stats"]) == 0
         assert "repro-client: trace feedface" in capsys.readouterr().err
 
     def test_armed_fault_plan_fails_before_http(self, tmp_path):
-        from repro.service.cli import client_main
+        from repro.cli import main
 
         with pytest.raises(SystemExit, match="fault plans"):
-            client_main(["--url", "http://127.0.0.1:1", "submit",
-                         "--fault-seed", "3", "--wait"])
+            main(["client", "--url", "http://127.0.0.1:1", "submit",
+                  "--fault-seed", "3", "--wait"])
+
+    def test_submit_takes_no_cache_options(self):
+        # the daemon's own flags choose its compile cache
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["client", "--url", "http://127.0.0.1:1", "submit",
+                  "--no-compile-cache"])
+        assert exc.value.code == 2
 
     def test_unreachable_daemon_is_a_clean_error(self):
-        from repro.service.cli import client_main
+        from repro.cli import main
 
         with pytest.raises(SystemExit, match="cannot reach"):
-            client_main(["--url", "http://127.0.0.1:1", "stats"])
+            main(["client", "--url", "http://127.0.0.1:1", "stats"])
 
 
 class TestExecutionArgs:
@@ -420,25 +429,23 @@ class TestExecutionArgs:
             execution.as_request()
 
     @pytest.mark.parametrize("build, argv", [
-        ("repro.metrics.cli", ["run", "--jobs", "2",
+        ("repro.metrics.cli", ["bench", "run", "--jobs", "2",
                                "--fault-seed", "5", "--store", "x.sqlite"]),
-        ("repro.faults.cli", ["run", "--seed", "5", "--jobs", "2"]),
-        ("repro.service.cli", ["submit", "--jobs", "2", "--fault-seed", "5"]),
+        ("repro.faults.cli", ["chaos", "run", "--seed", "5", "--jobs", "2"]),
+        ("repro.service.cli", ["client", "submit", "--jobs", "2",
+                               "--fault-seed", "5"]),
     ])
     def test_every_cli_accepts_the_shared_flags(self, build, argv):
-        import importlib
+        from repro.cli import parse_args
 
-        module = importlib.import_module(build)
-        if build == "repro.service.cli":
-            args = module.build_client_parser().parse_args(argv)
-        else:
-            args = module.build_parser().parse_args(argv)
+        args = parse_args(argv)
+        assert args.func.__module__ == build
         execution = execution_from_args(args)
         assert execution.jobs == "2"
         assert execution.plan is not None
 
     def test_hpcnet_run_accepts_the_shared_flags(self, tmp_path, capsys):
-        from repro.harness.cli import main
+        from repro.cli import main
 
         rc = main(["run", "micro.arith", "--profiles", "clr-1.1",
                    "--param", "Reps=50", "--jobs", "1",

@@ -233,12 +233,12 @@ class TestImportExport:
         out = str(tmp_path / "exported.json")
         env = dict(os.environ, PYTHONPATH="src")
         subprocess.run(
-            [sys.executable, "-m", "repro.store.cli", "--db", db,
+            [sys.executable, "-m", "repro", "store", "--db", db,
              "import", str(src)],
             check=True, env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
         )
         subprocess.run(
-            [sys.executable, "-m", "repro.store.cli", "--db", db,
+            [sys.executable, "-m", "repro", "store", "--db", db,
              "export", "--seq", "7", "--out", out],
             check=True, env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
         )
@@ -436,29 +436,30 @@ class TestReportCli:
         assert ramp[0] == SPARK_BLOCKS[0] and ramp[-1] == SPARK_BLOCKS[-1]
 
     def test_report_renders_trend_ladder(self, tmp_path, capsys):
-        from repro.store.cli import SPARK_BLOCKS, main as store_main
+        from repro.cli import main
+        from repro.store.cli import SPARK_BLOCKS
 
         db = str(tmp_path / "e.sqlite")
         self._seed(db)
-        assert store_main(["--db", db, "report"]) == 0
+        assert main(["store", "--db", db, "report"]) == 0
         out = capsys.readouterr().out
         assert "anchored-ratio trend" in out
         assert "micro.arith/native-c" in out
         assert any(block in out for block in SPARK_BLOCKS)
         assert "over 3 runs" in out
         # the raw-cycles ladder is a different lens over the same runs
-        assert store_main(["--db", db, "report", "--cycles"]) == 0
+        assert main(["store", "--db", db, "report", "--cycles"]) == 0
         out = capsys.readouterr().out
         assert "cycles trend" in out and " cycles " in out
         assert "micro.arith/clr-1.1" in out  # the anchor rows appear here
 
     def test_report_attributes_injected_regression(self, tmp_path, capsys):
-        from repro.store.cli import main as store_main
+        from repro.cli import main
 
         db = str(tmp_path / "e.sqlite")
         self._seed(db)
-        assert store_main(["--db", db, "report",
-                           "--attribute", "1", "3"]) == 0
+        assert main(["store", "--db", db, "report",
+                     "--attribute", "1", "3"]) == 0
         out = capsys.readouterr().out
         assert "attribution: run 1" in out
         assert "REGRESSED micro.arith@clr-1.1" in out
@@ -467,23 +468,23 @@ class TestReportCli:
         assert "RATIO DRIFT micro.arith@native-c" in out
 
     def test_report_clean_pair_says_so(self, tmp_path, capsys):
-        from repro.store.cli import main as store_main
+        from repro.cli import main
 
         db = str(tmp_path / "e.sqlite")
         with ExperimentStore(db) as store:
             append_run(store, git_sha="r1")
             append_run(store, git_sha="r2")
-        assert store_main(["--db", db, "report",
-                           "--attribute", "1", "2"]) == 0
+        assert main(["store", "--db", db, "report",
+                     "--attribute", "1", "2"]) == 0
         assert "no cell exceeds the tolerance policy" in capsys.readouterr().out
 
     def test_report_json_contract(self, tmp_path, capsys):
-        from repro.store.cli import main as store_main
+        from repro.cli import main
 
         db = str(tmp_path / "e.sqlite")
         self._seed(db)
-        assert store_main(["--db", db, "report", "--json",
-                           "--attribute", "1", "3"]) == 0
+        assert main(["store", "--db", db, "report", "--json",
+                     "--attribute", "1", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"rows", "attribution"}
         assert payload["attribution"]["flagged_cells"] == [
@@ -491,12 +492,12 @@ class TestReportCli:
         assert payload["rows"]  # trend rows ride along for tooling
 
     def test_report_unknown_run_is_a_clean_error(self, tmp_path):
-        from repro.store.cli import main as store_main
+        from repro.cli import main
 
         db = str(tmp_path / "e.sqlite")
         self._seed(db)
         with pytest.raises(SystemExit, match="no run"):
-            store_main(["--db", db, "report", "--attribute", "1", "99"])
+            main(["store", "--db", db, "report", "--attribute", "1", "99"])
 
 
 class TestQueries:

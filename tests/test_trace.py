@@ -508,18 +508,18 @@ class TestTraceCli:
         return log, ctx.trace_id
 
     def test_ls_and_show(self, tmp_path, capsys):
-        from repro.trace.cli import main
+        from repro.cli import main
 
         log, trace_id = self._write_log(tmp_path)
-        assert main(["ls", log]) == 0
+        assert main(["trace", "ls", log]) == 0
         out = capsys.readouterr().out
         assert trace_id in out and "http.request" in out
-        assert main(["show", log, "--trace", trace_id[:8]]) == 0
+        assert main(["trace", "show", log, "--trace", trace_id[:8]]) == 0
         out = capsys.readouterr().out
         assert "job.execute" in out and "ORPHANED" not in out
 
     def test_export_merges_observe_traces(self, tmp_path, capsys):
-        from repro.trace.cli import main
+        from repro.cli import main
 
         log, _trace_id = self._write_log(tmp_path)
         timeline = Timeline()
@@ -528,7 +528,7 @@ class TestTraceCli:
         with open(sim_path, "w") as handle:
             json.dump(timeline.to_chrome_trace(1e6, {"label": "cell"}), handle)
         out_path = str(tmp_path / "merged.json")
-        assert main(["export", log, "--observe", sim_path,
+        assert main(["trace", "export", log, "--observe", sim_path,
                      "--out", out_path]) == 0
         merged = json.load(open(out_path))
         pids = {e.get("pid") for e in merged["traceEvents"]}
@@ -536,15 +536,14 @@ class TestTraceCli:
         assert set(merged["otherData"]["clock_domains"]) == {"pid 2", "pid 10"}
 
     def test_export_names_a_prof_export_after_its_run(self, tmp_path, capsys):
-        from repro.observe.cli import main as prof_main
-        from repro.trace.cli import main
+        from repro.cli import main
 
         log, _trace_id = self._write_log(tmp_path)
         sim_path = str(tmp_path / "sim.json")
-        assert prof_main(["export", "micro.arith", "--runtime", "clr-1.1",
-                          "--param", "Reps=60", "--out", sim_path]) == 0
+        assert main(["prof", "export", "micro.arith", "--runtime", "clr-1.1",
+                     "--param", "Reps=60", "--out", sim_path]) == 0
         out_path = str(tmp_path / "merged.json")
-        assert main(["export", log, "--observe", sim_path,
+        assert main(["trace", "export", log, "--observe", sim_path,
                      "--out", out_path]) == 0
         merged = json.load(open(out_path))
         names = {
@@ -555,8 +554,8 @@ class TestTraceCli:
         assert names[10] == "micro.arith@clr-1.1 (simulated clock)"
 
     def test_unknown_trace_errors(self, tmp_path):
-        from repro.trace.cli import main
+        from repro.cli import main
 
         log, _ = self._write_log(tmp_path)
         with pytest.raises(SystemExit, match="no spans"):
-            main(["show", log, "--trace", "feedbead"])
+            main(["trace", "show", log, "--trace", "feedbead"])

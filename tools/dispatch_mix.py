@@ -143,7 +143,7 @@ def main(argv=None) -> int:
     parser.add_argument("--profile", default="clr-1.1")
     parser.add_argument("--param", action="append", metavar="K=V")
     parser.add_argument("--experiments", action="store_true",
-                        help="every paper experiment (hpcnet experiments)")
+                        help="every paper experiment (repro experiments)")
     parser.add_argument("--scale", type=float, default=1.0,
                         help="experiment scale (with --experiments)")
     parser.add_argument("--top", type=int, default=20, help="rows to list")

@@ -79,7 +79,7 @@ that engine computes the same results as the reference interpreter for
 *all* programs, not just the benchmarks tabulated here.  That equivalence
 is enforced two ways: differentially on the registry itself
 (``tests/test_registry_differential.py``) and by a seeded fuzzer
-(``repro-fuzz``) that generates random Kernel-C# programs and compares the
+(``repro fuzz``) that generates random Kernel-C# programs and compares the
 two engines across every runtime profile and under each optimization pass
 individually disabled, with mutation checks proving the oracle can detect
 a deliberately broken pass.  Shrunk repros of anything it has ever caught
@@ -87,7 +87,7 @@ live in ``tests/fuzz_corpus/`` and are replayed in CI.
 
 Methodology note on job-count invariance: every measured number lives on
 the simulated clock, so the process-pool fan-out (``--jobs N`` on
-``hpcnet run``, ``repro-bench run``, and ``repro-fuzz run``) cannot
+``repro run``, ``repro bench run``, and ``repro fuzz run``) cannot
 perturb any result — cells are sharded statically (cell ``i`` to worker
 ``i mod N``) and merged by cell index, and ``tests/test_parallel.py``
 asserts the merged artifacts are **byte-identical** to serial runs at
@@ -105,7 +105,7 @@ of ``(seed, cell index, site)``.  Failed cells come back as structured
 ``CellFailure`` annotations, retried with deterministic backoff on the
 simulated clock and quarantined after a bounded budget, so an identical
 plan seed yields a **byte-identical** failure report at ``--jobs 1``,
-``2``, and ``4`` (asserted by ``repro-chaos verify`` in CI and
+``2``, and ``4`` (asserted by ``repro chaos verify`` in CI and
 ``tests/test_faults.py``).  With no plan armed the fault layer is
 provably inert: cycle counts are bit-identical to a build without it.
 Every number below is collected with no plan armed.
@@ -136,8 +136,8 @@ constant ``classic``, the value an unset engine always keyed as, so
 records stored while the engine was selectable stay addressable.
 
 Methodology note on memoized results: the experiment service
-(``repro-serve`` / ``repro-client``) and the store-backed CLI paths
-(``repro-bench run --store``) serve repeated cells from an append-only
+(``repro serve`` / ``repro client``) and the store-backed CLI paths
+(``repro bench run --store``) serve repeated cells from an append-only
 SQLite store instead of re-executing them.  The memoization key is a
 SHA-256 over ``(COMPILER_VERSION, profile, benchmark, canonical
 parameter overrides, dispatch engine)`` — every input that can move a
@@ -153,7 +153,7 @@ records backfilled from historical ``BENCH_*.json`` files are marked
 ``imported`` and never served.  Every number below is regenerated
 directly, never read from the store.
 
-Methodology note on submission coalescing: the daemon (``repro-serve
+Methodology note on submission coalescing: the daemon (``repro serve
 --workers N``) executes jobs concurrently, each in its own subprocess,
 and identical in-flight submissions coalesce onto a single execution
 instead of racing.  The coalescing identity is the sorted set of
@@ -183,7 +183,7 @@ Multi-daemon stores are fenced by an expiring writer lease whose token
 is re-checked inside the append transaction, so a stale writer aborts
 atomically rather than interleaving (``tests/test_service_robustness``,
 the CI two-daemon SIGKILL takeover phase).  Every accepted job still
-ends byte-identical to a direct serial run — ``repro-chaos service``
+ends byte-identical to a direct serial run — ``repro chaos service``
 drives kills, lease steals, lock contention, dropped connections, and
 an admission flood in CI, and exits 0 only if every failure is
 structured and attributed.
@@ -201,7 +201,7 @@ enforced, not aspirational: tracing is a no-op context threaded through
 the same code paths, and ``tests/test_trace.py`` asserts a traced
 collection's artifact is **byte-identical** to an untraced one.  When
 both views help (e.g. "why was this submission slow?"),
-``repro-trace export --observe`` merges wall-clock spans and
+``repro trace export --observe`` merges wall-clock spans and
 simulated-cycle timelines into one Chrome trace as separate, labelled
 process rows — each row names its clock domain so a reader cannot
 mistake queue latency for guest cycles.
@@ -229,7 +229,7 @@ def observability_section(benchmark: str = "scimark.sor") -> str:
         "generated-code quality (no enregistration of locals, naive "
         "constant handling) rather than runtime services.",
         "",
-        f"`repro-prof diff clr11 mono023 --benchmark {benchmark}` "
+        f"`repro prof diff clr11 mono023 --benchmark {benchmark}` "
         f"(cycle-attribution profiler, `repro.observe`) measures "
         f"Mono at **{ratio:.2f}x** CLR 1.1 cycles on `{benchmark}` and "
         "ranks the cost categories by their contribution to the gap:",
@@ -265,10 +265,10 @@ def bench_trajectory_section() -> str:
         "## Benchmark trajectory: the BENCH artifact behind the graphs",
         "",
         "Every figure above is a *point-in-time* regeneration; "
-        "`repro-bench run` freezes the same measurements into a "
+        "`repro bench run` freezes the same measurements into a "
         "schema-versioned `BENCH_<seq>.json` artifact (cycles, instruction "
         "counts, metric snapshots, and cross-runtime ratios anchored at "
-        "CLR 1.1, per benchmark per profile), and `repro-bench compare` "
+        "CLR 1.1, per benchmark per profile), and `repro bench compare` "
         "gates CI on it — so the ratio ladders the paper's graphs rest on "
         "cannot drift silently.  The graph-suite series map onto the paper "
         "as: `micro.*` → graphs 1-8, `grande.sieve` → the DHPC kernels, "
