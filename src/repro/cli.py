@@ -24,6 +24,7 @@ release as deprecated aliases of ``repro <verb>``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 from importlib import import_module
@@ -63,7 +64,16 @@ def parse_args(argv: List[str]) -> argparse.Namespace:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = parse_args(list(sys.argv[1:] if argv is None else argv))
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (``repro list | head``): send what is
+        # still buffered to devnull so the exit flush cannot fail, and
+        # exit non-zero without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 def _alias(name: str, *verb: str, argv: Optional[List[str]] = None) -> int:

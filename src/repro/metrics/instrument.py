@@ -15,7 +15,10 @@ enforces it across benchmarks and the fuzz corpus).
 It deliberately sets ``instr = None``: per-instruction data is the
 cycle-attribution profiler's job; the metrics layer reads the aggregate
 instruction count from the machine at :meth:`finalize` time instead of
-paying a Python call per executed instruction.
+paying a Python call per executed instruction.  Without that hook the
+threaded engine also keeps its fused tiers (superinstructions and the
+tier memory, see :func:`repro.vm.dispatch.build_ops`), so a metrics run
+executes the same code a bare run does.
 
 Metric catalogue (all names created on first update):
 

@@ -21,6 +21,9 @@ Two hooks are special-cased for hot-loop cost:
   once per quantum (``obs_instr = observer.instr``) and skips the call when
   the attribute is ``None`` — an observer that does not need per-instruction
   data should set ``instr = None`` at class level rather than override it.
+  That also keeps the threaded engine's fused tiers (superinstructions and
+  the tier memory): a per-instruction hook needs one closure per
+  instruction, so a machine whose observer has one never tiers up.
 * ``jit`` is an attribute, not a method: the
   :class:`~repro.observe.jittrace.JitTrace` handed to the
   :class:`~repro.jit.pipeline.JitCompiler`, or ``None``.

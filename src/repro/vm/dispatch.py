@@ -21,7 +21,12 @@ has run :data:`_FUSE_RUNS` times its length in instructions its
 straight-line runs, array and field accesses included, become
 superinstructions (:func:`_make_fused_gen`).  A function that reached the
 superinstruction tier once in the process starts in it on every later
-machine (the tier memory, :data:`_HOT_CODE`).  Generated source carries
+machine (the tier memory, :data:`_HOT_CODE`).  Observed machines tier up
+too unless the observer has a per-instruction hook: the cycle-attribution
+profiler (``observer.instr``) keeps one closure per pc, while an observer
+with ``instr = None`` (``MachineMetrics``, ``StackSampler``) fuses and
+shares the tier memory like a bare machine, its fused array accesses
+reporting the memory tax through ``observer.dyn``.  Generated source carries
 no per-instruction literal — operands are default arguments — so it is
 keyed by the shape of the instruction or run and compiled once per
 process.
@@ -138,6 +143,8 @@ class ExecState:
 #: array and field accesses: they never flush, allocate or rebind, but an
 #: array access pays the large-memory-model tax (see :func:`_run_source`)
 MEMORY_OPS = frozenset({mir.LDELEM, mir.STELEM, mir.LDFLD, mir.STFLD, mir.LDLEN})
+#: the memory ops that pay it
+_TAXED = (mir.LDELEM, mir.STELEM)
 
 #: ops that may appear anywhere in a fused run: register transforms and
 #: memory accesses that never flush or rebind a frame, and always fall
@@ -273,11 +280,14 @@ _GEN_ENV = {
 _GEN_GLOBALS = {"__builtins__": builtins, **_GEN_ENV}
 
 #: machine-derived names a generated body may reference: name -> the
-#: source text ``bind`` evaluates on machine ``M``
+#: source text ``bind`` evaluates on machine ``M`` (``fn``, the MIR
+#: function a run reports the memory tax for, is an argument of ``bind``)
 _MACHINE_ENV = {
     "_loaded": "M.loaded",
     "_M": "M",
     "_memtax": "M.costs.large_array_extra",
+    "_dyn": "M.observer.dyn",
+    "_fn": "fn",
 }
 _ENV_USE = re.compile(r"\b({})\b".format("|".join([*_GEN_ENV, *_MACHINE_ENV])))
 
@@ -613,7 +623,7 @@ def _single_source(shape):
     return ["st.spent += C0"] + body + tail
 
 
-def _run_source(shapes, all_int):
+def _run_source(shapes, all_int, hook=False):
     """One flat function body for a fused run of ``shapes``.
 
     Cycle and instruction bookkeeping live in function locals (``sp``,
@@ -625,10 +635,12 @@ def _run_source(shapes, all_int):
     additions on every path happen in the same order and grouping as
     classic's per-instruction ``spent +=`` (an array access adds the
     memory tax after its own cost), which keeps float sums bit-identical.
+    With ``hook`` each taxed access also reports the tax to the observer's
+    ``dyn`` hook right after adding it, as the hand-written closures do.
     """
     length = len(shapes)
     last = length - 1
-    n_tax = sum(1 for shape in shapes if shape[0] in (mir.LDELEM, mir.STELEM))
+    n_tax = sum(1 for shape in shapes if shape[0] in _TAXED)
     lines = [
         "spent = st.spent",
         "tot = st.total",
@@ -640,6 +652,8 @@ def _run_source(shapes, all_int):
     if n_tax:
         lines.append("lws = _M.large_working_set")
         tax = ("if lws:", "    sp += _memtax")
+        if hook:
+            tax += (f"    _dyn(_fn, {CAT_MEMTAX!r}, _memtax)",)
 
     def path(raise_pre, memtax, step, exit_):
         """Every element's body in order: ``step(k)`` lines before element
@@ -729,24 +743,25 @@ def _compile_template(lines):
     """Compile a template body into the code of ``bind(code, s, M, F0)``,
     which returns a new ``op_(R, st, <params>)`` running ``lines``: its
     defaults are the operands the body reads, of the instructions at
-    ``code[s:]``, then the environment names it uses, on machine ``M``."""
+    ``code[s:]``, then the environment names it uses, on machine ``M``.
+    A body that reports to the observer's ``dyn`` hook binds the MIR
+    function it reports for too: ``bind(code, s, M, F0, fn)``."""
     text = "\n".join(lines)
     operands = sorted(
         {(letter, int(k)) for letter, k in _PARAM.findall(text)},
         key=lambda p: (p[1], p[0]),
     )
     params = [f"{letter}{k}={_operand_source(letter, k)}" for letter, k in operands]
-    params += [
-        f"{name}={_MACHINE_ENV.get(name, name)}"
-        for name in sorted(set(_ENV_USE.findall(text)))
-    ]
+    env = sorted(set(_ENV_USE.findall(text)))
+    params += [f"{name}={_MACHINE_ENV.get(name, name)}" for name in env]
     # every element's cost is a parameter, so every element is loaded;
     # ``P{k}``, the cost of elements 0..k, is summed left to right like
     # classic's per-instruction adds
     last = operands[-1][1]
     sums = max([k for letter, k in operands if letter == "P"], default=-1)
     src = "\n".join(
-        ["def bind(code, s, M, F0):", "    I0 = code[s]"]
+        ["def bind(code, s, M, F0{}):".format(", fn" if "_fn" in env else ""),
+         "    I0 = code[s]"]
         + [f"    I{k} = code[s + {k}]" for k in range(1, last + 1)]
         + ["    P0 = I0.cost"] * (sums >= 0)
         + [f"    P{k} = P{k - 1} + I{k}.cost" for k in range(1, sums + 1)]
@@ -761,8 +776,9 @@ def _compile_template(lines):
 
 #: template key -> the code of its ``bind`` (see :func:`_compile_template`),
 #: or None for a shape outside the codegen subset.  A single's key is its
-#: shape; a fused run's is ``(all_int, shapes)``.  Bounded: the oldest entry
-#: goes first.
+#: shape; a fused run's is ``(all_int, shapes)``, or ``(all_int, shapes,
+#: True)`` for a run whose array accesses report the memory tax to an
+#: observer.  Bounded: the oldest entry goes first.
 _TEMPLATES = {}
 _TEMPLATE_LIMIT = 4096
 _MISSING = object()
@@ -801,18 +817,28 @@ def _make_single_gen(code, pc, machine):
     return FunctionType(bind, _GEN_GLOBALS)(code, pc, machine, None)
 
 
-def _make_fused_gen(code, start, length, machine, fallback=None):
+def _make_fused_gen(code, start, length, machine, fallback=None, fn=None):
     """Shape-templated superinstruction for ``code[start : start + length]``,
     or None when an element is outside the subset.  ``fallback`` is the
     closure it replaces at ``start``: the run calls it when the quantum may
-    end inside the run."""
+    end inside the run.  ``fn`` is the MIR function the run belongs to: on
+    a machine with an observer the run's array accesses report their
+    memory tax for it, from a template of their own, so a bare machine's
+    templates stay what they are."""
     run = code[start:start + length]
     shapes = tuple(map(_shape, run))
     all_int = all(type(ins.cost) is int for ins in run)
-    bind = _template((all_int, shapes), _run_source, shapes, all_int)
+    hook = fn is not None and machine.observer is not None and any(
+        shape[0] in _TAXED for shape in shapes
+    )
+    key = (all_int, shapes, True) if hook else (all_int, shapes)
+    bind = _template(key, _run_source, shapes, all_int, hook)
     if bind is None:
         return None
-    return FunctionType(bind, _GEN_GLOBALS)(code, start, machine, fallback)
+    make = FunctionType(bind, _GEN_GLOBALS)
+    if hook:
+        return make(code, start, machine, fallback, fn)
+    return make(code, start, machine, fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -1372,14 +1398,17 @@ def build_ops(machine, fn, tr=None):
     hand-written closures, fused at once when the tier memory knows ``fn``.
     With ``tr`` (the function turned hot): give each fusion run its
     superinstruction in place (none with a fault injector armed, see
-    :func:`fuse_plan`).  A machine with an observer never tiers up: its
-    per-instruction hook needs per-instruction closures.  Returns the
-    translation.
+    :func:`fuse_plan`).  A machine whose observer has a per-instruction
+    hook (``observer.instr is not None``) never tiers up: the hook needs
+    per-instruction closures.  Any other observer (``MachineMetrics``,
+    ``StackSampler``) tiers up and shares the tier memory like a bare
+    machine.  Returns the translation.
     """
     if tr is None:
         closure = _closure_builder(machine, fn)
         tr = Translation([closure(pc) for pc in range(len(fn.code))])
-        if machine.observer is not None:
+        observer = machine.observer
+        if observer is not None and observer.instr is not None:
             tr.heat = 0
             return tr
         if _tier_key(fn) not in _HOT_CODE:
@@ -1390,7 +1419,7 @@ def build_ops(machine, fn, tr=None):
     if targets is None:
         targets = mir.branch_targets(fn)
     for pc, length in fuse_plan(code, fn.regions, targets, machine.faults is not None):
-        fused = _make_fused_gen(code, pc, length, machine, ops[pc])
+        fused = _make_fused_gen(code, pc, length, machine, ops[pc], fn)
         if fused is not None:
             ops[pc] = fused
     tr.heat = 0

@@ -89,3 +89,16 @@ def test_client_parser_loads_neither_daemon_nor_jit():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    """``repro list | head -1``: the reader goes away before the listing is
+    written; the command exits non-zero with nothing on stderr."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "repro", "list"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # before the child has written anything
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) != 0
+    assert err == b""

@@ -263,7 +263,8 @@ def test_catch_observes_same_locals_under_every_engine(source, expected, label):
 # mid-run in every situation where a stale or half-switched closure array
 # would show: float cost sums, a throw from inside a run that only exists
 # after tier-up, live recursive and concurrent activations, an armed
-# fault injector; an observed machine never tiers up.
+# fault injector, metrics observers; a machine whose observer has a
+# per-instruction hook never tiers up.
 
 #: a kernel that tiers up to superinstructions mid-run; the padding
 #: allocation puts the machine in the large working set, so every array
@@ -369,8 +370,8 @@ def tiering(monkeypatch):
             seen["tier_ups"] += 1
         return build_ops(machine, fn, tr)
 
-    def recording_make_fused(code, start, length, machine, fallback=None):
-        op = make_fused(code, start, length, machine, fallback)
+    def recording_make_fused(code, start, length, machine, fallback=None, fn=None):
+        op = make_fused(code, start, length, machine, fallback, fn)
         if op is None:
             return None
         seen["fused"].append([ins.op for ins in code[start:start + length]])
@@ -493,6 +494,51 @@ def test_tier_up_with_observer_attached(tiering):
     # machine stays on its first translation
     assert tiering["tier_ups"] == 0
     assert tiering["fused"] == []
+
+
+@pytest.mark.parametrize("profile", [CLR11, FLOAT_COSTS],
+                         ids=["memtax", "float_costs"])
+@pytest.mark.parametrize(
+    "source", [HOT_FLOAT_LOOP, "HOT_MEMORY_THROWS"], ids=["float_loop", "memory_throws"]
+)
+def test_tier_up_with_metrics_attached(tiering, source, profile):
+    """An observer without a per-instruction hook tiers up like a bare
+    machine, and its fused array accesses report the memory tax exactly
+    where classic does: the snapshot (``cycles.memtax`` included) and the
+    sampled stacks stay bit-identical."""
+    from repro.jit import mir
+    from repro.metrics import MachineMetrics, StackSampler
+    from repro.vm import dispatch
+
+    if source == "HOT_MEMORY_THROWS":
+        source = HOT_MEMORY_THROWS.replace("PAD", "7000")
+    assembly = compile_source(source, assembly_name="hot_metrics")
+    observers = (
+        (MachineMetrics, lambda obs: json.dumps(obs.snapshot(), sort_keys=True)),
+        (lambda: StackSampler(period=500), StackSampler.collapsed),
+    )
+    for make, read in observers:
+        dispatch._HOT_CODE.clear()
+        tiering.update(tier_ups=0, fused=[], fused_small_ws=0)
+        seen = {}
+        for engine in ("classic",) + ENGINES:
+            observer = make()
+            with use_engine(engine) as machine_class:
+                machine = machine_class(LoadedAssembly(assembly), profile,
+                                        observer=observer)
+                seen[engine] = (machine_fingerprint(machine, machine.run()),
+                                read(observer))
+        for engine in ENGINES:
+            assert seen[engine] == seen["classic"], engine
+        assert tiering["tier_ups"] > 0
+        # superinstructions with array accesses, built in the large
+        # working set, where every access pays the tax
+        assert len(tiering["fused"]) > tiering["fused_small_ws"]
+        assert any(mir.LDELEM in ops or mir.STELEM in ops
+                   for ops in tiering["fused"])
+        if make is MachineMetrics:
+            counters = json.loads(seen["classic"][1])["counters"]
+            assert counters["cycles.memtax"] > 0
 
 
 # --------------------------------------------------- fused memory accesses

@@ -64,8 +64,8 @@ def _record(monkeypatch):
         finally:
             current.pop()
 
-    def recording_make_fused(code, start, length, machine, fallback=None):
-        op = make_fused(code, start, length, machine, fallback)
+    def recording_make_fused(code, start, length, machine, fallback=None, fn=None):
+        op = make_fused(code, start, length, machine, fallback, fn)
         if op is not None:
             events.append(("fused", current[-1]))
         return op
@@ -73,6 +73,13 @@ def _record(monkeypatch):
     monkeypatch.setattr(dispatch, "build_ops", recording_build_ops)
     monkeypatch.setattr(dispatch, "_make_fused_gen", recording_make_fused)
     return events
+
+
+def _starts_fused(events, name):
+    """``name`` was fused when first translated, and never tiered up by
+    the driver."""
+    own = [kind for kind, fn_name in events if fn_name == name]
+    return own[0] == "build" and own[1] == "fused" and "tier_up" not in own
 
 
 def test_remembered_function_starts_fused_on_a_later_machine(monkeypatch):
@@ -84,11 +91,47 @@ def test_remembered_function_starts_fused_on_a_later_machine(monkeypatch):
 
     events.clear()
     later = _fingerprint(Machine, assembly, NATIVE_C)
-    own = [kind for kind, name in events if name == "K::A"]
-    # fused when first translated, and never tiered up by the driver
-    assert own[0] == "build" and own[1] == "fused" and "tier_up" not in own
+    assert _starts_fused(events, "K::A")
     with use_engine("classic") as classic:
         assert later == _fingerprint(classic, assembly, NATIVE_C)
+
+
+def _metrics_fingerprint(machine_class, assembly, profile):
+    from repro.metrics import MachineMetrics
+
+    metrics = MachineMetrics()
+    machine = machine_class(LoadedAssembly(assembly), profile, observer=metrics)
+    result = machine.run()
+    return (repr(result), repr(machine.cycles), machine.instructions,
+            metrics.snapshot())
+
+
+def test_metrics_machines_share_the_tier_memory(monkeypatch):
+    """A metrics observer has no per-instruction hook, so its machine
+    climbs the tiers, writes the tier memory and reads it, exactly like a
+    bare machine."""
+    from repro.metrics import MachineMetrics
+
+    assembly = compile_source(HOT_THREE, assembly_name="metrics_hot")
+    events = _record(monkeypatch)
+    # fused on a metrics machine, then started fused on a bare one
+    Machine(LoadedAssembly(assembly), CLR11, observer=MachineMetrics()).run()
+    assert ("tier_up", "K::A") in events and ("fused", "K::A") in events
+    events.clear()
+    bare = _fingerprint(Machine, assembly, NATIVE_C)
+    assert _starts_fused(events, "K::A")
+
+    # and the reverse: fused on a bare machine, started fused on a
+    # metrics machine
+    dispatch._HOT_CODE.clear()
+    Machine(LoadedAssembly(assembly), CLR11).run()
+    events.clear()
+    observed = _metrics_fingerprint(Machine, assembly, NATIVE_C)
+    assert _starts_fused(events, "K::A")
+
+    with use_engine("classic") as classic:
+        assert bare == _fingerprint(classic, assembly, NATIVE_C)
+        assert observed == _metrics_fingerprint(classic, assembly, NATIVE_C)
 
 
 def test_program_reusing_a_name_does_not_start_hot(monkeypatch):
