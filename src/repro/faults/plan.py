@@ -40,11 +40,11 @@ WORKER_SITES = ("worker_crash", "worker_hang")
 #: injection sites that fire inside the compile cache
 CACHE_SITES = ("cache_corrupt",)
 
-#: injection sites that fire at the experiment-service level — consumed
-#: by the daemon's drain tasks (keyed by *job id*, not cell index) and
-#: the ``repro chaos service`` harness.  ``connection_drop`` is
-#: client-side (the harness drops the socket mid-request); the other
-#: three are injected daemon-side just before the job executes.
+#: injection sites that fire at the experiment-service level, keyed by
+#: *job id*, not cell index.  ``connection_drop`` is client-side (the
+#: ``repro chaos service`` harness drops the socket mid-request); the
+#: other three fire daemon-side just before the job executes, through
+#: :func:`repro.faults.service_chaos.inject`.
 SERVICE_SITES = (
     "job_kill",           # SIGKILL the job's subprocess group at start
     "store_contention",   # a rival writer holds BEGIN IMMEDIATE

@@ -25,21 +25,22 @@ expiry:
 
 Faults are injected through a seeded :class:`~repro.faults.FaultPlan`
 with the relevant site pinned to the scenario's job id, so the campaign
-is reproducible for a given ``--seed``.  The exit-code contract is the
+is reproducible for a given ``--seed``.  A daemon built with a plan
+makes one call per job, to :func:`inject`, just before the job
+executes; this module holds everything the daemon-side sites do.  The exit-code contract is the
 same containment policy as ``repro chaos run``: **0** when every
 scenario's failures are structured and attributed, **1** otherwise.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
+import sqlite3
 import sys
 import tempfile
-import threading
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .plan import FaultPlan
 
@@ -52,42 +53,84 @@ PROFILES = "native-c"
 SCALE = 0.05
 
 
-class _Daemon:
-    """One live in-process daemon on an ephemeral port."""
+# --------------------------------------------------- daemon-side injection
 
-    def __init__(self, store_path: str, cache_dir: str, **kwargs):
-        from ..service import ExperimentService, ServiceClient
 
-        kwargs.setdefault("jobs", 1)
-        kwargs.setdefault("workers", 1)
-        self.service = ExperimentService(
-            store_path, cache_dir=cache_dir, **kwargs
-        )
-        self.loop = asyncio.new_event_loop()
-        ready = threading.Event()
+def inject(
+    plan: FaultPlan,
+    job_id: int,
+    store_path: str,
+    lease_ttl: float,
+    kill: Callable[[str], None],
+) -> Optional[str]:
+    """Fire the service site ``plan`` arms for job ``job_id`` and return
+    it (None when none is armed).  Runs on an executor thread just before
+    the job executes, and returns once the fault is in place: ``job_kill``
+    fires the job's kill switch (``kill("fault")``, the switch drain
+    uses); ``lease_steal`` has a rival take the lease with a short TTL,
+    so the job's fenced append fails ``lease-lost`` and the daemon soon
+    re-acquires; ``store_contention`` has a rival hold the write lock for
+    a seeded time, which the job must ride out.  ``connection_drop`` is
+    client-side, so nothing fires here.
+    """
+    site = plan.service_fault(job_id)
+    if site == "job_kill":
+        kill("fault")
+    elif site == "lease_steal":
+        from ..store import WriterLease
 
-        def body():
-            asyncio.set_event_loop(self.loop)
-            self.loop.run_until_complete(self.service.start("127.0.0.1", 0))
-            ready.set()
-            self.loop.run_forever()
+        ttl = min(1.0, lease_ttl / 4.0)
+        with WriterLease(
+            store_path, holder=f"chaos-thief-{job_id}", ttl=ttl
+        ) as thief:
+            thief.steal()
+    elif site == "store_contention":
+        _hold_store(store_path, 0.05 * (1 + plan.service_param(job_id)))
+    return site
 
-        self.thread = threading.Thread(target=body, daemon=True)
-        self.thread.start()
-        if not ready.wait(30):
-            raise RuntimeError("chaos daemon failed to start")
-        host, port = self.service.address
-        self.host, self.port = host, port
-        self.client = ServiceClient(f"http://{host}:{port}")
 
-    def close(self) -> None:
-        self.client.close()
-        asyncio.run_coroutine_threadsafe(
-            self.service.stop(), self.loop
-        ).result(30)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(10)
-        self.loop.close()
+def _hold_store(path: str, seconds: float) -> None:
+    """Start a rival writer holding the store's write lock and return
+    once it holds it.  The rival is a *process*, not a thread: job
+    subprocesses fork from the daemon, and a fork taken while a local
+    connection holds the WAL write lock copies SQLite's per-process lock
+    state into the child, which then sees a phantom local writer."""
+    from ..parallel.pool import _pool_context
+
+    ctx = _pool_context()
+    acquired = ctx.Event()
+    proc = ctx.Process(
+        target=_hold_store_lock, args=(path, seconds, acquired), daemon=True
+    )
+    proc.start()
+    acquired.wait(5.0)
+
+
+def _hold_store_lock(path: str, seconds: float, acquired) -> None:
+    """The rival writer's body: hold ``BEGIN IMMEDIATE`` on the store for
+    ``seconds``, signalling ``acquired`` once the lock is held."""
+    conn = sqlite3.connect(path, timeout=5.0)
+    try:
+        try:
+            conn.execute("BEGIN IMMEDIATE")
+        except sqlite3.OperationalError:
+            return  # store busier than the chaos plan expected; stand down
+        acquired.set()
+        time.sleep(seconds)
+        conn.execute("COMMIT")
+    finally:
+        conn.close()
+
+
+def _daemon(tmp: str, name: str, **kwargs):
+    """A live in-process daemon on its own store and compile cache."""
+    from ..service import BackgroundDaemon
+
+    kwargs.setdefault("jobs", 1)
+    kwargs.setdefault("workers", 1)
+    return BackgroundDaemon(
+        f"{tmp}/{name}.sqlite", cache_dir=f"{tmp}/cache-{name}", **kwargs
+    )
 
 
 def _request(tag: str) -> dict:
@@ -119,15 +162,12 @@ def _plan(seed: int, site: str, job_id: int = 1) -> FaultPlan:
 def _run_baseline(tmp: str, seed: int) -> dict:
     from ..metrics import baseline
 
-    daemon = _Daemon(f"{tmp}/baseline.sqlite", f"{tmp}/cache-baseline")
-    try:
+    with _daemon(tmp, "baseline") as daemon:
         job = daemon.client.submit(_request("baseline"))
         done = daemon.client.wait(job["id"], timeout=300)
         if done["status"] != "done":
             return _scenario("baseline", False, error=done.get("error"))
         served = daemon.client.result(job["id"])
-    finally:
-        daemon.close()
     direct = baseline.collect(
         profiles=baseline.resolve_profiles(PROFILES),
         suite=baseline.resolve_suite(BENCHMARKS, SCALE),
@@ -144,12 +184,11 @@ def _run_baseline(tmp: str, seed: int) -> dict:
 
 
 def _run_job_kill(tmp: str, seed: int) -> dict:
-    daemon = _Daemon(
-        f"{tmp}/kill.sqlite", f"{tmp}/cache-kill",
+    with _daemon(
+        tmp, "kill",
         fault_plan=_plan(seed, "job_kill"),
         breaker_threshold=100,  # one scenario must not trip memo-only
-    )
-    try:
+    ) as daemon:
         job = daemon.client.submit(_request("kill"))
         done = daemon.client.wait(job["id"], timeout=120)
         failure = done.get("failure") or {}
@@ -162,16 +201,10 @@ def _run_job_kill(tmp: str, seed: int) -> dict:
         return _scenario(
             "job_kill", attributed and healthy, failure=failure or None
         )
-    finally:
-        daemon.close()
 
 
 def _run_deadline(tmp: str, seed: int) -> dict:
-    daemon = _Daemon(
-        f"{tmp}/deadline.sqlite", f"{tmp}/cache-deadline",
-        breaker_threshold=100,
-    )
-    try:
+    with _daemon(tmp, "deadline", breaker_threshold=100) as daemon:
         request = _request("deadline")
         # 1ms: expired before the shepherd's first poll step, so the kill
         # is deterministic regardless of how fast the tiny matrix runs
@@ -189,18 +222,15 @@ def _run_deadline(tmp: str, seed: int) -> dict:
             "deadline", attributed and kills >= 1,
             failure=failure or None, deadline_kills=kills,
         )
-    finally:
-        daemon.close()
 
 
 def _run_lease_steal(tmp: str, seed: int) -> dict:
-    daemon = _Daemon(
-        f"{tmp}/steal.sqlite", f"{tmp}/cache-steal",
+    with _daemon(
+        tmp, "steal",
         fault_plan=_plan(seed, "lease_steal"),
         lease_ttl=1.0,
         breaker_threshold=100,
-    )
-    try:
+    ) as daemon:
         job = daemon.client.submit(_request("steal-victim"))
         done = daemon.client.wait(job["id"], timeout=120)
         failure = done.get("failure") or {}
@@ -227,17 +257,14 @@ def _run_lease_steal(tmp: str, seed: int) -> dict:
             failure=failure or None,
             lease_recovered=recovered,
         )
-    finally:
-        daemon.close()
 
 
 def _run_store_contention(tmp: str, seed: int) -> dict:
-    daemon = _Daemon(
-        f"{tmp}/contend.sqlite", f"{tmp}/cache-contend",
+    with _daemon(
+        tmp, "contend",
         fault_plan=_plan(seed, "store_contention"),
         breaker_threshold=100,
-    )
-    try:
+    ) as daemon:
         job = daemon.client.submit(_request("contend"))
         done = daemon.client.wait(job["id"], timeout=120)
         injections = daemon.client.stats()["metrics"]["counters"].get(
@@ -250,13 +277,10 @@ def _run_store_contention(tmp: str, seed: int) -> dict:
             status=done["status"],
             injections=injections,
         )
-    finally:
-        daemon.close()
 
 
 def _run_connection_drop(tmp: str, seed: int) -> dict:
-    daemon = _Daemon(f"{tmp}/drop.sqlite", f"{tmp}/cache-drop")
-    try:
+    with _daemon(tmp, "drop") as daemon:
         # half a POST, then a hard close — the daemon must shrug it off
         for payload in (
             b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 400\r\n"
@@ -281,18 +305,12 @@ def _run_connection_drop(tmp: str, seed: int) -> dict:
             healthy and done["status"] == "done",
             healthy_after=healthy,
         )
-    finally:
-        daemon.close()
 
 
 def _run_overload(tmp: str, seed: int) -> dict:
     from ..service import ServiceError
 
-    daemon = _Daemon(
-        f"{tmp}/overload.sqlite", f"{tmp}/cache-overload",
-        workers=1, max_queue=2,
-    )
-    try:
+    with _daemon(tmp, "overload", workers=1, max_queue=2) as daemon:
         accepted: List[int] = []
         rejections = []
         bad_rejections = 0
@@ -323,8 +341,6 @@ def _run_overload(tmp: str, seed: int) -> dict:
             rejected_429=len(rejections),
             retry_after=rejections[:3],
         )
-    finally:
-        daemon.close()
 
 
 # ----------------------------------------------------------------- campaign

@@ -1,20 +1,23 @@
 """``repro.service`` — benchmark-as-a-service over the experiment store.
 
 * :mod:`repro.service.daemon` — the asyncio HTTP daemon
-  (:class:`ExperimentService`): a job queue that executes novel
-  experiment cells through :mod:`repro.parallel` and serves repeated
-  cells straight from the SQLite store, byte-identical to a direct run.
+  (:class:`ExperimentService`): repeated experiment cells are served
+  straight from the SQLite store, byte-identical to a direct run, and
+  novel ones execute through :mod:`repro.parallel`.
+* :mod:`repro.service.jobs` — the daemon's socket-free job-lifecycle table.
+* :mod:`repro.service.background` — :class:`BackgroundDaemon`, a daemon
+  on a thread of this process (tests, ``repro chaos service``).
 * :mod:`repro.service.client` — :class:`ServiceClient`, the urllib
   client ``repro client`` wraps.
 * :mod:`repro.service.http` — the minimal stdlib HTTP/1.1 framing.
 
-The daemon is imported on first use of :class:`ExperimentService`, so
-``repro client`` starts without loading it.
+The daemon is imported on first use of :class:`ExperimentService` or
+:class:`BackgroundDaemon`, so ``repro client`` starts without loading it.
 """
 
 from .client import ServiceClient, ServiceError
 
-__all__ = ["ExperimentService", "ServiceClient", "ServiceError"]
+__all__ = ["BackgroundDaemon", "ExperimentService", "ServiceClient", "ServiceError"]
 
 
 def __getattr__(name):
@@ -22,4 +25,8 @@ def __getattr__(name):
         from .daemon import ExperimentService
 
         return ExperimentService
+    if name == "BackgroundDaemon":
+        from .background import BackgroundDaemon
+
+        return BackgroundDaemon
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

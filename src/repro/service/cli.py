@@ -210,6 +210,8 @@ def cmd_result(args, client) -> int:
 
 
 def cmd_trends(args, client) -> int:
+    from ..store.cli import format_trend_row
+
     payload = client.trends(
         benchmark=args.benchmark,
         profile=args.profile,
@@ -221,17 +223,7 @@ def cmd_trends(args, client) -> int:
         print(_dump(payload), end="")
         return 0
     for row in rows:
-        ratio = row.get("ratio")
-        tail = (
-            f"ratio {ratio:.3f}" if ratio is not None
-            else f"value {row['value']:g}" if "value" in row
-            else ""
-        )
-        cycles = f" {row['cycles']} cycles" if "cycles" in row else ""
-        print(
-            f"run {row['run']} ({row['git_sha'][:12]}) "
-            f"{row['benchmark']}/{row['profile']}:{cycles} {tail}".rstrip()
-        )
+        print(format_trend_row(row))
     if not rows:
         print("repro-client: no trend rows", file=sys.stderr)
     return 0

@@ -1,89 +1,50 @@
 """The experiment daemon: benchmark-as-a-service over the result store.
 
-An :class:`ExperimentService` owns one SQLite experiment store and a job
-queue.  Submitted jobs are (benchmarks x profiles) matrices; each job
-runs through :func:`repro.metrics.baseline.collect` with the store
-attached, so cells already on record are **served** (zero compiles, zero
-guest cycles — the memo key is content-addressed on compiler version,
-profile, benchmark and canonical overrides) and only novel cells
-execute, through the same resilient pool every CLI uses.
-The returned artifact is byte-identical to a direct serial run: that is
-the daemon-vs-direct identity invariant the test suite pins.
+An :class:`ExperimentService` serves (benchmarks x profiles) matrices
+over HTTP from one SQLite experiment store.  Each job runs
+:func:`repro.metrics.baseline.collect` with the store attached, so cells
+already on record are **served** (zero compiles, zero guest cycles) and
+only novel cells execute; the artifact is byte-identical to a direct
+serial run, the daemon-vs-direct identity invariant the tests pin.
 
-Concurrency model (``workers=`` / ``repro serve --workers N|auto``):
+This module is the I/O shell.  Every decision about a job — admission
+(429 on a full queue, 503 while draining or memo-only), coalescing of
+identical in-flight submissions, the queue, follower resolution, the
+failure breaker, drain shedding — lives in the socket-free, clock-free
+:class:`~repro.service.jobs.JobTable`.  The daemon keeps what needs
+sockets, threads, processes or the store:
 
-* N drain tasks pull from one queue into a thread-pool executor, and
-  **each job executes in its own forked subprocess** — per-job isolation
-  of every piece of process-global state that concurrent in-process
-  collections would corrupt (the ``COMPILE_STATS`` counter, the
-  ``collect.last_*`` function attributes, compile-cache writes).  The
-  worker measures its own compile delta and reports it back over a pipe,
-  so warm-path zero-compile assertions stay exact under overlap.
-* Identical in-flight submissions **coalesce**: a submission whose
-  content-addressed cell-key set (plus git SHA) matches a queued or
-  running job attaches to it as a follower instead of re-executing —
-  same artifact, zero compiles, zero guest cycles, ``coalesced_with`` in
-  the job view and a ``service.coalesced_total`` counter.  Fault-plan
-  submissions are rejected before coalescing can see them.
-* Read endpoints (``/v1/trends``, ``/v1/stats``) draw from a
-  :class:`~repro.store.StoreReadPool` of read-only connections against
-  the WAL-mode store, so high-QPS reads never contend with the
-  appending job workers.
-* Connections are ``Connection: close`` by default; a client that sends
-  ``Connection: keep-alive`` (the pooled ``ServiceClient``) gets the
-  connection reused across requests.
+* the route table :data:`_ROUTES`; read endpoints draw from a
+  :class:`~repro.store.StoreReadPool` of read-only WAL connections;
+* ``workers`` drain tasks, each running one job at a time in **its own
+  forked subprocess and process group** (:func:`_run_job_subprocess`),
+  which isolates the process-global state concurrent collections would
+  corrupt (``COMPILE_STATS``, ``collect.last_*``, compile-cache writes);
+  the worker reports its compile delta over the pipe.  The shepherd polls
+  the pipe in bounded steps and kills the group on deadline expiry or
+  when the job's kill switch fires (drain, chaos ``job_kill``); every
+  failure reaches the daemon as one :class:`JobFailed` with its ``kind``;
+* the store's expiring writer lease (:mod:`repro.store.lease`), whose
+  fencing token each job's append re-validates: a daemon that lost it
+  gets ``lease-lost`` failures and runs memo-only until it re-acquires;
+* graceful drain (SIGTERM in ``repro serve``), tracing and metrics.
 
-Robustness layer (overload, wedged jobs, crashed daemons, shared stores):
+Chaos is not here: a daemon built with a ``fault_plan`` makes one call
+per job to :func:`repro.faults.service_chaos.inject`.  Job state mutates
+only on the event-loop thread; executor threads only shepherd a worker
+subprocess, so nothing needs locking.
 
-* **Admission control** — ``max_queue`` bounds the job queue; an
-  over-capacity submission is shed with a structured ``429`` carrying a
-  deterministic ``Retry-After`` derived from queue depth and the
-  ``service.job_exec_us`` latency histogram.  A ``degraded`` daemon (or
-  one whose breaker tripped after K consecutive job-subprocess failures,
-  or one that lost the writer lease) runs *memo-only*: submissions whose
-  cells are all warm in the store still serve (read-only, nothing
-  appended), cold work is refused with a structured ``503``.
-* **Job deadlines** — every job can carry a deadline (service default,
-  client-overridable, capped).  The executor shepherd polls the result
-  pipe in bounded steps instead of blocking, so a stuck pipe can never
-  wedge a drain task; on expiry the job's subprocess *group* is killed
-  (each job leads its own process group, so forked pool workers die with
-  it) and the job fails with a structured ``deadline`` failure.
-* **Lease-fenced writes** — the daemon holds the store's expiring writer
-  lease (:mod:`repro.store.lease`); each job's append re-validates the
-  fencing token inside the transaction, so a daemon that lost the lease
-  mid-job gets a structured ``lease-lost`` failure, never a torn append.
-  The lease loser degrades to memo-only and retries acquisition with
-  deterministic jittered backoff.
-* **Graceful drain** — ``drain()`` (SIGTERM in ``repro serve``) stops
-  admission immediately (structured 503s), sheds queued jobs, lets
-  running jobs finish up to the drain budget then kills their groups,
-  flushes trace sinks and releases the lease.
-
-Every shed/killed/refused outcome is an attributed structured failure —
-``job["failure"] = {"kind": ...}`` — never a daemon crash or silent hang.
-
-
-All daemon bookkeeping — job dicts, the queue mirror, metric counters —
-mutates only on the event-loop thread; executor threads do nothing but
-shepherd the worker subprocess and hand its payload back, so no job
-state needs locking.
-
-Every request is traced (:mod:`repro.trace`): the daemon parses
-``X-Repro-Trace`` off the wire (minting a fresh trace id when absent),
-roots an ``http.request`` span per request, and threads the context
-through submit -> queue wait -> executor -> ``baseline.collect`` ->
-pool fan-out -> store.  The worker subprocess records its spans into a
-local tracer and ships them back with the result; the daemon ingests
-them into its ring buffer and JSONL sink, so one submission is still one
-span tree across the whole stack.  The span buffer is served on ``GET
-/v1/traces/<id>``, and ``GET /metrics`` exposes the registry in
-Prometheus text exposition format.  All of this is wall-clock
-operational telemetry; none of it touches measured artifacts.
-
-Everything is standard library: asyncio sockets, hand-rolled HTTP/1.1
-framing (:mod:`repro.service.http`), ``multiprocessing`` pipes,
-``sqlite3`` underneath.
+Every request is traced (:mod:`repro.trace`): ``X-Repro-Trace`` is
+parsed off the wire (or minted), an ``http.request`` span roots each
+request, and the context flows through the queue, the executor and the
+worker subprocess, whose spans come back with its result — one
+submission, one span tree.  ``GET /v1/traces/<id>`` serves spans and
+``GET /metrics`` the registry in Prometheus text format; all of it is
+wall-clock telemetry that never touches measured artifacts.
+Connections close after each response unless the client asks for
+keep-alive.  Standard library only: asyncio sockets, hand-rolled
+HTTP/1.1 framing (:mod:`repro.service.http`), ``multiprocessing``
+pipes, ``sqlite3``.
 """
 
 from __future__ import annotations
@@ -93,9 +54,9 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import signal
 import socket
-import sqlite3
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -116,9 +77,7 @@ from ..trace import (
     parse_trace_header,
 )
 from .http import HttpError, Request, format_response, read_request
-
-#: job lifecycle: queued -> running -> done | failed
-JOB_STATES = ("queued", "running", "done", "failed")
+from .jobs import JobTable, Now, Rejected
 
 #: microsecond-scale latency buckets for the service histograms
 #: (100us .. ~100s; jobs that execute cells land in the upper decades,
@@ -137,26 +96,42 @@ RETRY_AFTER_MIN, RETRY_AFTER_MAX = 1, 120
 #: per-process service instance counter feeding lease holder identities
 _INSTANCE_IDS = itertools.count(1)
 
+#: why the daemon killed a job's subprocess group -> the job's error
+_KILLS = {
+    "deadline": "job exceeded its deadline; subprocess group (pid {pid}) "
+                "killed",
+    "drain": "daemon draining: running job's subprocess group (pid {pid}) "
+             "killed after the drain budget",
+    "fault": "chaos fault job_kill: subprocess group (pid {pid}) killed "
+             "at start",
+}
 
-class _RemoteJobError(Exception):
-    """A job failure reported by the worker subprocess — the message is
-    already formatted (``TypeName: detail``), so the daemon surfaces it
-    verbatim instead of nesting exception names.  ``kind`` classifies the
-    failure (``error`` | ``lease-lost`` | ``worker-death``) for the
-    structured ``job["failure"]`` block."""
+
+def _now() -> Now:
+    return Now(time.time(), time.monotonic())
+
+
+class JobFailed(Exception):
+    """A job failure with its ``kind``: reported by the worker
+    (``error`` | ``lease-lost``), a worker that died silently
+    (``worker-death``), or a kill of the job's subprocess group
+    (``deadline`` | ``drain`` | ``fault``, see :data:`_KILLS`).  The
+    message is already formatted, so the daemon surfaces it verbatim."""
 
     def __init__(self, message: str, kind: str = "error"):
         super().__init__(message)
         self.kind = kind
 
 
-class _JobKilled(Exception):
-    """The daemon killed the job's subprocess group on purpose —
-    ``kind`` says why (``deadline`` | ``drain`` | ``fault``)."""
+class _KillSwitch(threading.Event):
+    """Set to kill a running job's subprocess group; ``kind`` says why.
+    The shepherd thread polls it between pipe polls."""
 
-    def __init__(self, kind: str, message: str):
-        super().__init__(message)
+    kind = "drain"
+
+    def fire(self, kind: str) -> None:
         self.kind = kind
+        self.set()
 
 
 def _collect_in_worker(config: dict) -> dict:
@@ -245,23 +220,6 @@ def _job_worker(conn, config: dict) -> None:
         conn.close()
 
 
-def _hold_store_lock(path: str, seconds: float, acquired) -> None:
-    """Rival-writer subprocess for the ``store_contention`` chaos site:
-    hold ``BEGIN IMMEDIATE`` on the store for ``seconds``, signalling
-    ``acquired`` once the lock is held."""
-    conn = sqlite3.connect(path, timeout=5.0)
-    try:
-        try:
-            conn.execute("BEGIN IMMEDIATE")
-        except sqlite3.OperationalError:
-            return  # store busier than the chaos plan expected; stand down
-        acquired.set()
-        time.sleep(seconds)
-        conn.execute("COMMIT")
-    finally:
-        conn.close()
-
-
 def _reap_job_process(proc, grace: float = 2.0) -> None:
     """Reap one job subprocess, escalating to a process-group SIGKILL.
 
@@ -297,21 +255,20 @@ def _run_job_subprocess(config: dict) -> dict:
     Runs on an executor thread.  Fork context where available (same
     choice as the cell pool); the pipe carries exactly one message.  The
     shepherd never blocks on the pipe: it polls in bounded steps,
-    checking the job's deadline and cancel flag between polls, so a
+    checking the job's kill switch and deadline between polls, so a
     stuck pipe (wedged worker) can never wedge a drain task.  A worker
     that dies without reporting (OOM-kill, hard crash) surfaces as a
     structured job failure, not a daemon crash.
 
     Shepherd-only keys (stripped before the child sees the config):
-    ``_deadline`` (monotonic expiry), ``_cancel`` (``threading.Event``
-    set by drain), ``_kill_at_start`` (chaos ``job_kill`` site).
+    ``_deadline`` (monotonic expiry) and ``_kill`` (the job's
+    :class:`_KillSwitch`).
     """
     from ..parallel.pool import _pool_context
     from ..store import lease
 
     deadline = config.pop("_deadline", None)
-    cancel = config.pop("_cancel", None)
-    kill_at_start = config.pop("_kill_at_start", False)
+    kill = config.pop("_kill", None)
 
     ctx = _pool_context()
     parent_conn, child_conn = ctx.Pipe(duplex=False)
@@ -332,16 +289,12 @@ def _run_job_subprocess(config: dict) -> dict:
     killed: Optional[str] = None
     kind = payload = None
     try:
-        if kill_at_start:
-            killed = "fault"
-            _reap_job_process(proc, grace=0.0)
-        while killed is None:
-            if cancel is not None and cancel.is_set():
-                killed = "drain"
-                _reap_job_process(proc, grace=0.0)
-                break
-            if deadline is not None and time.monotonic() >= deadline:
+        while True:
+            if kill is not None and kill.is_set():
+                killed = kill.kind
+            elif deadline is not None and time.monotonic() >= deadline:
                 killed = "deadline"
+            if killed is not None:
                 _reap_job_process(proc, grace=0.0)
                 break
             try:
@@ -361,59 +314,52 @@ def _run_job_subprocess(config: dict) -> dict:
     finally:
         parent_conn.close()
         _reap_job_process(proc)
-    if killed == "deadline":
-        raise _JobKilled(
-            "deadline",
-            f"job exceeded its deadline; subprocess group "
-            f"(pid {proc.pid}) killed",
-        )
-    if killed == "drain":
-        raise _JobKilled(
-            "drain",
-            f"daemon draining: running job's subprocess group "
-            f"(pid {proc.pid}) killed after the drain budget",
-        )
-    if killed == "fault":
-        raise _JobKilled(
-            "fault",
-            f"chaos fault job_kill: subprocess group (pid {proc.pid}) "
-            f"killed at start",
-        )
+    if killed is not None:
+        raise JobFailed(_KILLS[killed].format(pid=proc.pid), killed)
     if kind is None:
-        raise _RemoteJobError(
+        raise JobFailed(
             f"job worker (pid {proc.pid}) died without reporting "
             f"a result (exit code {proc.exitcode})",
-            kind="worker-death",
+            "worker-death",
         )
     if kind != "ok":
-        if isinstance(payload, dict):
-            raise _RemoteJobError(
-                payload.get("message", "job failed"),
-                kind=payload.get("kind", "error"),
-            )
-        raise _RemoteJobError(str(payload))
+        raise JobFailed(payload["message"], payload["kind"])
     return payload
 
 
-def _coalesce_key(suite, profiles, git_sha) -> str:
+def _coalesce_key(cell_keys, git_sha) -> str:
     """The submission-identity digest: the sorted content-addressed cell
     keys (already covering compiler version, profile, benchmark and
     resolved params) plus the git SHA stamp, which lives in the artifact
-    but not in any cell key.  Two submissions with equal
-    digests are guaranteed byte-identical artifacts — the precondition
-    that makes coalescing a pure optimization."""
-    from ..store import cell_key
-
+    but not in any cell key.  Two submissions with equal digests are
+    guaranteed byte-identical artifacts — the precondition that makes
+    coalescing a pure optimization."""
     digest = hashlib.sha256()
-    for key in sorted(
-        cell_key(name, profile.name, overrides=params or None)
-        for name, params in suite
-        for profile in profiles
-    ):
+    for key in sorted(cell_keys):
         digest.update(key.encode())
         digest.update(b"\x00")
     digest.update(f"git:{git_sha!r}".encode())
     return digest.hexdigest()
+
+
+#: (method, path pattern, handler method); the first full match routes
+#: the request, after any trailing ``/`` is stripped from its path
+_ROUTES = [
+    (method, re.compile(pattern), handler)
+    for method, pattern, handler in (
+        ("GET", "/healthz", "_healthz"),
+        ("GET", "/metrics", "_metrics"),
+        ("POST", "/v1/jobs", "_post_job"),
+        ("GET", "/v1/jobs", "_list_jobs"),
+        ("GET", "/v1/jobs/(.*)/result", "_job_result"),
+        ("GET", "/v1/jobs/(.*)", "_job_status"),
+        ("GET", "/v1/traces", "_list_traces"),
+        ("GET", "/v1/traces/(.*)", "_one_trace"),
+        ("GET", "/v1/stats", "_stats"),
+        ("GET", "/v1/trends", "_trends"),
+        ("POST", "/v1/admin/gc", "_admin_gc"),
+    )
+]
 
 
 class ExperimentService:
@@ -465,6 +411,9 @@ class ExperimentService:
             if max_queue < 1:
                 raise ValueError("max_queue must be >= 1")
         self.max_queue: Optional[int] = max_queue
+        self.table = JobTable(
+            max_queue, int(breaker_threshold), float(breaker_cooldown)
+        )
         #: default job deadline (seconds) — also the cap on client
         #: overrides; None = no default, overrides capped at
         #: DEADLINE_CAP_SECONDS
@@ -477,8 +426,6 @@ class ExperimentService:
         #: operator-forced memo-only mode (vs breaker/lease, which trip it
         #: automatically)
         self.degraded = bool(degraded)
-        self.breaker_threshold = int(breaker_threshold)
-        self.breaker_cooldown = float(breaker_cooldown)
         self.drain_grace = float(drain_grace)
         self.use_lease = bool(use_lease)
         self.lease_ttl = float(lease_ttl) if lease_ttl else DEFAULT_LEASE_TTL
@@ -491,9 +438,6 @@ class ExperimentService:
         #: optional FaultPlan with service sites armed (chaos harness
         #: only; request-level fault plans are still rejected with 409)
         self.fault_plan = fault_plan
-        self._draining = False
-        self._breaker_consecutive = 0
-        self._breaker_opened_monotonic: Optional[float] = None
         self._rejected: Dict[str, int] = {}
         self._lease = None
         self._lease_held = False
@@ -504,15 +448,11 @@ class ExperimentService:
         self.tracer = Tracer(
             sinks=(self._trace_sink,) if self._trace_sink else ()
         )
-        self._jobs: Dict[int, dict] = {}
-        self._next_job = 1
-        self._queue: asyncio.Queue = asyncio.Queue()
-        #: mirror of the queue's job ids in dequeue order — the source of
-        #: truth for ``queue_position`` (a job leaves it the moment a
-        #: drain task picks it up, unlike a status scan over ``_jobs``)
-        self._pending: List[int] = []
-        #: coalesce digest -> primary job id, for every queued/running job
-        self._inflight_keys: Dict[str, int] = {}
+        #: released once per queued job; a drain task acquires it, then
+        #: starts the table's next pending job (if drain has not shed it)
+        self._ready = asyncio.Semaphore(0)
+        #: kill switch of each running primary, by job id
+        self._kills: Dict[int, _KillSwitch] = {}
         #: daemon-owned compile accounting: the sum of per-job deltas the
         #: workers report — never a snapshot of any process-global
         self._compile_totals: Dict[str, int] = {"compile_source_calls": 0}
@@ -521,31 +461,22 @@ class ExperimentService:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._read_pool = None
         self._connections: Set[object] = set()
-        self._inflight = 0
-        self.started_unix: Optional[float] = None
         self._started_monotonic: Optional[float] = None
         self.swept_tmp_files = 0
         self.journal_mode: Optional[str] = None
         # register the service gauges/histograms/counters up front so a
         # fresh daemon's /metrics already carries the full instrument set
-        self.registry.gauge("service.queue_depth")
-        self.registry.gauge("service.inflight")
-        self.registry.gauge("service.draining")
+        for name in ("queue_depth", "inflight", "draining", "lease_held"):
+            self.registry.gauge(f"service.{name}")
         self.registry.gauge("service.breaker_open").set(0)
-        self.registry.gauge("service.lease_held")
-        self.registry.counter("service.coalesced_total")
-        self.registry.counter("service.rejected_total")
-        self.registry.counter("service.shed_total")
-        self.registry.counter("service.deadline_kills")
-        self.registry.counter("service.drain_kills")
-        self.registry.counter("service.breaker_trips")
-        self.registry.counter("service.lease_lost_total")
-        self.registry.counter("service.fault_injections")
-        self.registry.histogram("service.http_latency_us", LATENCY_BUCKETS_US)
-        self.registry.histogram(
-            "service.job_queue_wait_us", LATENCY_BUCKETS_US
-        )
-        self.registry.histogram("service.job_exec_us", LATENCY_BUCKETS_US)
+        for name in (
+            "coalesced_total", "rejected_total", "shed_total",
+            "deadline_kills", "drain_kills", "breaker_trips",
+            "lease_lost_total", "fault_injections",
+        ):
+            self.registry.counter(f"service.{name}")
+        for name in ("http_latency_us", "job_queue_wait_us", "job_exec_us"):
+            self.registry.histogram(f"service.{name}", LATENCY_BUCKETS_US)
 
     # ------------------------------------------------------------- lifecycle
 
@@ -593,7 +524,6 @@ class ExperimentService:
             asyncio.ensure_future(self._drain_jobs())
             for _ in range(self.workers)
         ]
-        self.started_unix = time.time()
         self._started_monotonic = time.monotonic()
 
     @property
@@ -604,13 +534,15 @@ class ExperimentService:
         return self._server.sockets[0].getsockname()[:2]
 
     async def stop(self) -> None:
-        if self._lease_task is not None:
-            self._lease_task.cancel()
+        tasks = self._drainers + [t for t in (self._lease_task,) if t]
+        for task in tasks:
+            task.cancel()
+        for task in tasks:
             try:
-                await self._lease_task
+                await task
             except asyncio.CancelledError:
                 pass
-            self._lease_task = None
+        self._drainers, self._lease_task = [], None
         if self._lease is not None:
             try:
                 if self._lease_held:
@@ -620,14 +552,6 @@ class ExperimentService:
                 self._lease = None
                 self._lease_held = False
                 self.registry.gauge("service.lease_held").set(0)
-        for task in self._drainers:
-            task.cancel()
-        for task in self._drainers:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        self._drainers = []
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
@@ -666,7 +590,7 @@ class ExperimentService:
                     return
                 ok = await loop.run_in_executor(None, self._lease.renew)
                 if not ok:
-                    self._note_lease_lost("renewal refused: lease was stolen")
+                    self._note_lease_lost()
             else:
                 delay = self._lease.backoff_delay(self._lease_attempts)
                 self._lease_attempts += 1
@@ -679,9 +603,10 @@ class ExperimentService:
                     self._lease_attempts = 0
                     self.registry.gauge("service.lease_held").set(1)
 
-    def _note_lease_lost(self, detail: str) -> None:
-        """Event-loop-thread bookkeeping for a lost lease: stop fencing
-        new appends (memo-only until re-acquired), count it, and let the
+    def _note_lease_lost(self) -> None:
+        """Event-loop-thread bookkeeping for a lost lease (a refused
+        renewal, or a job whose fenced append failed): stop fencing new
+        appends (memo-only until re-acquired), count it, and let the
         lease loop race for re-acquisition."""
         if not self._lease_held:
             return
@@ -696,23 +621,11 @@ class ExperimentService:
         """Stop admission *now* and shed every queued job with a
         structured ``shed`` failure (their result polls answer 503).
         Running jobs keep running — :meth:`drain` bounds them."""
-        if self._draining:
+        if self.table.draining:
             return
-        self._draining = True
         self.registry.gauge("service.draining").set(1)
-        now_unix, now_mono = time.time(), time.monotonic()
-        for job_id in list(self._pending):
-            job = self._jobs[job_id]
-            job["status"] = "failed"
-            job["error"] = "daemon draining: job shed before execution"
-            job["failure"] = {"kind": "shed", "detail": job["error"]}
-            job["finished_unix"] = now_unix
-            job["finished_monotonic"] = now_mono
-            if self._inflight_keys.get(job["coalesce_key"]) == job["id"]:
-                del self._inflight_keys[job["coalesce_key"]]
-            self._resolve_followers(job)
-            self.registry.counter("service.shed_total").add(1)
-        self._pending.clear()
+        shed = self.table.shed_all(_now())
+        self.registry.counter("service.shed_total").add(len(shed))
         self._refresh_gauges()
 
     async def drain(self, grace: Optional[float] = None) -> None:
@@ -723,17 +636,16 @@ class ExperimentService:
         grace = self.drain_grace if grace is None else float(grace)
         self.begin_drain()
         deadline = time.monotonic() + max(0.0, grace)
-        while self._inflight and time.monotonic() < deadline:
+        while self.table.inflight and time.monotonic() < deadline:
             await asyncio.sleep(0.05)
-        if self._inflight:
-            for job in self._jobs.values():
-                if job["status"] == "running" and job.get("_cancel") is not None:
-                    job["_cancel"].set()
-                    self.registry.counter("service.drain_kills").add(1)
-            # the cancel flag is polled every 50ms by the shepherds; give
+        if self.table.inflight:
+            for kill in self._kills.values():
+                kill.fire("drain")
+                self.registry.counter("service.drain_kills").add(1)
+            # the kill switch is polled every 50ms by the shepherds; give
             # the kill+reap path a bounded window to come home
             hard = time.monotonic() + 30.0
-            while self._inflight and time.monotonic() < hard:
+            while self.table.inflight and time.monotonic() < hard:
                 await asyncio.sleep(0.05)
         self.tracer.flush()
         await self.stop()
@@ -748,142 +660,32 @@ class ExperimentService:
         hist = self.registry.histogram("service.job_exec_us", LATENCY_BUCKETS_US)
         mean_s = (hist.mean / 1e6) if hist.count else 1.0
         mean_s = max(mean_s, 0.001)
-        depth = len(self._pending) + self._inflight + 1
+        depth = len(self.table.pending) + self.table.inflight + 1
         estimate = math.ceil(depth * mean_s / max(1, self.workers))
         return max(RETRY_AFTER_MIN, min(RETRY_AFTER_MAX, estimate))
-
-    def _reject(self, status: int, message: str, reason: str,
-                **fields) -> None:
-        """Refuse a submission with a structured, Retry-After-bearing
-        429/503 and count it."""
-        self.registry.counter("service.rejected_total").add(1)
-        self._rejected[reason] = self._rejected.get(reason, 0) + 1
-        retry = self._retry_after()
-        raise HttpError(
-            status,
-            message,
-            headers={"Retry-After": str(retry)},
-            reason=reason,
-            retry_after=retry,
-            **fields,
-        )
-
-    def _breaker_state(self) -> str:
-        if self._breaker_opened_monotonic is None:
-            return "closed"
-        if (
-            time.monotonic() - self._breaker_opened_monotonic
-            >= self.breaker_cooldown
-        ):
-            return "half-open"
-        return "open"
 
     def _memo_only_reason(self) -> Optional[str]:
         """Why cold work is currently refused (None = full service).
         ``degraded`` is operator-forced; ``lease`` means another daemon
-        holds the store's writer lease; ``breaker`` means K consecutive
-        job-subprocess failures tripped it (after the cooldown the
-        breaker goes half-open and cold probes are admitted — a probe
-        success closes it, a failure re-opens it)."""
+        holds the store's writer lease; ``breaker`` means consecutive
+        job-subprocess failures tripped it (half-open after the
+        cooldown, when cold probes are admitted again)."""
         if self.degraded:
             return "degraded"
         if self.use_lease and self._lease is not None and not self._lease_held:
             return "lease"
-        if self._breaker_state() == "open":
+        if self.table.breaker_state(time.monotonic()) == "open":
             return "breaker"
         return None
 
-    def _note_job_outcome(self, job: dict, failure_kind: Optional[str]) -> None:
-        """Breaker accounting for one finished job.  Only cold-path
-        subprocess outcomes count: memo-only jobs don't exercise the
-        failing path, and deadline/drain/lease outcomes are
-        administrative, not evidence of a broken worker path."""
-        if job.get("memo_only"):
-            return
-        if failure_kind is None:
-            self._breaker_consecutive = 0
-            if self._breaker_opened_monotonic is not None:
-                self._breaker_opened_monotonic = None
-                self.registry.gauge("service.breaker_open").set(0)
-            return
-        if failure_kind not in ("error", "worker-death", "fault"):
-            return
-        self._breaker_consecutive += 1
-        if (
-            self.breaker_threshold > 0
-            and self._breaker_consecutive >= self.breaker_threshold
-        ):
-            if self._breaker_opened_monotonic is None:
-                self.registry.counter("service.breaker_trips").add(1)
-            # (re)open — a failed half-open probe lands here too and
-            # restarts the cooldown
-            self._breaker_opened_monotonic = time.monotonic()
-            self.registry.gauge("service.breaker_open").set(1)
-
-    def _all_cells_warm(self, suite, profiles) -> bool:
-        """Memo-only admission check: is every cell of this submission
-        already on record?"""
-        from ..store import cell_key
-
-        keys = [
-            cell_key(name, p.name, overrides=params or None)
-            for name, params in suite
-            for p in profiles
-        ]
-        with self._read_store() as store:
-            return all(store.has_live(key) for key in keys)
-
-    # -------------------------------------------------------- chaos faults
-
-    def _service_fault_site(self, job_id: int) -> Optional[str]:
-        if self.fault_plan is None:
-            return None
-        site = self.fault_plan.service_fault(job_id)
-        if site is not None:
-            self.registry.counter("service.fault_injections").add(1)
-        return site
-
-    def _chaos_steal_lease(self, job_id: int) -> None:
-        """lease-steal fault site: a rival writer forcibly takes the
-        lease (short TTL, so this daemon re-acquires soon after) — the
-        in-flight job's fenced append must abort with lease-lost."""
-        from ..store import WriterLease
-
-        ttl = min(1.0, self.lease_ttl / 4.0)
-        with WriterLease(
-            self.store_path, holder=f"chaos-thief-{job_id}", ttl=ttl
-        ) as thief:
-            thief.steal()
-
-    def _chaos_hold_store(self, seconds: float) -> None:
-        """store-lock-contention fault site: a rival writer holds BEGIN
-        IMMEDIATE on the store — the job must ride it out through busy
-        timeouts, not fail.  The rival runs in its own *process*, not a
-        daemon thread: the job subprocess forks from this process, and a
-        fork taken while a local connection holds the WAL write lock
-        copies SQLite's per-process inode lock state into the child,
-        which then sees a phantom local writer forever.  Blocks (briefly)
-        until the rival holds the lock, so the injection happens-before
-        the job starts."""
-        from ..parallel.pool import _pool_context
-
-        ctx = _pool_context()
-        acquired = ctx.Event()
-        proc = ctx.Process(
-            target=_hold_store_lock,
-            args=(self.store_path, seconds, acquired),
-            daemon=True,
-        )
-        proc.start()
-        acquired.wait(5.0)
-
-    # ------------------------------------------------------------- job queue
-
-    def _refresh_gauges(self) -> None:
-        self.registry.gauge("service.queue_depth").set(self._queue.qsize())
-        self.registry.gauge("service.inflight").set(self._inflight)
+    def _all_cells_warm(self, cell_keys) -> bool:
+        """Memo-only admission check: is every cell already on record?"""
+        with self._read_pool.connection() as store:
+            return all(store.has_live(key) for key in cell_keys)
 
     def _submit(self, request: dict, ctx=NULL_CONTEXT) -> dict:
+        """Validate one submission (400/409) and hand it to the job table;
+        a refusal becomes a structured, Retry-After-bearing 429/503."""
         from ..metrics import baseline
 
         if request.get("plan") or request.get("faults"):
@@ -921,116 +723,70 @@ class ExperimentService:
             deadline = min(float(deadline), self.deadline_cap)
         else:
             deadline = self.job_deadline
-        # admission control happens before the job exists, so rejected
-        # submissions never leave a job record behind
-        if self._draining:
-            self._reject(
-                503,
-                "daemon is draining: no new submissions are admitted",
-                "draining",
+        from ..store import cell_key
+
+        git_sha = request.get("git_sha")
+        cell_keys = [
+            cell_key(name, profile.name, overrides=params or None)
+            for name, params in suite
+            for profile in profiles
+        ]
+        try:
+            job = self.table.submit(
+                {
+                    "benchmarks": [name for name, _params in suite],
+                    "profiles": [p.name for p in profiles],
+                    "scale": float(scale),
+                    "git_sha": git_sha,
+                },
+                _coalesce_key(cell_keys, git_sha),
+                _now(),
+                deadline=deadline,
+                trace_id=ctx.trace_id,
+                submit_span=ctx.span_id,
+                refuse_cold=self._memo_only_reason(),
+                warm=lambda: self._all_cells_warm(cell_keys),
             )
-        coalesce_key = _coalesce_key(suite, profiles, request.get("git_sha"))
-        primary = self._jobs.get(self._inflight_keys.get(coalesce_key, -1))
-        coalesces = (
-            primary is not None and primary["status"] in ("queued", "running")
-        )
-        memo_only = False
-        if not coalesces:
-            reason = self._memo_only_reason()
-            if reason is not None:
-                if self._all_cells_warm(suite, profiles):
-                    memo_only = True  # warm submissions still serve
-                else:
-                    self._reject(
-                        503,
-                        f"daemon is memo-only ({reason}): this submission "
-                        "has cold cells and cold work is refused",
-                        reason,
-                        memo_only=True,
-                    )
-            if (
-                self.max_queue is not None
-                and len(self._pending) >= self.max_queue
-            ):
-                self._reject(
-                    429,
-                    f"job queue is full ({len(self._pending)}/"
-                    f"{self.max_queue} queued)",
-                    "queue_full",
-                    queue_depth=len(self._pending),
-                    max_queue=self.max_queue,
-                )
-        job = {
-            "id": self._next_job,
-            "status": "queued",
-            "created_unix": time.time(),
-            "request": {
-                "benchmarks": [name for name, _params in suite],
-                "profiles": [p.name for p in profiles],
-                "scale": float(scale),
-                "git_sha": request.get("git_sha"),
-            },
-            "stats": None,
-            "error": None,
-            # wall-clock lifecycle stamps: unix pairs for display,
-            # monotonic pairs for durations (immune to clock steps)
-            "submitted_monotonic": time.monotonic(),
-            "started_unix": None,
-            "started_monotonic": None,
-            "finished_unix": None,
-            "finished_monotonic": None,
-            # submission's trace: job spans are parented under the
-            # submitting request's http.request span
-            "trace_id": ctx.trace_id,
-            "submit_span": ctx.span_id,
-            "coalesce_key": coalesce_key,
-            "coalesced_with": None,
-            "followers": [],
-            "deadline_seconds": deadline,
-            "memo_only": memo_only,
-            "failure": None,
-            "fault_site": None,
-            # drain sets this; the shepherd thread polls it between pipe
-            # polls and kills the job's subprocess group when set
-            "_cancel": threading.Event(),
-        }
-        self._next_job += 1
-        self._jobs[job["id"]] = job
-        if coalesces:
-            # identical in-flight submission: attach, don't re-execute
-            job["coalesced_with"] = primary["id"]
-            primary["followers"].append(job["id"])
-            if primary["status"] == "running":
-                self._mark_running(job, time.monotonic())
+        except Rejected as exc:
+            self.registry.counter("service.rejected_total").add(1)
+            self._rejected[exc.reason] = self._rejected.get(exc.reason, 0) + 1
+            retry = self._retry_after()
+            raise HttpError(
+                exc.status,
+                str(exc),
+                headers={"Retry-After": str(retry)},
+                reason=exc.reason,
+                retry_after=retry,
+                **exc.fields,
+            ) from None
+        if job["coalesced_with"] is not None:
             self.registry.counter("service.coalesced_total").add(1)
             if job["trace_id"] is not None:
                 self._job_context(job).event(
-                    "job.coalesced", job=job["id"], primary=primary["id"]
+                    "job.coalesced", job=job["id"], primary=job["coalesced_with"]
                 )
         else:
-            self._inflight_keys[job["coalesce_key"]] = job["id"]
-            self._pending.append(job["id"])
-            self._queue.put_nowait(job["id"])
+            self._ready.release()
         self.registry.counter("service.jobs").add(1)
         self._refresh_gauges()
         return job
 
-    @staticmethod
-    def _mark_running(job: dict, now: float) -> None:
-        job["status"] = "running"
-        job["started_unix"] = time.time()
-        job["started_monotonic"] = now
+    # ------------------------------------------------------------- job queue
+
+    def _refresh_gauges(self) -> None:
+        self.registry.gauge("service.queue_depth").set(len(self.table.pending))
+        self.registry.gauge("service.inflight").set(self.table.inflight)
 
     def _job_context(self, job: dict) -> TraceContext:
         """The trace position job-lifecycle spans hang off — the submit
         request's span when the submission carried one."""
-        if job.get("trace_id") is None:
+        if job["trace_id"] is None:
             return self.tracer.context()
         return self.tracer.context(
             trace_id=job["trace_id"], parent_id=job["submit_span"]
         )
 
-    def _job_config(self, job: dict, ctx) -> dict:
+    def _job_config(self, job: dict, ctx, kill: _KillSwitch) -> dict:
         """Everything the worker subprocess needs, as plain data — plus
         the shepherd-only ``_``-prefixed keys the executor thread strips
         before the child sees the config."""
@@ -1042,7 +798,7 @@ class ExperimentService:
             "use_compile_cache": self.use_compile_cache,
             "trace_id": job["trace_id"],
             "parent_span": getattr(ctx, "span_id", None),
-            "memo_only": bool(job.get("memo_only")),
+            "memo_only": job["memo_only"],
             "lease": (
                 {"holder": self._lease.holder, "token": self._lease.token}
                 if self._lease is not None
@@ -1050,10 +806,9 @@ class ExperimentService:
                 and self._lease.token is not None
                 else None
             ),
-            "_cancel": job.get("_cancel"),
-            "_kill_at_start": job.get("fault_site") == "job_kill",
+            "_kill": kill,
         }
-        if job.get("deadline_seconds") is not None:
+        if job["deadline_seconds"] is not None:
             config["_deadline"] = (
                 time.monotonic() + float(job["deadline_seconds"])
             )
@@ -1081,48 +836,15 @@ class ExperimentService:
             stats["cells_executed"]
         )
 
-    def _resolve_followers(self, job: dict) -> None:
-        """Propagate a finished primary to its coalesced followers: same
-        artifact and timestamps, but zero compiles and zero executed
-        cells of their own — they are served entirely from the primary's
-        execution."""
-        for follower_id in job["followers"]:
-            follower = self._jobs[follower_id]
-            follower["status"] = job["status"]
-            follower["finished_unix"] = job["finished_unix"]
-            follower["finished_monotonic"] = job["finished_monotonic"]
-            if job["status"] == "done":
-                follower["artifact"] = job["artifact"]
-                stats = dict(job["stats"])
-                stats["hits"] = stats["cells"]
-                stats["misses"] = 0
-                stats["compile_calls"] = 0
-                stats["cells_executed"] = 0
-                follower["stats"] = stats
-            else:
-                follower["error"] = (
-                    f"coalesced with job {job['id']}, which failed: "
-                    f"{job['error']}"
-                )
-
     async def _drain_jobs(self) -> None:
         loop = asyncio.get_event_loop()
         while True:
-            job_id = await self._queue.get()
-            job = self._jobs[job_id]
-            if job["status"] != "queued":
+            await self._ready.acquire()
+            now = _now()
+            job = self.table.start(now)
+            if job is None:
                 continue  # shed while queued (drain) — already resolved
-            try:
-                self._pending.remove(job_id)
-            except ValueError:
-                pass
-            job["fault_site"] = self._service_fault_site(job_id)
-            now = time.monotonic()
-            queue_wait = now - job["submitted_monotonic"]
-            self._mark_running(job, now)
-            for follower_id in job["followers"]:
-                self._mark_running(self._jobs[follower_id], now)
-            self._inflight += 1
+            queue_wait = now.mono - job["submitted_monotonic"]
             self._refresh_gauges()
             ctx = self._job_context(job)
             ctx.record(
@@ -1135,302 +857,238 @@ class ExperimentService:
             self.registry.histogram(
                 "service.job_queue_wait_us", LATENCY_BUCKETS_US
             ).observe(queue_wait * 1e6)
+            kill = self._kills[job["id"]] = _KillSwitch()
+            failure = None
             try:
-                # chaos injections fire just before execution, keyed by
-                # job id through the seeded plan (determinism contract)
-                if job["fault_site"] == "lease_steal":
-                    await loop.run_in_executor(
-                        None, self._chaos_steal_lease, job["id"]
+                if self.fault_plan is not None:
+                    from ..faults.service_chaos import inject
+
+                    # keyed by job id through the seeded plan, so a
+                    # campaign is reproducible
+                    job["fault_site"] = await loop.run_in_executor(
+                        None, inject, self.fault_plan, job["id"],
+                        self.store_path, self.lease_ttl, kill.fire,
                     )
-                elif job["fault_site"] == "store_contention":
-                    hold = 0.05 * (
-                        1 + self.fault_plan.service_param(job["id"])
-                    )
-                    await loop.run_in_executor(
-                        None, self._chaos_hold_store, hold
-                    )
+                    if job["fault_site"] is not None:
+                        self.registry.counter("service.fault_injections").add(1)
                 with ctx.child(
                     "job.execute", job=job["id"], track="executor"
                 ) as span:
                     payload = await loop.run_in_executor(
                         self._executor,
                         _run_job_subprocess,
-                        self._job_config(job, span),
+                        self._job_config(job, span, kill),
                     )
                     self._absorb_result(job, payload, span)
-                job["status"] = "done"
-                self._note_job_outcome(job, None)
-            except _JobKilled as exc:
-                job["status"] = "failed"
-                job["error"] = str(exc)
-                kind = "worker-death" if exc.kind == "fault" else exc.kind
-                job["failure"] = {"kind": kind, "detail": str(exc)}
-                if exc.kind == "deadline":
-                    job["failure"]["deadline_seconds"] = job["deadline_seconds"]
+            except Exception as exc:  # noqa: BLE001 — job isolation boundary
+                if isinstance(exc, JobFailed):
+                    kind, detail = exc.kind, str(exc)
+                else:
+                    kind, detail = "error", f"{type(exc).__name__}: {exc}"
+                # a chaos kill counts as a worker death, which the breaker
+                # counts — that is how chaos exercises the breaker
+                failure = {
+                    "kind": "worker-death" if kind == "fault" else kind,
+                    "detail": detail,
+                }
+                if kind == "deadline":
+                    failure["deadline_seconds"] = job["deadline_seconds"]
                     self.registry.counter("service.deadline_kills").add(1)
                 if job["fault_site"] is not None:
-                    job["failure"]["fault"] = job["fault_site"]
-                ctx.event(
-                    "job.killed", job=job["id"], kind=exc.kind,
-                    fault=job["fault_site"],
-                )
-                self.registry.counter("service.job_failures").add(1)
-                # deadline/drain kills are administrative and don't touch
-                # the breaker; a chaos "fault" kill maps to worker-death,
-                # which does — that's how chaos exercises the breaker
-                self._note_job_outcome(job, kind)
-            except Exception as exc:  # noqa: BLE001 — job isolation boundary
-                job["status"] = "failed"
-                job["error"] = (
-                    str(exc)
-                    if isinstance(exc, _RemoteJobError)
-                    else f"{type(exc).__name__}: {exc}"
-                )
-                kind = getattr(exc, "kind", "error")
-                job["failure"] = {"kind": kind, "detail": job["error"]}
-                if job["fault_site"] is not None:
-                    job["failure"]["fault"] = job["fault_site"]
+                    failure["fault"] = job["fault_site"]
+                if kind in _KILLS:
+                    ctx.event(
+                        "job.killed", job=job["id"], kind=kind,
+                        fault=job["fault_site"],
+                    )
                 if kind == "lease-lost":
-                    self._note_lease_lost(job["error"])
+                    self._note_lease_lost()
                 self.registry.counter("service.job_failures").add(1)
-                self._note_job_outcome(job, kind)
             finally:
-                job["finished_unix"] = time.time()
-                job["finished_monotonic"] = time.monotonic()
-                self._inflight -= 1
-                if self._inflight_keys.get(job["coalesce_key"]) == job["id"]:
-                    del self._inflight_keys[job["coalesce_key"]]
-                self._resolve_followers(job)
-                self._refresh_gauges()
-                self.registry.histogram(
-                    "service.job_exec_us", LATENCY_BUCKETS_US
-                ).observe(
-                    (job["finished_monotonic"] - job["started_monotonic"])
-                    * 1e6
-                )
+                del self._kills[job["id"]]
+            if self.table.finish(job, _now(), failure):
+                self.registry.counter("service.breaker_trips").add(1)
+            self.registry.gauge("service.breaker_open").set(
+                0 if self.table.breaker_opened is None else 1
+            )
+            self._refresh_gauges()
+            self.registry.histogram(
+                "service.job_exec_us", LATENCY_BUCKETS_US
+            ).observe(
+                (job["finished_monotonic"] - job["started_monotonic"]) * 1e6
+            )
 
     # ---------------------------------------------------------------- routes
 
-    def _job_view(self, job: dict) -> dict:
-        queue_wait = run = None
-        if job["started_monotonic"] is not None:
-            queue_wait = job["started_monotonic"] - job["submitted_monotonic"]
-            end = (
-                job["finished_monotonic"]
-                if job["finished_monotonic"] is not None
-                else time.monotonic()
-            )
-            run = end - job["started_monotonic"]
-        # position comes from actual queue membership, not a status scan:
-        # failed/stale entries and concurrently-dequeued jobs never shift
-        # it, and coalesced followers (which are "queued" but never
-        # enqueued) report no position at all
-        position = None
-        if job["status"] == "queued" and job["coalesced_with"] is None:
-            try:
-                position = self._pending.index(job["id"]) + 1
-            except ValueError:
-                position = None
-        return {
-            "id": job["id"],
-            "status": job["status"],
-            "created_unix": job["created_unix"],
-            "submitted_at": job["created_unix"],
-            "started_at": job["started_unix"],
-            "finished_at": job["finished_unix"],
-            "queue_wait_seconds": queue_wait,
-            "run_seconds": run,
-            "queue_position": position,
-            "trace_id": job["trace_id"],
-            "coalesced_with": job["coalesced_with"],
-            "followers": list(job["followers"]),
-            "request": job["request"],
-            "stats": job["stats"],
-            "error": job["error"],
-            "failure": job.get("failure"),
-            "deadline_seconds": job.get("deadline_seconds"),
-            "memo_only": bool(job.get("memo_only")),
-            "fault_site": job.get("fault_site"),
-        }
+    def _handle(self, request: Request, ctx=NULL_CONTEXT):
+        """Route one request through :data:`_ROUTES`; returns ``(status,
+        payload)`` or ``(status, payload, content_type)`` for non-JSON
+        bodies."""
+        path = request.path.rstrip("/") or "/"
+        for method, pattern, handler in _ROUTES:
+            match = pattern.fullmatch(path)
+            if match is not None and method == request.method:
+                return getattr(self, handler)(request, ctx, *match.groups())
+        raise HttpError(404, f"no route {request.method} {request.path}")
 
-    def _get_job(self, job_id: str) -> dict:
+    def _job_view(self, job: dict) -> dict:
+        return self.table.view(job, time.monotonic())
+
+    def _find_job(self, job_id: str) -> dict:
         try:
-            job = self._jobs[int(job_id)]
+            return self.table.jobs[int(job_id)]
         except (KeyError, ValueError):
             raise HttpError(404, f"no job {job_id!r}")
-        return job
 
-    def _read_store(self):
-        """A read connection for query endpoints — pooled when the daemon
-        is started, a throwaway writer-capable one otherwise (tests poke
-        handlers on unstarted instances)."""
-        if self._read_pool is not None:
-            return self._read_pool.connection()
-        from ..store import ExperimentStore
+    def _healthz(self, request, ctx):
+        from ..store import SCHEMA_VERSION
 
-        return ExperimentStore(self.store_path)
+        return 200, {
+            "ok": True,
+            "store": self.store_path,
+            "schema_version": SCHEMA_VERSION,
+            "workers": self.workers,
+            "draining": self.table.draining,
+            "memo_only": self._memo_only_reason(),
+        }
 
-    def _handle(self, request: Request, ctx=NULL_CONTEXT):
-        """Route one request; returns ``(status, payload)`` or
-        ``(status, payload, content_type)`` for non-JSON bodies."""
-        method, path = request.method, request.path.rstrip("/") or "/"
-        if path == "/healthz" and method == "GET":
-            from ..store import SCHEMA_VERSION
+    def _metrics(self, request, ctx):
+        self._refresh_gauges()
+        return 200, render_exposition(self.registry), EXPOSITION_CONTENT_TYPE
 
-            return 200, {
-                "ok": True,
-                "store": self.store_path,
-                "schema_version": SCHEMA_VERSION,
-                "workers": self.workers,
-                "draining": self._draining,
+    def _post_job(self, request, ctx):
+        return 202, self._job_view(self._submit(request.json(), ctx))
+
+    def _list_jobs(self, request, ctx):
+        return 200, {
+            "jobs": [self._job_view(job) for job in self.table.jobs.values()]
+        }
+
+    def _job_status(self, request, ctx, job_id):
+        return 200, self._job_view(self._find_job(job_id))
+
+    def _job_result(self, request, ctx, job_id):
+        job = self._find_job(job_id)
+        if job["status"] == "failed":
+            failure = job["failure"] or {}
+            if failure.get("kind") in ("shed", "drain"):
+                # shed/drained work was refused, not broken: resubmit
+                # elsewhere (or later) — 503, structured
+                raise HttpError(
+                    503,
+                    job["error"] or "job shed",
+                    headers={"Retry-After": str(self._retry_after())},
+                    failure=failure,
+                )
+            extra = {"failure": failure} if failure else {}
+            raise HttpError(409, job["error"] or "job failed", **extra)
+        if job["status"] != "done":
+            raise HttpError(404, f"job {job['id']} is {job['status']}")
+        return 200, job["artifact"]
+
+    def _list_traces(self, request, ctx):
+        return 200, {"traces": self.tracer.trace_ids()}
+
+    def _one_trace(self, request, ctx, trace_id):
+        spans = self.tracer.snapshot(trace_id)
+        if not spans:
+            raise HttpError(404, f"no trace {trace_id!r}")
+        return 200, {"trace": trace_id, "spans": [s.to_dict() for s in spans]}
+
+    def _stats(self, request, ctx):
+        with self._read_pool.connection() as store:
+            counts = store.counts()
+        self._refresh_gauges()
+        table = self.table
+        return 200, {
+            "metrics": self.registry.snapshot(),
+            # daemon-owned accumulated per-job deltas — never a snapshot
+            # of a live process-global mid-execution
+            "compile_stats": dict(self._compile_totals),
+            "store": counts,
+            "swept_tmp_files": self.swept_tmp_files,
+            "queue_depth": len(table.pending),
+            "inflight": table.inflight,
+            "workers": self.workers,
+            "journal_mode": self.journal_mode,
+            "coalesced_total": self.registry.value("service.coalesced_total"),
+            "read_pool": self._read_pool.stats(),
+            "jobs": table.by_status(),
+            "admission": {
+                "max_queue": self.max_queue,
+                "draining": table.draining,
                 "memo_only": self._memo_only_reason(),
-            }
-        if path == "/metrics" and method == "GET":
-            self._refresh_gauges()
-            return 200, render_exposition(self.registry), EXPOSITION_CONTENT_TYPE
-        if path == "/v1/jobs" and method == "POST":
-            job = self._submit(request.json(), ctx)
-            return 202, self._job_view(job)
-        if path == "/v1/jobs" and method == "GET":
-            return 200, {
-                "jobs": [self._job_view(j) for j in self._jobs.values()]
-            }
-        if path.startswith("/v1/jobs/") and method == "GET":
-            rest = path[len("/v1/jobs/"):]
-            if rest.endswith("/result"):
-                job = self._get_job(rest[: -len("/result")])
-                if job["status"] == "failed":
-                    failure = job.get("failure") or {}
-                    if failure.get("kind") in ("shed", "drain"):
-                        # shed/drained work was refused, not broken:
-                        # resubmit elsewhere (or later) — 503, structured
-                        raise HttpError(
-                            503,
-                            job["error"] or "job shed",
-                            headers={"Retry-After": str(self._retry_after())},
-                            failure=failure,
-                        )
-                    extra = {"failure": failure} if failure else {}
-                    raise HttpError(
-                        409, job["error"] or "job failed", **extra
-                    )
-                if job["status"] != "done":
-                    raise HttpError(404, f"job {job['id']} is {job['status']}")
-                return 200, job["artifact"]
-            return 200, self._job_view(self._get_job(rest))
-        if path == "/v1/traces" and method == "GET":
-            return 200, {"traces": self.tracer.trace_ids()}
-        if path.startswith("/v1/traces/") and method == "GET":
-            trace_id = path[len("/v1/traces/"):]
-            spans = self.tracer.snapshot(trace_id)
-            if not spans:
-                raise HttpError(404, f"no trace {trace_id!r}")
-            return 200, {
-                "trace": trace_id,
-                "spans": [s.to_dict() for s in spans],
-            }
-        if path == "/v1/stats" and method == "GET":
-            with self._read_store() as store:
-                counts = store.counts()
-            self._refresh_gauges()
-            by_status = {state: 0 for state in JOB_STATES}
-            for job in self._jobs.values():
-                by_status[job["status"]] += 1
-            return 200, {
-                "metrics": self.registry.snapshot(),
-                # daemon-owned accumulated per-job deltas — never a
-                # snapshot of a live process-global mid-execution
-                "compile_stats": dict(self._compile_totals),
-                "store": counts,
-                "swept_tmp_files": self.swept_tmp_files,
-                "queue_depth": self._queue.qsize(),
-                "inflight": self._inflight,
-                "workers": self.workers,
-                "journal_mode": self.journal_mode,
-                "coalesced_total": self.registry.value(
-                    "service.coalesced_total"
-                ),
-                "read_pool": (
-                    None if self._read_pool is None
-                    else self._read_pool.stats()
-                ),
-                "jobs": by_status,
-                "admission": {
-                    "max_queue": self.max_queue,
-                    "draining": self._draining,
-                    "memo_only": self._memo_only_reason(),
-                    "rejected_total": self.registry.value(
-                        "service.rejected_total"
+                "rejected_total": self.registry.value("service.rejected_total"),
+                "rejected": dict(self._rejected),
+                "shed_total": self.registry.value("service.shed_total"),
+                "retry_after_seconds": self._retry_after(),
+            },
+            "breaker": {
+                "state": table.breaker_state(time.monotonic()),
+                "consecutive_failures": table.breaker_failures,
+                "threshold": table.breaker_threshold,
+                "cooldown_seconds": table.breaker_cooldown,
+                "trips": self.registry.value("service.breaker_trips"),
+            },
+            "deadline": {
+                "default_seconds": self.job_deadline,
+                "cap_seconds": self.deadline_cap,
+                "kills": self.registry.value("service.deadline_kills"),
+            },
+            "lease": (
+                None
+                if self._lease is None
+                else {
+                    "held": self._lease_held,
+                    "holder": self.holder_id,
+                    "token": self._lease.token,
+                    "ttl_seconds": self.lease_ttl,
+                    "lost_total": self.registry.value(
+                        "service.lease_lost_total"
                     ),
-                    "rejected": dict(self._rejected),
-                    "shed_total": self.registry.value("service.shed_total"),
-                    "retry_after_seconds": self._retry_after(),
-                },
-                "breaker": {
-                    "state": self._breaker_state(),
-                    "consecutive_failures": self._breaker_consecutive,
-                    "threshold": self.breaker_threshold,
-                    "cooldown_seconds": self.breaker_cooldown,
-                    "trips": self.registry.value("service.breaker_trips"),
-                },
-                "deadline": {
-                    "default_seconds": self.job_deadline,
-                    "cap_seconds": self.deadline_cap,
-                    "kills": self.registry.value("service.deadline_kills"),
-                },
-                "lease": (
-                    None
-                    if self._lease is None
-                    else {
-                        "held": self._lease_held,
-                        "holder": self.holder_id,
-                        "token": self._lease.token,
-                        "ttl_seconds": self.lease_ttl,
-                        "lost_total": self.registry.value(
-                            "service.lease_lost_total"
-                        ),
-                        "row": self._lease.info(),
-                    }
-                ),
-                "uptime_seconds": (
-                    time.monotonic() - self._started_monotonic
-                    if self._started_monotonic is not None
+                    "row": self._lease.info(),
+                }
+            ),
+            "uptime_seconds": (
+                time.monotonic() - self._started_monotonic
+                if self._started_monotonic is not None
+                else None
+            ),
+            "trace": {
+                "buffered_spans": len(self.tracer.snapshot()),
+                "dropped_spans": self.tracer.dropped,
+                "log": (
+                    self._trace_sink.path
+                    if self._trace_sink is not None
                     else None
                 ),
-                "trace": {
-                    "buffered_spans": len(self.tracer.snapshot()),
-                    "dropped_spans": self.tracer.dropped,
-                    "log": (
-                        self._trace_sink.path
-                        if self._trace_sink is not None
-                        else None
-                    ),
-                },
-            }
-        if path == "/v1/trends" and method == "GET":
-            with self._read_store() as store:
-                if "metric" in request.query:
-                    rows = store.metric_trend(
-                        request.query["metric"],
-                        benchmark=request.query.get("benchmark"),
-                    )
-                else:
-                    rows = store.trend(
-                        benchmark=request.query.get("benchmark"),
-                        profile=request.query.get("profile"),
-                        ratio_base=request.query.get("ratio_base"),
-                    )
-            return 200, {"rows": rows}
-        if path == "/v1/admin/gc" and method == "POST":
-            cache = self._cache()
-            reaped = 0 if cache is None else cache.sweep()
-            self.swept_tmp_files += reaped
-            self.registry.counter("service.gc_runs").add(1)
-            return 200, {
-                "reaped_tmp_files": reaped,
-                "cache_dir": None if cache is None else cache.root,
-            }
-        raise HttpError(404, f"no route {method} {request.path}")
+            },
+        }
+
+    def _trends(self, request, ctx):
+        query = request.query
+        with self._read_pool.connection() as store:
+            if "metric" in query:
+                rows = store.metric_trend(
+                    query["metric"], benchmark=query.get("benchmark")
+                )
+            else:
+                rows = store.trend(
+                    benchmark=query.get("benchmark"),
+                    profile=query.get("profile"),
+                    ratio_base=query.get("ratio_base"),
+                )
+        return 200, {"rows": rows}
+
+    def _admin_gc(self, request, ctx):
+        cache = self._cache()
+        reaped = 0 if cache is None else cache.sweep()
+        self.swept_tmp_files += reaped
+        self.registry.counter("service.gc_runs").add(1)
+        return 200, {
+            "reaped_tmp_files": reaped,
+            "cache_dir": None if cache is None else cache.root,
+        }
 
     async def _serve_one(self, reader, writer) -> None:
         """One connection: serve requests until the peer closes or a

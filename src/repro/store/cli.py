@@ -112,18 +112,24 @@ def cmd_trends(args) -> int:
         print(_dump({"rows": rows}), end="")
         return 0
     for row in rows:
-        if "value" in row:
-            tail = f"value {row['value']:g}"
-        else:
-            ratio = row["ratio"]
-            tail = f"{row['cycles']} cycles"
-            if ratio is not None:
-                tail += f" ratio {ratio:.3f}"
-        print(f"run {row['run']} ({row['git_sha'][:12]}) "
-              f"{row['benchmark']}/{row['profile']}: {tail}")
+        print(format_trend_row(row))
     if not rows:
         print("repro-store: no trend rows", file=sys.stderr)
     return 0
+
+
+def format_trend_row(row: dict) -> str:
+    """One trend row as text — a metric row (``value``) or a cycle row
+    with its ratio when it has one; ``repro client trends`` prints the
+    daemon's rows through it too."""
+    if "value" in row:
+        tail = f"value {row['value']:g}"
+    else:
+        tail = f"{row['cycles']} cycles"
+        if row["ratio"] is not None:
+            tail += f" ratio {row['ratio']:.3f}"
+    return (f"run {row['run']} ({row['git_sha'][:12]}) "
+            f"{row['benchmark']}/{row['profile']}: {tail}")
 
 
 #: eight-level block ramp for the text trend ladders

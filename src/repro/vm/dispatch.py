@@ -12,21 +12,22 @@ records and jump targets bound in — and the driver loop shrinks to
 Translation is tiered (see :func:`build_ops`).  Tier 0, built when a
 function first runs, is generated singles, with hand-written closures
 only for ops outside the template subset: each register, arithmetic,
-compare, branch and field op gets a closure *generated as Python source*
-with the value-kind wrap/round math inlined (:func:`_make_single_gen`);
-calls, allocation, MD arrays, box/unbox, casts, statics, switch,
-throw/leave, narrow converts and the array accesses (which carry the
-observer's memory-tax hook) keep hand-written closures.  Once a function
-has run :data:`_FUSE_RUNS` times its length in instructions its
-straight-line runs, array and field accesses included, become
-superinstructions (:func:`_make_fused_gen`).  A function that reached the
-superinstruction tier once in the process starts in it on every later
-machine (the tier memory, :data:`_HOT_CODE`).  Observed machines tier up
+compare, branch, field and array op gets a closure *generated as Python
+source* with the value-kind wrap/round math inlined
+(:func:`_make_single_gen`); calls, allocation, MD arrays, box/unbox,
+casts, statics, switch, throw/leave and narrow converts keep hand-written
+closures.  Once a function has run :data:`_FUSE_RUNS` times its length
+in instructions its straight-line runs, array and field accesses
+included, become superinstructions (:func:`_make_fused_gen`).  A
+function that reached the superinstruction tier once in the process
+starts in it on every later machine (the tier memory,
+:data:`_HOT_CODE`).  Observed machines tier up
 too unless the observer has a per-instruction hook: the cycle-attribution
 profiler (``observer.instr``) keeps one closure per pc, while an observer
 with ``instr = None`` (``MachineMetrics``, ``StackSampler``) fuses and
-shares the tier memory like a bare machine, its fused array accesses
-reporting the memory tax through ``observer.dyn``.  Generated source carries
+shares the tier memory like a bare machine.  On an observed machine the
+array accesses, single or fused, report the memory tax through
+``observer.dyn`` from templates of their own.  Generated source carries
 no per-instruction literal — operands are default arguments — so it is
 keyed by the shape of the instruction or run and compiled once per
 process.
@@ -609,14 +610,16 @@ def _fragment(shape, k, sfx, raise_pre=(), memtax=()):
     return None
 
 
-def _single_source(shape):
+def _single_source(shape, hook=False):
     """Body of a single-instruction template, or None outside the subset.
 
-    The array accesses keep their hand-written singles: those carry the
-    observer's memory-tax hook."""
-    if shape[0] == mir.LDELEM or shape[0] == mir.STELEM:
-        return None
-    frag = _fragment(shape, 0, "")
+    An array access adds the memory tax when the machine's working set is
+    large, read at each execution as classic does; with ``hook`` it also
+    reports the tax to the observer's ``dyn`` hook."""
+    memtax = ("if _M.large_working_set:", "    st.spent += _memtax")
+    if hook:
+        memtax += (f"    _dyn(_fn, {CAT_MEMTAX!r}, _memtax)",)
+    frag = _fragment(shape, 0, "", memtax=memtax)
     if frag is None:
         return None
     body, tail = frag
@@ -636,7 +639,7 @@ def _run_source(shapes, all_int, hook=False):
     classic's per-instruction ``spent +=`` (an array access adds the
     memory tax after its own cost), which keeps float sums bit-identical.
     With ``hook`` each taxed access also reports the tax to the observer's
-    ``dyn`` hook right after adding it, as the hand-written closures do.
+    ``dyn`` hook right after adding it, as the array-access singles do.
     """
     length = len(shapes)
     last = length - 1
@@ -776,9 +779,10 @@ def _compile_template(lines):
 
 #: template key -> the code of its ``bind`` (see :func:`_compile_template`),
 #: or None for a shape outside the codegen subset.  A single's key is its
-#: shape; a fused run's is ``(all_int, shapes)``, or ``(all_int, shapes,
-#: True)`` for a run whose array accesses report the memory tax to an
-#: observer.  Bounded: the oldest entry goes first.
+#: shape, or ``(shape, True)`` for an array access that reports the
+#: memory tax to an observer; a fused run's is ``(all_int, shapes)``, or
+#: ``(all_int, shapes, True)`` for a run whose array accesses report it.
+#: Bounded: the oldest entry goes first.
 _TEMPLATES = {}
 _TEMPLATE_LIMIT = 4096
 _MISSING = object()
@@ -805,9 +809,14 @@ def _template(key, source, *args):
     return template
 
 
-def _make_single_gen(code, pc, machine):
-    """Shape-templated closure for ``code[pc]``, or None outside the subset."""
+def _make_single_gen(code, pc, machine, fn=None):
+    """Shape-templated closure for ``code[pc]``, or None outside the subset.
+    On a machine with an observer an array access reports its memory tax
+    for ``fn``, from a template of its own, like a fused run."""
     shape = _shape(code[pc])
+    if fn is not None and machine.observer is not None and shape[0] in _TAXED:
+        bind = _template((shape, True), _single_source, shape, True)
+        return FunctionType(bind, _GEN_GLOBALS)(code, pc, machine, None, fn)
     # the cache probe is inlined: this runs for every pc a function has
     bind = _TEMPLATES.get(shape, _MISSING)
     if bind is _MISSING:
@@ -879,7 +888,7 @@ def _closure_builder(machine, fn):
     code = fn.code
 
     def build(pc):
-        op_ = _make_single_gen(code, pc, M)
+        op_ = _make_single_gen(code, pc, M, fn)
         if op_ is not None:
             return op_
         ins = code[pc]
@@ -906,46 +915,6 @@ def _closure_builder(machine, fn):
                 st.spent += cost
                 v = R[a]
                 return targets[v] if 0 <= v < n else nxt
-            return op_
-
-        if o == mir.LDELEM:
-            def op_(R, st, a=a, b=b, dst=dst, cost=cost, nxt=nxt):
-                st.spent += cost
-                arr = R[a]
-                if arr is None:
-                    raise make_exception(loaded, "NullReferenceException")
-                idx = R[b]
-                data = arr.data
-                if idx < 0 or idx >= len(data):
-                    raise make_exception(loaded, "IndexOutOfRangeException")
-                if M.large_working_set:
-                    st.spent += memtax
-                    if obs_dyn is not None:
-                        obs_dyn(fn, CAT_MEMTAX, memtax)
-                R[dst] = data[idx]
-                return nxt
-            return op_
-
-        if o == mir.STELEM:
-            coerce = kind == "r4"
-            def op_(R, st, a=a, b=b, c=c, cost=cost, nxt=nxt, coerce=coerce):
-                st.spent += cost
-                arr = R[a]
-                if arr is None:
-                    raise make_exception(loaded, "NullReferenceException")
-                idx = R[b]
-                data = arr.data
-                if idx < 0 or idx >= len(data):
-                    raise make_exception(loaded, "IndexOutOfRangeException")
-                if M.large_working_set:
-                    st.spent += memtax
-                    if obs_dyn is not None:
-                        obs_dyn(fn, CAT_MEMTAX, memtax)
-                v = R[c]
-                if coerce and type(v) is float:
-                    v = r4(v)
-                data[idx] = v
-                return nxt
             return op_
 
         if o == mir.LDSFLD:

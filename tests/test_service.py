@@ -3,10 +3,8 @@ wiring: daemon-vs-direct byte identity, the zero-work warm path, HTTP
 error handling, and cache GC."""
 
 import argparse
-import asyncio
 import json
 import os
-import threading
 
 import pytest
 
@@ -17,39 +15,19 @@ from repro.parallel import (
     add_execution_args,
     execution_from_args,
 )
-from repro.service import ExperimentService, ServiceClient, ServiceError
+from repro.service import BackgroundDaemon, ServiceClient, ServiceError
 
 
-class DaemonHarness:
-    """One live daemon on an ephemeral port, event loop on a thread."""
+class DaemonHarness(BackgroundDaemon):
+    """One live daemon on an ephemeral port, on a store and compile cache
+    under ``tmp_path``."""
 
     def __init__(self, tmp_path, **kwargs):
         self.store_path = str(tmp_path / "exp.sqlite")
         self.cache_dir = str(tmp_path / "cache")
         kwargs.setdefault("jobs", 1)
         kwargs.setdefault("cache_dir", self.cache_dir)
-        self.service = ExperimentService(self.store_path, **kwargs)
-        self.loop = asyncio.new_event_loop()
-        ready = threading.Event()
-
-        def body():
-            asyncio.set_event_loop(self.loop)
-            self.loop.run_until_complete(self.service.start("127.0.0.1", 0))
-            ready.set()
-            self.loop.run_forever()
-
-        self.thread = threading.Thread(target=body, daemon=True)
-        self.thread.start()
-        assert ready.wait(30), "daemon failed to start"
-        host, port = self.service.address
-        self.url = f"http://{host}:{port}"
-        self.client = ServiceClient(self.url)
-
-    def close(self):
-        asyncio.run_coroutine_threadsafe(self.service.stop(), self.loop).result(10)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(10)
-        self.loop.close()
+        super().__init__(self.store_path, **kwargs)
 
 
 @pytest.fixture
@@ -108,7 +86,7 @@ class TestDaemon:
         assert legacy["status"] == "done", legacy["error"]
         plain = daemon.client.wait(daemon.client.submit(SMALL)["id"])
         assert plain["stats"]["hits"] == plain["stats"]["cells"] == 4
-        jobs = daemon.service._jobs
+        jobs = daemon.service.table.jobs
         assert jobs[legacy["id"]]["coalesce_key"] == jobs[plain["id"]]["coalesce_key"]
         blob = lambda j: json.dumps(daemon.client.result(j["id"]), sort_keys=True)
         assert blob(legacy) == blob(plain)
@@ -349,6 +327,21 @@ class TestClientCli:
         assert main(["client", "--url", daemon.url, "result", "2"]) == 0
         artifact = json.loads(capsys.readouterr().out)
         assert artifact == json.load(open(cold))
+
+    def test_trends_text_matches_store_trends(self, daemon, capsys):
+        from repro.cli import main
+
+        daemon.client.wait(daemon.client.submit(SMALL)["id"])
+        # cycle rows (the clr-1.1 anchor has no ratio), ratio rows, and
+        # metric rows print the same through the daemon and the store
+        for filters in ([], ["--metric", "heap.allocations"]):
+            assert main(["client", "--url", daemon.url, "trends", *filters]) == 0
+            served = capsys.readouterr().out
+            assert main(["store", "--db", daemon.store_path, "trends",
+                         *filters]) == 0
+            direct = capsys.readouterr().out
+            assert served == direct
+            assert len(served.splitlines()) == 4
 
     def test_bare_trace_flag_before_subcommand(self, daemon, capsys):
         # argparse's nargs="?" would otherwise eat "stats" as the trace id

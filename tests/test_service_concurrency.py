@@ -10,7 +10,8 @@ import threading
 import pytest
 
 from repro.metrics import baseline
-from repro.service import ExperimentService, ServiceClient, ServiceError
+from repro.service import ServiceClient, ServiceError
+from repro.service.jobs import JobTable, Now
 
 from tests.test_service import SMALL, DaemonHarness
 
@@ -147,7 +148,7 @@ class TestCoalescing:
         def boom(config):
             stalled.running.set()
             stalled.release.wait(60)
-            raise daemon_mod._RemoteJobError("RuntimeError: injected")
+            raise daemon_mod.JobFailed("RuntimeError: injected")
 
         monkeypatch.setattr(daemon_mod, "_run_job_subprocess", boom)
         client = stalled.client
@@ -164,38 +165,38 @@ class TestCoalescing:
 
 
 class TestQueuePosition:
-    def _service(self, tmp_path):
-        # handlers poked directly on an unstarted instance: submissions
-        # queue up but nothing drains, so positions are deterministic
-        return ExperimentService(str(tmp_path / "exp.sqlite"),
-                                 cache_dir=str(tmp_path / "cache"))
+    """Positions on the job table itself: submissions queue up and
+    nothing drains unless the test says so, so positions are
+    deterministic."""
 
-    def test_position_comes_from_queue_membership(self, tmp_path):
-        service = self._service(tmp_path)
-        jobs = [
-            service._submit(dict(SMALL, git_sha=sha))
-            for sha in ("aaaa", "bbbb", "cccc")
-        ]
-        assert [service._job_view(j)["queue_position"] for j in jobs] == [1, 2, 3]
+    @staticmethod
+    def _submit(table, sha):
+        return table.submit({"git_sha": sha}, f"key-{sha}", Now(0.0, 0.0))
+
+    def test_position_comes_from_queue_membership(self):
+        table = JobTable()
+        jobs = [self._submit(table, sha) for sha in ("aaaa", "bbbb", "cccc")]
+        assert [table.view(j, 0.0)["queue_position"] for j in jobs] == [1, 2, 3]
 
         # a drain task picks up job 1 and it fails: an id-order status
         # scan would leave the survivors' positions unshifted (or count
         # the failed job); queue membership gets both right
-        service._pending.remove(jobs[0]["id"])
-        jobs[0]["status"] = "failed"
-        assert service._job_view(jobs[0])["queue_position"] is None
-        assert service._job_view(jobs[1])["queue_position"] == 1
-        assert service._job_view(jobs[2])["queue_position"] == 2
+        assert table.start(Now(1.0, 1.0)) is jobs[0]
+        table.finish(jobs[0], Now(2.0, 2.0), {"kind": "error", "detail": "x"})
+        assert jobs[0]["status"] == "failed"
+        assert table.view(jobs[0], 2.0)["queue_position"] is None
+        assert table.view(jobs[1], 2.0)["queue_position"] == 1
+        assert table.view(jobs[2], 2.0)["queue_position"] == 2
 
-    def test_coalesced_followers_hold_no_position(self, tmp_path):
-        service = self._service(tmp_path)
-        primary = service._submit(dict(SMALL, git_sha="aaaa"))
-        follower = service._submit(dict(SMALL, git_sha="aaaa"))
-        behind = service._submit(dict(SMALL, git_sha="bbbb"))
+    def test_coalesced_followers_hold_no_position(self):
+        table = JobTable()
+        primary = self._submit(table, "aaaa")
+        follower = self._submit(table, "aaaa")
+        behind = self._submit(table, "bbbb")
         assert follower["coalesced_with"] == primary["id"]
-        assert service._job_view(follower)["queue_position"] is None
+        assert table.view(follower, 0.0)["queue_position"] is None
         # the follower occupies no queue slot, so it shifts nobody
-        assert service._job_view(behind)["queue_position"] == 2
+        assert table.view(behind, 0.0)["queue_position"] == 2
 
 
 class TestClientPool:

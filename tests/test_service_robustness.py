@@ -131,7 +131,7 @@ class TestAdmission:
         import repro.service.daemon as daemon_mod
 
         def boom(config):
-            raise daemon_mod._RemoteJobError("RuntimeError: injected")
+            raise daemon_mod.JobFailed("RuntimeError: injected")
 
         monkeypatch.setattr(daemon_mod, "_run_job_subprocess", boom)
         harness = DaemonHarness(tmp_path, breaker_threshold=2,
@@ -370,7 +370,7 @@ class TestGracefulDrain:
             drain_future.result(60)
 
             # the running job was allowed to finish inside the grace
-            assert harness.service._jobs[active["id"]]["status"] == "done"
+            assert harness.service.table.jobs[active["id"]]["status"] == "done"
             # trace sinks were flushed: every line parses, and the drain
             # left job spans on disk
             with open(trace_log) as handle:
@@ -383,6 +383,44 @@ class TestGracefulDrain:
         finally:
             release.set()
             client.close()
+            harness.loop.call_soon_threadsafe(harness.loop.stop)
+            harness.thread.join(10)
+            harness.loop.close()
+
+
+    def test_drain_kills_a_job_still_running_after_the_grace(
+        self, tmp_path, monkeypatch
+    ):
+        """Past the drain budget, the running job's kill switch fires: its
+        subprocess group is killed and the job fails as ``drain``."""
+        import asyncio
+
+        import repro.service.daemon as daemon_mod
+
+        # the forked job worker inherits this stand-in and wedges
+        monkeypatch.setattr(daemon_mod, "_collect_in_worker",
+                            lambda config: time.sleep(120))
+        harness = DaemonHarness(tmp_path, workers=1)
+        try:
+            job = harness.client.submit(_distinct("wedged"))
+            deadline = time.monotonic() + 60
+            while harness.client.status(job["id"])["status"] != "running":
+                assert time.monotonic() < deadline, "job never started"
+                time.sleep(0.05)
+            asyncio.run_coroutine_threadsafe(
+                harness.service.drain(grace=0.2), harness.loop
+            ).result(60)
+            record = harness.service.table.jobs[job["id"]]
+            assert record["status"] == "failed"
+            assert record["failure"]["kind"] == "drain"
+            assert record["error"].startswith(
+                "daemon draining: running job's subprocess group (pid "
+            )
+            assert record["error"].endswith("killed after the drain budget")
+            assert harness.service.registry.value("service.drain_kills") == 1
+            assert harness.service.table.inflight == 0
+        finally:
+            harness.client.close()
             harness.loop.call_soon_threadsafe(harness.loop.stop)
             harness.thread.join(10)
             harness.loop.close()
