@@ -134,8 +134,10 @@ def _daemon(tmp: str, name: str, **kwargs):
 
 
 def _request(tag: str) -> dict:
-    """One cold submission; ``tag`` lands in git_sha so submissions never
-    coalesce with (or warm-serve) each other."""
+    """One submission of the campaign matrix; ``tag`` lands in git_sha
+    so submissions never coalesce.  The git SHA is not part of a cell
+    key, so the matrix is cold only for the first job that records it
+    in a scenario's store."""
     return {
         "benchmarks": BENCHMARKS,
         "profiles": PROFILES,

@@ -217,7 +217,194 @@ def build_artifact(
 # ------------------------------------------------------------------ collect
 
 
-def collect(
+class Collection:
+    """What one collection produced: the artifact plus the operational
+    reports around it (wall-clock telemetry that never enters the
+    artifact).
+
+    ``report`` is the cell fan-out's :class:`repro.parallel.PoolReport`,
+    ``faults`` the :class:`repro.faults.FaultMatrixReport`, and
+    ``store`` the store-memoization accounting (``{"cells", "hits",
+    "misses", "run_id", "compile_calls", "cells_executed"}``; None when
+    no store was looked up)."""
+
+    def __init__(self, artifact: dict, report, faults,
+                 store: Optional[dict] = None) -> None:
+        self.artifact = artifact
+        self.report = report
+        self.faults = faults
+        self.store = store
+
+
+class Lookup:
+    """The store-lookup step of a collection: its (benchmark x profile)
+    ``cells`` in order and, with ``store``, their content ``keys``
+    (``sha256(COMPILER_VERSION, profile, benchmark, canonical overrides,
+    seed)``) and the runs already on record by cell index (``served``),
+    looked up inside a ``store.lookup`` span.  Without a store both are
+    None."""
+
+    def __init__(self, profiles, suite, store=None, trace=None) -> None:
+        from ..trace import NULL_CONTEXT
+
+        self.profiles = list(profiles)
+        self.suite = list(suite)
+        self.cells = [
+            (name, params or None, profile.name)
+            for name, params in self.suite
+            for profile in self.profiles
+        ]
+        self.keys: Optional[list] = None
+        self.served: Optional[Dict[int, object]] = None
+        if store is None:
+            return
+        trace = trace if trace is not None else NULL_CONTEXT
+        with trace.child("store.lookup", cells=len(self.cells),
+                         track="store") as lookup_span:
+            self.keys = [
+                store.cell_key(name, pname, overrides=params)
+                for name, params, pname in self.cells
+            ]
+            self.served = {}
+            for index, key in enumerate(self.keys):
+                run = store.lookup_run(key)
+                if run is not None:
+                    self.served[index] = run
+            lookup_span.set(hits=len(self.served))
+
+    @property
+    def warm(self) -> bool:
+        """Whether every cell is on record, so nothing need execute."""
+        return self.served is not None and len(self.served) == len(self.cells)
+
+
+def _run(found: Lookup, trace, jobs=None, cache=None, plan=None,
+         cell_timeout=None):
+    """The execute step: every cell not served runs through
+    :func:`repro.parallel.run_cells`; served cells merge in place."""
+    from ..parallel import run_cells
+
+    spec = {
+        "kind": "harness",
+        "metrics": True,
+        "cache_dir": None if cache is None else cache.root,
+        "plan": plan,
+        "cell_timeout": cell_timeout,
+    }
+    return run_cells(
+        spec, found.cells, jobs=jobs, precomputed=found.served, trace=trace
+    )
+
+
+def _assemble(
+    found: Lookup,
+    payloads,
+    report,
+    *,
+    scale: float,
+    git_sha: Optional[str],
+    plan=None,
+    record_to=None,
+    compile_calls: int = 0,
+    trace=None,
+) -> Collection:
+    """The assemble-and-record step: check the cross-profile results,
+    annotate failures, append the collection to ``record_to`` (a writable
+    store, or None to record nothing) inside a ``store.record`` span, and
+    build the artifact, stamped with ``git_sha`` (None: the checkout's
+    HEAD)."""
+    # imported here: the harness imports repro.metrics in turn
+    from ..faults.report import CellFailure, annotate_cells
+    from ..harness.runner import check_cross_profile_results
+    from ..trace import NULL_CONTEXT
+
+    trace = trace if trace is not None else NULL_CONTEXT
+    git_sha = git_sha if git_sha is not None else current_git_sha()
+    cells = found.cells
+    runs_by_bench: Dict[str, Dict[str, object]] = {}
+    for (name, _params, pname), run in zip(cells, payloads):
+        if not isinstance(run, CellFailure):
+            runs_by_bench.setdefault(name, {})[pname] = run
+    for name, runs in runs_by_bench.items():
+        check_cross_profile_results(name, runs)
+    faults_report = annotate_cells(
+        [(name, pname) for name, _params, pname in cells], payloads, plan
+    )
+    stats = None
+    if found.served is not None:
+        hits = len(found.served)
+        run_id = None
+        if record_to is not None:
+            from ..store import run_to_record
+
+            novel = [
+                {
+                    "key": found.keys[index],
+                    "benchmark": cells[index][0],
+                    "profile": cells[index][2],
+                    "params": cells[index][1],
+                    "record": run_to_record(payloads[index]),
+                }
+                for index in range(len(cells))
+                if index not in found.served
+                and not isinstance(payloads[index], CellFailure)
+            ]
+            with trace.child("store.record", novel=len(novel),
+                             track="store") as record_span:
+                run_id = record_to.record_collection(
+                    git_sha=git_sha,
+                    scale=scale,
+                    profiles=[p.name for p in found.profiles],
+                    suite=found.suite,
+                    store_hits=hits,
+                    cell_keys={
+                        f"{name}@{pname}": found.keys[index]
+                        for index, (name, _params, pname) in enumerate(cells)
+                    },
+                    novel=novel,
+                    failures=faults_report.failures,
+                )
+                record_span.set(run_id=run_id)
+        stats = {
+            "cells": len(cells),
+            "hits": hits,
+            "misses": len(cells) - hits,
+            "run_id": run_id,
+            "compile_calls": compile_calls,
+            "cells_executed": len(cells) - hits,
+        }
+
+    entries_by_bench = {
+        name: {pname: entry_from_run(run) for pname, run in runs.items()}
+        for name, runs in runs_by_bench.items()
+    }
+    artifact = build_artifact(
+        found.suite,
+        [p.name for p in found.profiles],
+        entries_by_bench,
+        scale=scale,
+        git_sha=git_sha,
+    )
+    if faults_report.failures:
+        # present only on faulted collections, so clean artifacts stay
+        # byte-identical to the pre-fault-injection layout
+        artifact["failures"] = faults_report.failures
+    return Collection(artifact, report, faults_report, stats)
+
+
+def serve(found: Lookup, *, scale: float, git_sha: Optional[str],
+          record_to=None, trace=None) -> Collection:
+    """Assemble a collection whose every cell ``found`` served, skipping
+    the execute step: the pool only merges the served runs, so nothing
+    compiles and ``compile_calls`` is 0 by construction."""
+    if not found.warm:
+        raise ValueError("serve needs every cell on record")
+    payloads, report = _run(found, trace)
+    return _assemble(found, payloads, report, scale=scale, git_sha=git_sha,
+                     record_to=record_to, trace=trace)
+
+
+def run_collection(
     profiles=None,
     suite: Optional[Iterable[Tuple[str, Dict[str, object]]]] = None,
     scale: float = 1.0,
@@ -230,191 +417,94 @@ def collect(
     store=None,
     trace=None,
     record: bool = True,
-) -> dict:
+) -> Collection:
     """Run the suite on every profile with metrics attached; return the
-    artifact dict (pure data, JSON-ready).
+    :class:`Collection` (its artifact is pure data, JSON-ready).
 
     Every (benchmark x profile) cell runs through
     :func:`repro.parallel.run_cells`.  ``jobs`` (int or ``"auto"``) fans
     the cells out over a process pool; the merge is keyed by cell index,
-    so the returned artifact is bit-identical to a serial (in-process)
-    collection.  The operational report lands on the function attribute
-    ``collect.last_report`` (wall-clock telemetry only — it never enters
-    the artifact), including the compile-cache hit/miss counts.
-    ``cache`` is an optional :class:`repro.parallel.CompileCache` whose
-    directory every run shares.
+    so the artifact is bit-identical to a serial (in-process)
+    collection.  ``Collection.report`` is the operational report,
+    including the compile-cache hit/miss counts.  ``cache`` is an
+    optional :class:`repro.parallel.CompileCache` whose directory every
+    run shares.
 
     A failed cell comes back as a structured failure instead of
     aborting the collection — the artifact then carries a ``failures``
     key, failed (benchmark, profile) entries are simply absent from
-    ``profiles`` / ``ratios``, and the full
-    :class:`repro.faults.FaultMatrixReport` lands on
-    ``collect.last_faults``.  ``plan`` is an optional
+    ``profiles`` / ``ratios``, and ``Collection.faults`` is the full
+    :class:`repro.faults.FaultMatrixReport`.  ``plan`` is an optional
     :class:`repro.faults.FaultPlan` that injects such failures.  A clean
     artifact is byte-identical to one collected before fault injection
     existed.
 
     ``store`` is an optional :class:`repro.store.ExperimentStore`: every
-    cell is first looked up content-addressed (``sha256(COMPILER_VERSION,
-    profile, benchmark, canonical overrides, seed)``) and a hit
-    is served from the store with zero compiles and zero guest cycles —
-    the served artifact is byte-identical to a fresh serial collection
-    because stored records round-trip ProfileRuns exactly.  Novel cells
-    execute as usual and are appended to the store, together with a run
-    row recording the collection; memo accounting lands on
-    ``collect.last_store``.  Memoization records only clean runs, so it
-    cannot be combined with a fault plan.
+    cell is first looked up (:class:`Lookup`) and a hit is served from
+    the store with zero compiles and zero guest cycles — the served
+    artifact is byte-identical to a fresh serial collection because
+    stored records round-trip ProfileRuns exactly.  Novel cells execute
+    as usual and are appended to the store, together with a run row
+    recording the collection; memo accounting lands on
+    ``Collection.store``.  Its ``compile_calls`` is the compile count of
+    the execute step, measured in the process that runs it.
+    Memoization records only clean runs, so it cannot be combined with
+    a fault plan.
 
-    ``record=False`` serves store hits without appending the collection —
-    the daemon's degraded *memo-only* mode runs warm submissions through
-    a read-only store handle this way (admission guarantees every cell is
-    a hit, so nothing novel is lost by not recording).
+    ``record=False`` serves store hits without appending the collection
+    (the daemon's degraded *memo-only* mode).
 
     ``trace`` is an optional :class:`repro.trace.TraceContext` (the
     daemon threads one through): ``store.lookup``, the pool fan-out, and
     ``store.record`` each open wall-clock spans in the submission's
     trace.  Tracing is operational telemetry only — it never changes a
-    single byte of the returned artifact.
+    single byte of the artifact.
     """
-    # imported here: the harness imports repro.metrics in turn
-    from ..faults.report import CellFailure, annotate_cells
-    from ..harness.runner import check_cross_profile_results
-    from ..parallel import run_cells
+    from ..lang.compiler import COMPILE_STATS
     from ..runtimes import ALL_PROFILES
-    from ..trace import NULL_CONTEXT
-
-    trace = trace if trace is not None else NULL_CONTEXT
 
     profiles = list(profiles or ALL_PROFILES)
     suite = list(suite if suite is not None else graph_suite(scale))
-    collect.last_report = None
-    collect.last_faults = None
-    collect.last_store = None
-    sha = git_sha if git_sha is not None else current_git_sha()
     if store is not None and plan is not None:
         raise ValueError(
             "store memoization records only clean runs and cannot be "
             "combined with a fault plan"
         )
-
-    runs_by_bench: Dict[str, Dict[str, object]] = {}
-    cells = [
-        (name, params or None, profile.name)
-        for name, params in suite
-        for profile in profiles
-    ]
-    precomputed = None
-    keys = None
-    if store is not None:
-        with trace.child("store.lookup", cells=len(cells),
-                         track="store") as lookup_span:
-            keys = [
-                store.cell_key(name, pname, overrides=params)
-                for name, params, pname in cells
-            ]
-            precomputed = {}
-            for index, key in enumerate(keys):
-                run = store.lookup_run(key)
-                if run is not None:
-                    precomputed[index] = run
-            lookup_span.set(hits=len(precomputed))
-        collect.last_store = {
-            "cells": len(cells),
-            "hits": len(precomputed),
-            "misses": len(cells) - len(precomputed),
-        }
-        if progress is not None:
+    found = Lookup(profiles, suite, store, trace)
+    if progress is not None:
+        if store is not None:
             progress(
-                f"{len(precomputed)}/{len(cells)} cells served from "
+                f"{len(found.served)}/{len(found.cells)} cells served from "
                 f"the store ({store.path})"
             )
-        # compile accounting is measured *here*, inside whatever
-        # process runs the collection, so a daemon running jobs in
-        # isolated workers gets each job's own delta instead of
-        # sampling a shared global around an executor call (which
-        # double-counts the moment two jobs overlap)
-        from ..lang.compiler import COMPILE_STATS
-
-        compiles_before = COMPILE_STATS["compile_source_calls"]
-    spec = {
-        "kind": "harness",
-        "metrics": True,
-        "cache_dir": None if cache is None else cache.root,
-        "plan": plan,
-        "cell_timeout": cell_timeout,
-    }
-    if progress is not None:
-        progress(f"{len(cells)} cells across jobs={jobs}")
-    payloads, report = run_cells(
-        spec, cells, jobs=jobs, precomputed=precomputed, trace=trace
-    )
-    collect.last_report = report
-    for (name, _params, pname), run in zip(cells, payloads):
-        if not isinstance(run, CellFailure):
-            runs_by_bench.setdefault(name, {})[pname] = run
-    for name, runs in runs_by_bench.items():
-        check_cross_profile_results(name, runs)
-    faults_report = annotate_cells(
-        [(name, pname) for name, _params, pname in cells], payloads, plan
-    )
-    collect.last_faults = faults_report
-    if store is not None:
-        from ..store import run_to_record
-
-        run_id = None
-        if record:
-            novel = [
-                {
-                    "key": keys[index],
-                    "benchmark": cells[index][0],
-                    "profile": cells[index][2],
-                    "params": cells[index][1],
-                    "record": run_to_record(payloads[index]),
-                }
-                for index in range(len(cells))
-                if index not in precomputed
-                and not isinstance(payloads[index], CellFailure)
-            ]
-            with trace.child("store.record", novel=len(novel),
-                             track="store") as record_span:
-                run_id = store.record_collection(
-                    git_sha=sha,
-                    scale=scale,
-                    profiles=[p.name for p in profiles],
-                    suite=suite,
-                    store_hits=len(precomputed),
-                    cell_keys={
-                        f"{name}@{pname}": keys[index]
-                        for index, (name, _params, pname) in enumerate(cells)
-                    },
-                    novel=novel,
-                    failures=faults_report.failures,
-                )
-                record_span.set(run_id=run_id)
-        collect.last_store["run_id"] = run_id
-        collect.last_store["compile_calls"] = (
-            COMPILE_STATS["compile_source_calls"] - compiles_before
-        )
-        collect.last_store["cells_executed"] = (
-            collect.last_store["cells"] - collect.last_store["hits"]
-        )
-
-    entries_by_bench = {
-        name: {pname: entry_from_run(run) for pname, run in runs.items()}
-        for name, runs in runs_by_bench.items()
-    }
-    artifact = build_artifact(
-        suite,
-        [p.name for p in profiles],
-        entries_by_bench,
+        progress(f"{len(found.cells)} cells across jobs={jobs}")
+    # measured in the process that executes, so a daemon's forked job
+    # reports its own compiles, not a sample of a global other jobs share
+    compiles_before = COMPILE_STATS["compile_source_calls"]
+    payloads, report = _run(found, trace, jobs, cache, plan, cell_timeout)
+    return _assemble(
+        found,
+        payloads,
+        report,
         scale=scale,
-        git_sha=sha,
+        git_sha=git_sha,
+        plan=plan,
+        record_to=store if record else None,
+        compile_calls=COMPILE_STATS["compile_source_calls"] - compiles_before,
+        trace=trace,
     )
-    if faults_report.failures:
-        # present only on faulted collections, so clean artifacts stay
-        # byte-identical to the pre-fault-injection layout
-        artifact["failures"] = faults_report.failures
-    return artifact
+
+
+def collect(*args, **kwargs) -> dict:
+    """:func:`run_collection`, returning just the artifact and leaving
+    the reports on ``collect.last_report`` / ``last_faults`` /
+    ``last_store`` for callers that still read them there."""
+    collect.last_report = collect.last_faults = collect.last_store = None
+    result = run_collection(*args, **kwargs)
+    collect.last_report = result.report
+    collect.last_faults = result.faults
+    collect.last_store = result.store
+    return result.artifact
 
 
 #: the last collection's repro.parallel.PoolReport
@@ -423,11 +513,8 @@ collect.last_report = None
 #: the last collection's repro.faults.FaultMatrixReport
 collect.last_faults = None
 
-#: the last collection's store-memoization accounting ({"cells", "hits",
-#: "misses", "run_id", "compile_calls", "cells_executed"}; None when no
-#: store was attached).  ``compile_calls`` is the COMPILE_STATS delta
-#: measured around this collection in the executing process — the value
-#: the service's isolated job workers report back
+#: the last collection's store-memoization accounting (None when no store
+#: was attached); see :attr:`Collection.store`
 collect.last_store = None
 
 

@@ -57,7 +57,7 @@ def cmd_run(args) -> int:
 
         store = ExperimentStore(args.store)
     try:
-        artifact = baseline.collect(
+        result = baseline.run_collection(
             profiles=profiles,
             suite=suite,
             scale=args.scale,
@@ -74,6 +74,7 @@ def cmd_run(args) -> int:
     finally:
         if store is not None:
             store.close()
+    artifact = result.artifact
     path = baseline.write_artifact(artifact, args.out, seq=args.seq)
     benches = artifact["benchmarks"]
     print(
@@ -81,19 +82,17 @@ def cmd_run(args) -> int:
         f"({len(benches)} benchmarks x {len(artifact['profiles'])} profiles, "
         f"git {artifact['git_sha'][:12]})"
     )
-    print(f"repro-bench: parallel {baseline.collect.last_report.summary()}")
-    store_stats = baseline.collect.last_store
-    if store_stats is not None:
+    print(f"repro-bench: parallel {result.report.summary()}")
+    if result.store is not None:
         print(
-            f"repro-bench: store {store_stats['hits']} hits / "
-            f"{store_stats['misses']} misses over {store_stats['cells']} cells"
+            f"repro-bench: store {result.store['hits']} hits / "
+            f"{result.store['misses']} misses over {result.store['cells']} cells"
         )
-    faults_report = baseline.collect.last_faults
-    if faults_report is not None and faults_report.failures:
-        print(f"repro-bench: {faults_report.summary()}")
-        for line in faults_report.failure_lines():
+    if result.faults.failures:
+        print(f"repro-bench: {result.faults.summary()}")
+        for line in result.faults.failure_lines():
             print(f"repro-bench:   {line}")
-        return 0 if faults_report.contained else 1
+        return 0 if result.faults.contained else 1
     return 0
 
 

@@ -1,8 +1,8 @@
 """The experiment daemon: benchmark-as-a-service over the result store.
 
 An :class:`ExperimentService` serves (benchmarks x profiles) matrices
-over HTTP from one SQLite experiment store.  Each job runs
-:func:`repro.metrics.baseline.collect` with the store attached, so cells
+over HTTP from one SQLite experiment store.  Each job collects its
+matrix (:mod:`repro.metrics.baseline`) with the store attached, so cells
 already on record are **served** (zero compiles, zero guest cycles) and
 only novel cells execute; the artifact is byte-identical to a direct
 serial run, the daemon-vs-direct identity invariant the tests pin.
@@ -16,14 +16,18 @@ sockets, threads, processes or the store:
 
 * the route table :data:`_ROUTES`; read endpoints draw from a
   :class:`~repro.store.StoreReadPool` of read-only WAL connections;
-* ``workers`` drain tasks, each running one job at a time in **its own
-  forked subprocess and process group** (:func:`_run_job_subprocess`),
-  which isolates the process-global state concurrent collections would
-  corrupt (``COMPILE_STATS``, ``collect.last_*``, compile-cache writes);
-  the worker reports its compile delta over the pipe.  The shepherd polls
-  the pipe in bounded steps and kills the group on deadline expiry or
-  when the job's kill switch fires (drain, chaos ``job_kill``); every
-  failure reaches the daemon as one :class:`JobFailed` with its ``kind``;
+* ``workers`` drain tasks, each running one job at a time.  A job whose
+  every cell is on record is served on its executor thread
+  (:func:`_serve_in_process`): it executes and compiles nothing, so it
+  has nothing to isolate and no deadline to police.  Every other job,
+  and every job chaos armed, runs in **its own forked subprocess and
+  process group** (:func:`_run_job_subprocess`): executing cells can
+  wedge, crash or overrun a deadline, and touches process-global state
+  (``COMPILE_STATS``, compile-cache writes); the worker reports its
+  compile count over the pipe.  The shepherd polls the pipe in bounded
+  steps and kills the group on deadline expiry or when the job's kill
+  switch fires (drain, chaos ``job_kill``); every failure reaches the
+  daemon as one :class:`JobFailed` with its ``kind``;
 * the store's expiring writer lease (:mod:`repro.store.lease`), whose
   fencing token each job's append re-validates: a daemon that lost it
   gets ``lease-lost`` failures and runs memo-only until it re-acquires;
@@ -31,8 +35,9 @@ sockets, threads, processes or the store:
 
 Chaos is not here: a daemon built with a ``fault_plan`` makes one call
 per job to :func:`repro.faults.service_chaos.inject`.  Job state mutates
-only on the event-loop thread; executor threads only shepherd a worker
-subprocess, so nothing needs locking.
+only on the event-loop thread; executor threads serve a warm job or
+shepherd a worker subprocess and touch no job state, so nothing needs
+locking.
 
 Every request is traced (:mod:`repro.trace`): ``X-Repro-Trace`` is
 parsed off the wire (or minted), an ``http.request`` span roots each
@@ -134,27 +139,49 @@ class _KillSwitch(threading.Event):
         self.set()
 
 
+def _job_trace(config: dict):
+    """A local tracer and the job's context in it, rooted at the job's
+    ``job.execute`` span; its spans travel back with the result."""
+    tracer = Tracer()
+    return tracer, TraceContext(
+        tracer, config["trace_id"] or new_trace_id(), config["parent_span"]
+    )
+
+
+def _job_matrix(request: dict):
+    """A job request's resolved ``(profiles, suite)``."""
+    from ..metrics import baseline
+
+    return (
+        baseline.resolve_profiles(request["profiles"]),
+        baseline.resolve_suite(request["benchmarks"], request["scale"]),
+    )
+
+
+def _payload(collection, tracer) -> dict:
+    """A job's result as the daemon absorbs it (and a worker pickles it)."""
+    return {
+        "artifact": collection.artifact,
+        "stats": dict(collection.store),
+        "spans": [span.to_dict() for span in tracer.snapshot()],
+    }
+
+
 def _collect_in_worker(config: dict) -> dict:
     """The actual collection, running inside the job subprocess.
 
     Everything process-global is private here: ``COMPILE_STATS``, the
-    ``collect.last_*`` attributes, the store connection.  Spans land in a
-    local tracer rooted at the job's ``job.execute`` span and travel back
-    as dicts; the compile delta comes from ``collect.last_store`` —
-    measured around the execution *in this process*, which is what makes
-    per-job compile accounting exact under daemon-level overlap.
+    compile cache writes, the store connection, and the compile count
+    the collection measures around its execute step — which is what
+    makes per-job compile accounting exact under daemon-level overlap.
     """
     from ..metrics import baseline
     from ..parallel import CompileCache
     from ..store import ExperimentStore
 
     request = config["request"]
-    profiles = baseline.resolve_profiles(request["profiles"])
-    suite = baseline.resolve_suite(request["benchmarks"], request["scale"])
-    tracer = Tracer()
-    ctx = TraceContext(
-        tracer, config["trace_id"] or new_trace_id(), config["parent_span"]
-    )
+    profiles, suite = _job_matrix(request)
+    tracer, ctx = _job_trace(config)
     cache = (
         CompileCache(config["cache_dir"])
         if config["use_compile_cache"]
@@ -171,7 +198,7 @@ def _collect_in_worker(config: dict) -> dict:
     with ExperimentStore(config["store_path"], read_only=memo_only) as store:
         if lease is not None and not memo_only:
             store.set_write_fence(lease["holder"], lease["token"])
-        artifact = baseline.collect(
+        collection = baseline.run_collection(
             profiles=profiles,
             suite=suite,
             scale=request["scale"],
@@ -182,12 +209,51 @@ def _collect_in_worker(config: dict) -> dict:
             trace=ctx,
             record=not memo_only,
         )
-    stats = dict(baseline.collect.last_store)
-    return {
-        "artifact": artifact,
-        "stats": stats,
-        "spans": [span.to_dict() for span in tracer.snapshot()],
-    }
+    return _payload(collection, tracer)
+
+
+def _serve_in_process(config: dict, read_pool) -> Optional[dict]:
+    """Serve a job whose every cell is on record without a fork; None
+    when any cell misses (the job then forks).
+
+    Runs on an executor thread and executes nothing: the cells are
+    looked up on a read-pool connection, and a served collection
+    compiles nothing by construction.  A normal job appends its run row
+    through a write handle of its own with the daemon's lease fence
+    armed; a memo-only job records nothing.  A fenced append that finds
+    the lease lost fails as ``lease-lost``, as in a forked worker.
+
+    All of it holds ``FORK_LOCK``: a job forked while this thread is
+    inside SQLite would inherit the store's write lock or one of
+    SQLite's process-wide mutexes held, and hang or fail with
+    ``database is locked``.
+    """
+    from ..metrics import baseline
+    from ..store import ExperimentStore, LeaseLost, lease
+
+    request = config["request"]
+    profiles, suite = _job_matrix(request)
+    tracer, ctx = _job_trace(config)
+    stamp = {"scale": request["scale"], "git_sha": request["git_sha"]}
+    with lease.FORK_LOCK:
+        with read_pool.connection() as reader:
+            found = baseline.Lookup(profiles, suite, reader, ctx)
+        if not found.warm:
+            return None
+        if config["memo_only"]:
+            return _payload(baseline.serve(found, trace=ctx, **stamp), tracer)
+        with ExperimentStore(config["store_path"]) as writer:
+            if config["lease"] is not None:
+                writer.set_write_fence(
+                    config["lease"]["holder"], config["lease"]["token"]
+                )
+            try:
+                collection = baseline.serve(
+                    found, record_to=writer, trace=ctx, **stamp
+                )
+            except LeaseLost as exc:
+                raise JobFailed(f"{type(exc).__name__}: {exc}", "lease-lost")
+        return _payload(collection, tracer)
 
 
 def _job_worker(conn, config: dict) -> None:
@@ -451,7 +517,7 @@ class ExperimentService:
         #: released once per queued job; a drain task acquires it, then
         #: starts the table's next pending job (if drain has not shed it)
         self._ready = asyncio.Semaphore(0)
-        #: kill switch of each running primary, by job id
+        #: kill switch of each running forked job, by job id
         self._kills: Dict[int, _KillSwitch] = {}
         #: daemon-owned compile accounting: the sum of per-job deltas the
         #: workers report — never a snapshot of any process-global
@@ -472,7 +538,7 @@ class ExperimentService:
         for name in (
             "coalesced_total", "rejected_total", "shed_total",
             "deadline_kills", "drain_kills", "breaker_trips",
-            "lease_lost_total", "fault_injections",
+            "lease_lost_total", "fault_injections", "jobs_in_process",
         ):
             self.registry.counter(f"service.{name}")
         for name in ("http_latency_us", "job_queue_wait_us", "job_exec_us"):
@@ -787,9 +853,9 @@ class ExperimentService:
         )
 
     def _job_config(self, job: dict, ctx, kill: _KillSwitch) -> dict:
-        """Everything the worker subprocess needs, as plain data — plus
-        the shepherd-only ``_``-prefixed keys the executor thread strips
-        before the child sees the config."""
+        """Everything a job needs, as plain data (a forked worker gets
+        it pickled) — plus the shepherd-only ``_``-prefixed keys the
+        executor thread strips before the child sees the config."""
         config = {
             "request": dict(job["request"]),
             "store_path": self.store_path,
@@ -857,7 +923,7 @@ class ExperimentService:
             self.registry.histogram(
                 "service.job_queue_wait_us", LATENCY_BUCKETS_US
             ).observe(queue_wait * 1e6)
-            kill = self._kills[job["id"]] = _KillSwitch()
+            kill = _KillSwitch()
             failure = None
             try:
                 if self.fault_plan is not None:
@@ -874,11 +940,20 @@ class ExperimentService:
                 with ctx.child(
                     "job.execute", job=job["id"], track="executor"
                 ) as span:
-                    payload = await loop.run_in_executor(
-                        self._executor,
-                        _run_job_subprocess,
-                        self._job_config(job, span, kill),
-                    )
+                    config = self._job_config(job, span, kill)
+                    payload = None
+                    if job["fault_site"] is None:
+                        payload = await loop.run_in_executor(
+                            self._executor, _serve_in_process, config,
+                            self._read_pool,
+                        )
+                    if payload is None:
+                        self._kills[job["id"]] = kill
+                        payload = await loop.run_in_executor(
+                            self._executor, _run_job_subprocess, config
+                        )
+                    else:
+                        self.registry.counter("service.jobs_in_process").add(1)
                     self._absorb_result(job, payload, span)
             except Exception as exc:  # noqa: BLE001 — job isolation boundary
                 if isinstance(exc, JobFailed):
@@ -905,7 +980,7 @@ class ExperimentService:
                     self._note_lease_lost()
                 self.registry.counter("service.job_failures").add(1)
             finally:
-                del self._kills[job["id"]]
+                self._kills.pop(job["id"], None)
             if self.table.finish(job, _now(), failure):
                 self.registry.counter("service.breaker_trips").add(1)
             self.registry.gauge("service.breaker_open").set(

@@ -41,8 +41,9 @@ from .schema import StoreError, apply_migrations
 #: still leave headroom before expiry
 DEFAULT_TTL = 15.0
 
-#: held by every lease write transaction and by any thread while it forks:
-#: a process never forks with a lease transaction open
+#: held by every lease write transaction, by a daemon job served in
+#: process while it uses SQLite, and by any thread while it forks: a
+#: process never forks with a write transaction or a SQLite mutex held
 FORK_LOCK = threading.Lock()
 
 

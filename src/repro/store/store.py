@@ -55,6 +55,10 @@ STORE_PATH_ENV = "REPRO_STORE"
 DEFAULT_STORE_PATH = "experiments.sqlite"
 
 
+#: decoded runs a StoreReadPool shares before it starts over (~10 KB each)
+RUN_CACHE_SIZE = 4096
+
+
 def default_store_path() -> str:
     return os.environ.get(STORE_PATH_ENV) or DEFAULT_STORE_PATH
 
@@ -90,6 +94,7 @@ class ExperimentStore:
                     f"file:{quote(self.path)}?mode=ro",
                     timeout=timeout,
                     uri=True,
+                    check_same_thread=False,
                 )
             except sqlite3.OperationalError as exc:
                 raise StoreError(
@@ -99,7 +104,11 @@ class ExperimentStore:
             parent = os.path.dirname(self.path)
             if parent:
                 os.makedirs(parent, exist_ok=True)
-            self._conn = sqlite3.connect(self.path, timeout=timeout)
+            self._conn = sqlite3.connect(
+                self.path, timeout=timeout, check_same_thread=False
+            )
+        # a handle may change threads (StoreReadPool lends one to
+        # whichever thread asks) but is never used by two at once
         self._conn.row_factory = sqlite3.Row
         self._conn.execute(f"PRAGMA busy_timeout = {int(timeout * 1000)}")
         self.journal_mode: Optional[str] = None
@@ -119,6 +128,8 @@ class ExperimentStore:
             apply_migrations(self._conn)
         self.hits = 0
         self.misses = 0
+        #: decoded runs by key, shared by a StoreReadPool's handles
+        self._runs: Optional[Dict[str, object]] = None
         #: (holder, token) armed by :meth:`set_write_fence`; every append
         #: re-validates it against ``writer_lease`` inside the transaction
         self._fence: Optional[Tuple[str, int]] = None
@@ -157,9 +168,23 @@ class ExperimentStore:
         return json.loads(row["record"])
 
     def lookup_run(self, key: str):
-        """Like :meth:`lookup` but rebuilt as a ProfileRun."""
+        """Like :meth:`lookup` but rebuilt as a ProfileRun.  A handle lent
+        by a :class:`StoreReadPool` decodes each key's record once and
+        hands the same run to every later lookup through the pool, so
+        callers must not modify it."""
+        run = None if self._runs is None else self._runs.get(key)
+        if run is not None:
+            self.hits += 1
+            return run
         record = self.lookup(key)
-        return None if record is None else codec.run_from_record(record)
+        if record is None:
+            return None
+        run = codec.run_from_record(record)
+        if self._runs is not None:
+            if len(self._runs) >= RUN_CACHE_SIZE:
+                self._runs.clear()
+            self._runs[key] = run
+        return run
 
     def has_live(self, key: str) -> bool:
         """Whether a live record exists for ``key`` — the memo-only
@@ -178,9 +203,6 @@ class ExperimentStore:
         with :class:`~repro.store.lease.LeaseLost` unless ``writer_lease``
         still names this (holder, token) at commit time."""
         self._fence = (str(holder), int(token))
-
-    def clear_write_fence(self) -> None:
-        self._fence = None
 
     def _check_fence(self) -> Optional[int]:
         """Validate the armed fence against the lease row (must be called
@@ -759,6 +781,11 @@ class StoreReadPool:
     read-write opens (reads only ever flow through it, so the contract
     holds either way).  ``created``/``reused`` counters make pooling
     observable in tests and ``/v1/stats``.
+
+    The pool's handles share one decoded run per served key
+    (:meth:`ExperimentStore.lookup_run`): a live record is
+    content-addressed and never changes, so warm jobs that serve the
+    same cells share those runs instead of each decoding its own copy.
     """
 
     def __init__(self, path: str, size: int = 4, timeout: float = 30.0) -> None:
@@ -768,17 +795,20 @@ class StoreReadPool:
         self.created = 0
         self.reused = 0
         self._idle: List[ExperimentStore] = []
+        self._runs: Dict[str, object] = {}
         self._lock = threading.Lock()
         self._closed = False
 
     def _open(self) -> ExperimentStore:
         self.created += 1
         try:
-            return ExperimentStore(
+            store = ExperimentStore(
                 self.path, timeout=self.timeout, read_only=True
             )
         except StoreError:
-            return ExperimentStore(self.path, timeout=self.timeout)
+            store = ExperimentStore(self.path, timeout=self.timeout)
+        store._runs = self._runs
+        return store
 
     def acquire(self) -> ExperimentStore:
         with self._lock:

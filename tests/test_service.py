@@ -132,6 +132,134 @@ class TestDaemon:
         assert final["status"] == "done"
 
 
+def _forbid_fork(monkeypatch):
+    """Fail any job that forks, so a job that completes was served in
+    the daemon process."""
+    import repro.service.daemon as daemon_mod
+
+    def forked(config):
+        raise daemon_mod.JobFailed("RuntimeError: job forked")
+
+    monkeypatch.setattr(daemon_mod, "_run_job_subprocess", forked)
+
+
+def _run_rows(store_path):
+    """Every run row's memo columns, in id order."""
+    import sqlite3
+
+    with sqlite3.connect(store_path) as conn:
+        return conn.execute(
+            "SELECT git_sha, scale, profiles, suite, store_hits, cell_keys,"
+            " lease_token FROM runs ORDER BY id"
+        ).fetchall()
+
+
+def _in_process(daemon):
+    return daemon.client.stats()["metrics"]["counters"]["service.jobs_in_process"]
+
+
+class TestInProcessServing:
+    """A job whose every cell is on record is served on the daemon's
+    executor, without a fork; everything else still forks."""
+
+    def test_warm_repeat_needs_no_fork(self, daemon, monkeypatch):
+        cold = daemon.client.wait(daemon.client.submit(SMALL)["id"])
+        assert cold["status"] == "done", cold["error"]
+        compile_stats = daemon.client.stats()["compile_stats"]
+        assert compile_stats["compile_source_calls"] > 0
+        _forbid_fork(monkeypatch)
+        warm = daemon.client.wait(daemon.client.submit(SMALL)["id"])
+        assert warm["status"] == "done", warm["error"]
+        stats = warm["stats"]
+        assert stats["hits"] == stats["cells"] == 4
+        assert stats["cells_executed"] == 0
+        assert stats["compile_calls"] == 0
+        direct = baseline.collect(
+            profiles=baseline.resolve_profiles(SMALL["profiles"]),
+            suite=baseline.resolve_suite(SMALL["benchmarks"], SMALL["scale"]),
+            scale=SMALL["scale"], git_sha=SMALL["git_sha"], jobs=1,
+        )
+        served = daemon.client.result(warm["id"])
+        assert json.dumps(served, sort_keys=True) == json.dumps(
+            direct, sort_keys=True)
+        assert daemon.client.stats()["compile_stats"] == compile_stats
+        assert _in_process(daemon) == 1
+
+    def test_served_job_appends_the_run_row_a_forked_one_does(
+        self, daemon, monkeypatch
+    ):
+        import repro.service.daemon as daemon_mod
+
+        assert _run_rows(daemon.store_path) == []
+        daemon.client.wait(daemon.client.submit(SMALL)["id"])
+        assert len(_run_rows(daemon.store_path)) == 1
+        # the same warm job once forked, once served in process
+        with monkeypatch.context() as patch:
+            patch.setattr(daemon_mod, "_serve_in_process",
+                          lambda config, read_pool: None)
+            forked = daemon.client.wait(daemon.client.submit(SMALL)["id"])
+        assert forked["status"] == "done", forked["error"]
+        assert len(_run_rows(daemon.store_path)) == 2
+        _forbid_fork(monkeypatch)
+        served = daemon.client.wait(daemon.client.submit(SMALL)["id"])
+        assert served["status"] == "done", served["error"]
+        rows = _run_rows(daemon.store_path)
+        assert len(rows) == 3
+        assert rows[2] == rows[1]
+        assert rows[2][4] == 4  # store_hits
+        assert served["stats"] == dict(forked["stats"], run_id=3)
+        assert _in_process(daemon) == 1
+
+    def test_a_cell_missing_at_start_forks(self, daemon, monkeypatch):
+        import repro.service.daemon as daemon_mod
+
+        daemon.client.wait(daemon.client.submit(SMALL)["id"])
+        real = daemon_mod._run_job_subprocess
+        forks = []
+
+        def spying(config):
+            forks.append(config["request"]["profiles"])
+            return real(config)
+
+        monkeypatch.setattr(daemon_mod, "_run_job_subprocess", spying)
+        wider = dict(SMALL, profiles="clr-1.1,native-c,mono-0.23")
+        view = daemon.client.wait(daemon.client.submit(wider)["id"])
+        assert view["status"] == "done", view["error"]
+        assert forks == [["clr-1.1", "native-c", "mono-0.23"]]
+        stats = view["stats"]
+        assert (stats["cells"], stats["hits"], stats["cells_executed"]) == (
+            6, 4, 2)
+        assert _in_process(daemon) == 0
+
+    def test_memo_only_warm_job_records_nothing(self, tmp_path, monkeypatch):
+        with DaemonHarness(tmp_path) as warm:
+            warm.client.wait(warm.client.submit(SMALL)["id"])
+        rows = _run_rows(str(tmp_path / "exp.sqlite"))
+        assert len(rows) == 1
+        _forbid_fork(monkeypatch)
+        with DaemonHarness(tmp_path, degraded=True) as degraded:
+            view = degraded.client.wait(degraded.client.submit(SMALL)["id"])
+            assert view["status"] == "done", view["error"]
+            assert view["memo_only"] is True
+            assert view["stats"]["hits"] == view["stats"]["cells"]
+            assert view["stats"]["run_id"] is None
+            assert _in_process(degraded) == 1
+            assert _run_rows(degraded.store_path) == rows
+
+    def test_chaos_armed_warm_job_forks(self, tmp_path):
+        from repro.faults import FaultPlan
+
+        with DaemonHarness(tmp_path) as warm:
+            warm.client.wait(warm.client.submit(SMALL)["id"])
+        plan = FaultPlan(seed=1, pinned=((1, "job_kill"),))
+        with DaemonHarness(tmp_path, fault_plan=plan) as armed:
+            view = armed.client.wait(armed.client.submit(SMALL)["id"])
+            assert view["status"] == "failed"
+            assert view["failure"]["fault"] == "job_kill"
+            assert view["error"].startswith("chaos fault job_kill")
+            assert _in_process(armed) == 0
+
+
 class TestJobTiming:
     def test_finished_job_carries_lifecycle_stamps(self, daemon):
         done = daemon.client.wait(daemon.client.submit(SMALL)["id"])

@@ -463,6 +463,78 @@ class TestWriterLease:
             release.set()
             harness.close()
 
+    def test_job_forked_during_in_process_append_completes(
+        self, tmp_path, monkeypatch
+    ):
+        """A cold job forked while a warm job served in the daemon
+        process holds the store's write lock would inherit it and fail
+        with ``database is locked``; the fork waits for the append to
+        commit."""
+        harness = DaemonHarness(tmp_path, workers=2)
+        inside, release = threading.Event(), threading.Event()
+        try:
+            done = harness.client.wait(harness.client.submit(SMALL)["id"])
+            assert done["status"] == "done", done["error"]
+            daemon_pid = os.getpid()
+            real_check = ExperimentStore._check_fence
+
+            def slow_check(store):
+                token = real_check(store)
+                if os.getpid() == daemon_pid:  # not in a forked job
+                    inside.set()
+                    release.wait(30)
+                return token
+
+            # the warm append stalls inside its write transaction
+            monkeypatch.setattr(ExperimentStore, "_check_fence", slow_check)
+            warm = harness.client.submit(SMALL)
+            assert inside.wait(10), "warm append never opened its transaction"
+            cold = harness.client.submit(OTHER)
+            time.sleep(0.5)  # the cold job's drain task reaches its fork
+            release.set()
+            for job in (warm, cold):
+                view = harness.client.wait(job["id"])
+                assert view["status"] == "done", view["error"]
+            counters = harness.client.stats()["metrics"]["counters"]
+            assert counters["service.jobs_in_process"] == 1
+        finally:
+            release.set()
+            harness.close()
+
+    def test_in_process_append_after_lease_steal_is_lease_lost(
+        self, tmp_path, monkeypatch
+    ):
+        """A warm job served in process appends through the daemon's
+        lease fence: after a steal the append is refused, the job fails
+        ``lease-lost`` and the daemon drops to memo-only."""
+        import repro.service.daemon as daemon_mod
+
+        # a long ttl keeps the lease loop's own renewals out of the way
+        harness = DaemonHarness(tmp_path, lease_ttl=120.0)
+        try:
+            done = harness.client.wait(harness.client.submit(SMALL)["id"])
+            assert done["status"] == "done", done["error"]
+
+            def forked(config):
+                raise daemon_mod.JobFailed("RuntimeError: job forked")
+
+            monkeypatch.setattr(daemon_mod, "_run_job_subprocess", forked)
+            with WriterLease(harness.store_path, holder="thief",
+                             ttl=120.0) as thief:
+                thief.steal()
+            view = harness.client.wait(harness.client.submit(SMALL)["id"])
+            assert view["status"] == "failed"
+            assert view["failure"]["kind"] == "lease-lost"
+            assert view["error"].startswith("LeaseLost: writer lease lost")
+            assert harness.client.health()["memo_only"] == "lease"
+            stats = harness.client.stats()
+            assert stats["lease"]["held"] is False
+            assert stats["metrics"]["counters"]["service.lease_lost_total"] == 1
+            with ExperimentStore(harness.store_path, read_only=True) as store:
+                assert len(store.runs()) == 1
+        finally:
+            harness.close()
+
     def test_acquire_renew_release_cycle(self, tmp_path):
         path = str(tmp_path / "lease.sqlite")
         a = WriterLease(path, holder="a", ttl=30.0)

@@ -595,3 +595,53 @@ class TestStoreReadPool:
             pool.close()
         with pytest.raises(StoreError, match="closed"):
             pool.acquire()
+
+    def test_handles_share_decoded_runs(self, tmp_path):
+        path = str(tmp_path / "e.sqlite")
+        profiles = baseline.resolve_profiles("clr-1.1")
+        suite = baseline.resolve_suite("micro.arith", 0.0)
+        with ExperimentStore(path) as writer:
+            baseline.collect(profiles=profiles, suite=suite, scale=0.0,
+                             git_sha="cafe", store=writer)
+            key = writer.cell_key("micro.arith", "clr-1.1",
+                                  overrides=suite[0][1])
+            # a plain handle decodes a fresh run per lookup
+            assert writer.lookup_run(key) is not writer.lookup_run(key)
+            record = writer.lookup(key)
+        pool = StoreReadPool(path, size=1)
+        try:
+            first = pool.acquire()
+            second = pool.acquire()  # over the cap: a second connection
+            run = first.lookup_run(key)
+            assert run_to_record(run) == record
+            assert second.lookup_run(key) is run
+            assert (first.hits, second.hits) == (1, 1)
+            assert second.lookup_run("no-such-key") is None
+            assert second.misses == 1
+            pool.release(first)
+            pool.release(second)
+        finally:
+            pool.close()
+
+    def test_lent_handle_works_on_another_thread(self, tmp_path):
+        import threading
+
+        path = str(tmp_path / "e.sqlite")
+        with ExperimentStore(path) as writer:
+            append_run(writer)
+        pool = StoreReadPool(path, size=1)
+        try:
+            with pool.connection():
+                pass  # opened on this thread, lent to the next
+            seen = []
+
+            def read():
+                with pool.connection() as lent:
+                    seen.append(lent.counts()["runs"])
+
+            worker = threading.Thread(target=read)
+            worker.start()
+            worker.join(10)
+            assert seen == [1]
+        finally:
+            pool.close()
