@@ -14,11 +14,6 @@ daemon; ``repro --help`` (or an unknown verb) loads them all.  A verb's
 output lines keep the prefix of the console script it replaced
 (``hpcnet:``, ``repro-bench:``, ``repro-client:`` ...), since scripts
 and CI steps match on them.
-
-The console scripts of earlier releases (``hpcnet``, ``repro-fuzz``,
-``repro-prof``, ``repro-bench``, ``repro-chaos``, ``repro-serve``,
-``repro-client``, ``repro-store``, ``repro-trace``) remain for one more
-release as deprecated aliases of ``repro <verb>``.
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 from importlib import import_module
 from typing import List, Optional
 
@@ -74,21 +68,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         # exit non-zero without a traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-
-
-def _alias(name: str, *verb: str, argv: Optional[List[str]] = None) -> int:
-    """A deprecated console script: one notice on stderr, then ``repro <verb>``."""
-    print(f"{name}: deprecated, use `{' '.join(('repro',) + verb)}`; "
-          "this alias will be removed", file=sys.stderr)
-    return main([*verb, *(sys.argv[1:] if argv is None else argv)])
-
-
-hpcnet = partial(_alias, "hpcnet")
-repro_fuzz = partial(_alias, "repro-fuzz", "fuzz")
-repro_prof = partial(_alias, "repro-prof", "prof")
-repro_bench = partial(_alias, "repro-bench", "bench")
-repro_chaos = partial(_alias, "repro-chaos", "chaos")
-repro_serve = partial(_alias, "repro-serve", "serve")
-repro_client = partial(_alias, "repro-client", "client")
-repro_store = partial(_alias, "repro-store", "store")
-repro_trace = partial(_alias, "repro-trace", "trace")

@@ -295,7 +295,9 @@ def _apply_worker_fault(plan, index: int, attempt: int, queue) -> None:
 
 def _worker_main(spec: dict, chunk: Sequence[Tuple[int, object, int]], queue) -> None:
     """Stream one ``("cell", pid, index, payload, wall, t0)`` message per
-    cell, then ``("done", pid, hits, misses, corrupted)``.  Streaming
+    cell, then ``("done", pid, hits, misses, corrupted, templates)``,
+    where ``templates`` are the dispatch templates this worker compiled
+    and did not inherit, for the parent to adopt.  Streaming
     (rather than batching the chunk) is what makes the parent's penalty
     rule sound: when this process dies, exactly the unreported cells are
     outstanding and the first of them is the one being executed.  ``t0``
@@ -303,6 +305,9 @@ def _worker_main(spec: dict, chunk: Sequence[Tuple[int, object, int]], queue) ->
     across processes on one host, so the parent can fold the cell into
     the submission's wall-clock trace as a span with a real start time.
     """
+    from ..vm import dispatch
+
+    inherited = dispatch.template_keys()
     try:
         state = _make_state(spec)
         plan = spec.get("plan")
@@ -317,10 +322,11 @@ def _worker_main(spec: dict, chunk: Sequence[Tuple[int, object, int]], queue) ->
                 ("cell", pid, index, payload, time.perf_counter() - t0, t0_mono)
             )
         cache = state.get("cache")
-        if cache is not None:
-            queue.put(("done", pid, cache.hits, cache.misses, cache.corrupted))
-        else:
-            queue.put(("done", pid, 0, 0, 0))
+        counts = (
+            (0, 0, 0) if cache is None
+            else (cache.hits, cache.misses, cache.corrupted)
+        )
+        queue.put(("done", pid, *counts, dispatch.export_templates(inherited)))
     except BaseException:
         queue.put(("error", os.getpid(), traceback.format_exc()))
 
@@ -429,6 +435,8 @@ def _run_parallel(spec: dict, indexed, njobs: int, outcomes, report: PoolReport,
     if cell_timeout is None and plan is not None:
         cell_timeout = DEFAULT_CELL_TIMEOUT
 
+    from ..vm.dispatch import adopt_templates
+
     ctx = _pool_context()
     queue = ctx.Queue()
     attempts: Dict[int, int] = {index: 0 for index, _ in indexed}
@@ -505,7 +513,8 @@ def _run_parallel(spec: dict, indexed, njobs: int, outcomes, report: PoolReport,
                             index=index, worker=pid, track=f"worker-{pid}",
                         )
                 elif kind == "done":
-                    _k, _pid, hits, misses, corrupted = message
+                    _k, _pid, hits, misses, corrupted, templates = message
+                    adopt_templates(templates)
                     report.cache_hits += hits
                     report.cache_misses += misses
                     report.cache_corrupted += corrupted

@@ -24,7 +24,12 @@ sockets, threads, processes or the store:
   process group** (:func:`_run_job_subprocess`): executing cells can
   wedge, crash or overrun a deadline, and touches process-global state
   (``COMPILE_STATS``, compile-cache writes); the worker reports its
-  compile count over the pipe.  The shepherd polls the pipe in bounded
+  compile count over the pipe.  A fork starts warm: :meth:`start` loads
+  the benchmark registry before the first one, and a job that succeeds
+  hands back the dispatch templates it compiled
+  (:func:`repro.vm.dispatch.export_templates`), which the daemon adopts,
+  so every later fork inherits them instead of compiling them again.
+  The shepherd polls the pipe in bounded
   steps and kills the group on deadline expiry or when the job's kill
   switch fires (drain, chaos ``job_kill``); every failure reaches the
   daemon as one :class:`JobFailed` with its ``kind``;
@@ -57,6 +62,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import itertools
+import json
 import math
 import os
 import re
@@ -261,17 +267,24 @@ def _job_worker(conn, config: dict) -> None:
 
     First act: become a process-group leader, so a deadline/drain kill of
     this job's group reaps every pool worker it forks, never the daemon.
+    A result carries the dispatch templates compiled here and not
+    inherited from the daemon (``templates``, for the daemon to adopt).
     Failures travel back structured (``{"kind", "message"}``) so the
     daemon can attribute them — a lost lease is ``lease-lost``, anything
     else is ``error``.
     """
+    from ..vm import dispatch
+
     if hasattr(os, "setpgid"):
         try:
             os.setpgid(0, 0)
         except OSError:
             pass
+    inherited = dispatch.template_keys()
     try:
-        message = ("ok", _collect_in_worker(config))
+        payload = _collect_in_worker(config)
+        payload["templates"] = dispatch.export_templates(inherited)
+        message = ("ok", payload)
     except BaseException as exc:  # noqa: BLE001 — job isolation boundary
         from ..store.lease import LeaseLost
 
@@ -393,19 +406,23 @@ def _run_job_subprocess(config: dict) -> dict:
     return payload
 
 
-def _coalesce_key(cell_keys, git_sha) -> str:
-    """The submission-identity digest: the sorted content-addressed cell
-    keys (already covering compiler version, profile, benchmark and
-    resolved params) plus the git SHA stamp, which lives in the artifact
-    but not in any cell key.  Two submissions with equal digests are
-    guaranteed byte-identical artifacts — the precondition that makes
-    coalescing a pure optimization."""
-    digest = hashlib.sha256()
-    for key in sorted(cell_keys):
-        digest.update(key.encode())
-        digest.update(b"\x00")
-    digest.update(f"git:{git_sha!r}".encode())
-    return digest.hexdigest()
+def _coalesce_key(request: dict, suite) -> str:
+    """The submission-identity digest: everything the artifact depends
+    on — the resolved suite in order (names and params), the profile
+    names in order, the scale as recorded and the git SHA.  Two
+    submissions with equal digests are guaranteed byte-identical
+    artifacts — the precondition that makes coalescing a pure
+    optimization.  (Equal cell keys are not enough: two scales can
+    resolve to the same params and still stamp different artifacts.)"""
+    identity = [
+        [[name, params] for name, params in suite],
+        request["profiles"],
+        request["scale"],
+        request["git_sha"],
+    ]
+    return hashlib.sha256(
+        json.dumps(identity, sort_keys=True).encode()
+    ).hexdigest()
 
 
 #: (method, path pattern, handler method); the first full match routes
@@ -539,6 +556,7 @@ class ExperimentService:
             "coalesced_total", "rejected_total", "shed_total",
             "deadline_kills", "drain_kills", "breaker_trips",
             "lease_lost_total", "fault_injections", "jobs_in_process",
+            "templates_adopted",
         ):
             self.registry.counter(f"service.{name}")
         for name in ("http_latency_us", "job_queue_wait_us", "job_exec_us"):
@@ -554,8 +572,13 @@ class ExperimentService:
         return CompileCache(self.cache_dir)
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        """Bind the listener (port 0 = ephemeral), run startup GC, apply
-        store migrations, and start the drain tasks."""
+        """Load the benchmark registry, bind the listener (port 0 =
+        ephemeral), run startup GC, apply store migrations, and start the
+        drain tasks.  The registry is loaded here, before any job forks,
+        so no cold job imports a benchmark module of its own."""
+        from ..benchmarks import all_benchmarks
+
+        all_benchmarks()
         cache = self._cache()
         if cache is not None:
             # reap compile-cache temp files orphaned by previously killed
@@ -791,21 +814,21 @@ class ExperimentService:
             deadline = self.job_deadline
         from ..store import cell_key
 
-        git_sha = request.get("git_sha")
         cell_keys = [
             cell_key(name, profile.name, overrides=params or None)
             for name, params in suite
             for profile in profiles
         ]
+        recorded = {
+            "benchmarks": [name for name, _params in suite],
+            "profiles": [p.name for p in profiles],
+            "scale": float(scale),
+            "git_sha": request.get("git_sha"),
+        }
         try:
             job = self.table.submit(
-                {
-                    "benchmarks": [name for name, _params in suite],
-                    "profiles": [p.name for p in profiles],
-                    "scale": float(scale),
-                    "git_sha": git_sha,
-                },
-                _coalesce_key(cell_keys, git_sha),
+                recorded,
+                _coalesce_key(recorded, suite),
                 _now(),
                 deadline=deadline,
                 trace_id=ctx.trace_id,
@@ -882,8 +905,16 @@ class ExperimentService:
 
     def _absorb_result(self, job: dict, payload: dict, span) -> None:
         """Fold one worker payload into daemon state (event-loop thread):
-        adopt the worker's spans, stats and artifact, accumulate the
-        daemon-owned compile totals, bump the service counters."""
+        adopt the worker's dispatch templates (every later fork inherits
+        them), spans, stats and artifact, accumulate the daemon-owned
+        compile totals, bump the service counters."""
+        templates = payload.pop("templates", None)
+        if templates is not None:
+            from ..vm.dispatch import adopt_templates
+
+            self.registry.counter("service.templates_adopted").add(
+                adopt_templates(templates)
+            )
         for data in payload.get("spans", ()):
             self.tracer.ingest(Span.from_dict(data))
         stats = payload["stats"]

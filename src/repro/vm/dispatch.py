@@ -30,7 +30,9 @@ array accesses, single or fused, report the memory tax through
 ``observer.dyn`` from templates of their own.  Generated source carries
 no per-instruction literal — operands are default arguments — so it is
 keyed by the shape of the instruction or run and compiled once per
-process.
+process, or not at all in a forked process that inherits it: a process
+can hand the templates it compiled back to the one that forked it
+(:func:`export_templates`, :func:`adopt_templates`).
 
 Equivalence contract (enforced by ``tests/test_dispatch_equivalence.py``):
 a threaded machine is **bit-identical** to a classic one in ``cycles``,
@@ -87,6 +89,7 @@ fault injector armed (every pc stays an attributable fire site).
 from __future__ import annotations
 
 import builtins
+import marshal
 import math
 import re
 import struct
@@ -253,7 +256,9 @@ def fuse_plan(code, regions, branch_targets, faults_armed: bool,
 # (``LOAD_FAST`` locals) when a closure is made.  Its text, and so its
 # compiled code, depends only on the *shape* of the instruction or run —
 # opcode, value kind, CONV kind, position in the run, all-int costs — and
-# each shape is compiled once per process into ``_TEMPLATES``.  A template
+# each shape is compiled at most once per process into ``_TEMPLATES``; a
+# forked child inherits its parent's, and the parent can adopt the ones
+# the child compiled (:func:`adopt_templates`).  A template
 # is the code of ``bind(code, s, M, F0)``, which holds ``op_(R, st,
 # <params>)`` as a nested definition whose defaults read the operands of
 # the instructions at ``code[s:]`` and what the body needs of machine
@@ -797,6 +802,32 @@ def _remember(cache, key, value):
         except (KeyError, RuntimeError, StopIteration):
             pass  # another thread evicted first
     cache[key] = value
+
+
+def template_keys():
+    """The keys of the template cache now: what a process forked at this
+    point inherits."""
+    return set(_TEMPLATES)
+
+
+def export_templates(inherited):
+    """The templates compiled since ``inherited`` (see
+    :func:`template_keys`) was taken, marshaled: code objects do not
+    pickle, and a key is a tuple of str, int, bool and None."""
+    return marshal.dumps(
+        [(key, code) for key, code in _TEMPLATES.items() if key not in inherited]
+    )
+
+
+def adopt_templates(blob):
+    """Merge templates :func:`export_templates` exported in another
+    process, within the cache bound; returns how many were new here."""
+    adopted = 0
+    for key, code in marshal.loads(blob):
+        if key not in _TEMPLATES:
+            _remember(_TEMPLATES, key, code)
+            adopted += 1
+    return adopted
 
 
 def _template(key, source, *args):

@@ -2,7 +2,7 @@
 
 The engine is deterministic, so the gate's contract is exact: collecting
 twice at the same commit produces artifacts that self-compare clean, and
-any injected drift beyond tolerance must flip ``repro-bench compare`` to a
+any injected drift beyond tolerance must flip ``repro bench compare`` to a
 nonzero exit with a table naming the benchmark, profile, and metric.
 """
 

@@ -1,5 +1,5 @@
 """The ``repro`` entry point: the verb table, the root help, startup
-imports, and the deprecated console-script aliases."""
+imports, and the one console script."""
 
 import os
 import re
@@ -12,53 +12,13 @@ from repro import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: (old console script, the verb it stands for, a representative argv)
-ALIASES = [
-    ("hpcnet", (), ["run", "micro.arith", "--jobs", "2"]),
-    ("repro-fuzz", ("fuzz",), ["run", "--seed", "7", "--no-compile-cache"]),
-    ("repro-prof", ("prof",), ["report", "micro.loop", "--runtime", "clr11"]),
-    ("repro-bench", ("bench",), ["run", "--benchmarks", "micro.arith",
-                                 "--scale", "0.5", "--fault-seed", "1"]),
-    ("repro-chaos", ("chaos",), ["run", "--seed", "3", "--pin", "0:worker_crash"]),
-    ("repro-serve", ("serve",), ["--port", "0", "--workers", "2"]),
-    ("repro-client", ("client",), ["--trace", "stats"]),
-    ("repro-store", ("store",), ["--db", "x.sqlite", "runs"]),
-    ("repro-trace", ("trace",), ["ls", "log.jsonl"]),
-]
-
-
-@pytest.mark.parametrize("name, verb, argv", ALIASES, ids=[a[0] for a in ALIASES])
-def test_alias_is_repro_verb_plus_one_notice(name, verb, argv, monkeypatch, capsys):
-    parsed = []
-    real_parse_args = cli.parse_args
-
-    def recording(argv):
-        args = real_parse_args(argv)
-        parsed.append(dict(vars(args)))
-        args.func = lambda _args: 3  # parse only; run no handler
-        return args
-
-    monkeypatch.setattr(cli, "parse_args", recording)
-    assert cli.main([*verb, *argv]) == 3
-    direct = capsys.readouterr()
-    assert getattr(cli, name.replace("-", "_"))(argv=argv) == 3
-    aliased = capsys.readouterr()
-
-    assert parsed[0] == parsed[1]
-    assert aliased.out == direct.out == ""
-    assert direct.err == ""
-    assert aliased.err.count("\n") == 1
-    assert aliased.err.startswith(f"{name}: deprecated, use `repro")
-
 
 def test_console_scripts_are_repro_and_the_aliases():
+    # the deprecated aliases are gone: ``repro`` is the one script
     with open(os.path.join(ROOT, "pyproject.toml")) as handle:
         block = handle.read().split("[project.scripts]")[1].split("\n[")[0]
     scripts = dict(re.findall(r'^([\w-]+) = "([\w.:]+)"', block, re.M))
-    assert scripts == {
-        "repro": "repro.cli:main",
-        **{name: f"repro.cli:{name.replace('-', '_')}" for name, _, _ in ALIASES},
-    }
+    assert scripts == {"repro": "repro.cli:main"}
 
 
 def test_help_lists_every_verb(capsys):

@@ -9,7 +9,7 @@ Four properties are pinned here:
   simplify and inline passes must each produce divergences (mutation
   check), otherwise a silently weakened oracle would pass CI forever.
 
-The heavyweight campaign (``repro-fuzz run --seed 42 --count 50``) and the
+The heavyweight campaign (``repro fuzz run --seed 42 --count 50``) and the
 shrink-quality check live in CI, not here, to keep tier-1 fast.
 """
 

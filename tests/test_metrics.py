@@ -5,7 +5,7 @@ attaching a :class:`~repro.metrics.MachineMetrics` must leave cycles,
 instructions, and results bit-identical to a bare run.  On top of that:
 the registry semantics, the telemetry the hooks actually record
 (allocation, GC, exceptions, contention, scheduler), the deterministic
-flamegraph sampler, and the ``repro-prof flame`` CLI.
+flamegraph sampler, and the ``repro prof flame`` CLI.
 """
 
 import json

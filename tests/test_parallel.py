@@ -298,7 +298,7 @@ class TestFuzzCampaignBitIdentity:
         assert campaign_fingerprint(result) == campaign_fingerprint(serial)
 
 
-# ----------------------------------------------------- hpcnet run --jobs
+# ------------------------------------------------------ repro run --jobs
 
 
 class TestHarnessCliParallel:

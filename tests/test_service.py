@@ -5,6 +5,8 @@ error handling, and cache GC."""
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -258,6 +260,113 @@ class TestInProcessServing:
             assert view["failure"]["fault"] == "job_kill"
             assert view["error"].startswith("chaos fault job_kill")
             assert _in_process(armed) == 0
+
+
+def _adopted(daemon):
+    return daemon.client.stats()["metrics"]["counters"][
+        "service.templates_adopted"]
+
+
+def _direct(matrix):
+    """The matrix run directly and serially — the identity reference."""
+    return json.dumps(baseline.collect(
+        profiles=baseline.resolve_profiles(matrix["profiles"]),
+        suite=baseline.resolve_suite(matrix["benchmarks"], matrix["scale"]),
+        scale=matrix["scale"], git_sha=matrix["git_sha"], jobs=1,
+    ), sort_keys=True)
+
+
+#: two cold ``micro.loop`` jobs of one shape: the scales set different
+#: ``Reps``, so the second has no cell on record and forks too
+LOOP = {"benchmarks": "micro.loop", "profiles": "clr-1.1,mono-0.23,native-c",
+        "scale": 0.05, "git_sha": "cafe"}
+LOOP_AGAIN = dict(LOOP, scale=0.03)
+
+
+class TestWarmForks:
+    """A cold job forks from a warm daemon: the daemon adopts the
+    dispatch templates each job compiled, so a later fork inherits them,
+    and it loads the benchmark registry before the first fork."""
+
+    def test_second_cold_job_of_a_shape_adopts_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.vm import dispatch
+
+        monkeypatch.setattr(dispatch, "_TEMPLATES", {})
+        with DaemonHarness(tmp_path) as daemon:
+            assert _adopted(daemon) == 0
+            views = []
+            for matrix in (LOOP, LOOP_AGAIN):
+                view = daemon.client.wait(daemon.client.submit(matrix)["id"])
+                assert view["status"] == "done", view["error"]
+                assert view["stats"]["cells_executed"] == 3
+                views.append((view, _adopted(daemon)))
+            (first, after_first), (second, after_second) = views
+            assert after_first > 0
+            assert after_second == after_first
+            assert len(dispatch._TEMPLATES) == after_first
+            for view, matrix in ((first, LOOP), (second, LOOP_AGAIN)):
+                served = json.dumps(daemon.client.result(view["id"]),
+                                    sort_keys=True)
+                assert served == _direct(matrix)
+
+    def test_adopted_template_equals_one_compiled_in_process(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.vm import dispatch
+
+        monkeypatch.setattr(dispatch, "_TEMPLATES", {})
+        with DaemonHarness(tmp_path) as daemon:
+            view = daemon.client.wait(daemon.client.submit(LOOP)["id"])
+            assert view["status"] == "done", view["error"]
+        adopted = dispatch._TEMPLATES
+        assert adopted
+        monkeypatch.setattr(dispatch, "_TEMPLATES", {})
+        monkeypatch.setattr(dispatch, "_HOT_CODE", {})
+        _direct(LOOP)
+        assert dispatch._TEMPLATES == adopted
+
+    def test_adoption_respects_the_cache_bound(self, monkeypatch):
+        from repro.vm import dispatch
+
+        monkeypatch.setattr(dispatch, "_TEMPLATES", {})
+        for n in range(5):
+            dispatch._TEMPLATES[(n, "i4", None)] = compile(
+                f"x = {n}", "<t>", "exec")
+        blob = dispatch.export_templates({(0, "i4", None)})
+        monkeypatch.setattr(dispatch, "_TEMPLATES", {(9, "i4", None): None})
+        monkeypatch.setattr(dispatch, "_TEMPLATE_LIMIT", 2)
+        assert dispatch.adopt_templates(blob) == 4
+        assert list(dispatch._TEMPLATES) == [(3, "i4", None), (4, "i4", None)]
+        assert dispatch._TEMPLATES[(4, "i4", None)] == compile(
+            "x = 4", "<t>", "exec")
+
+    def test_started_daemon_has_loaded_every_module_a_job_imports(self):
+        script = "\n".join([
+            "import asyncio, os, sys, tempfile",
+            "from repro.metrics import baseline",
+            "from repro.service import ExperimentService",
+            "work = tempfile.mkdtemp()",
+            "service = ExperimentService(os.path.join(work, 'exp.sqlite'),",
+            "    use_lease=False, cache_dir=os.path.join(work, 'cache'))",
+            "loop = asyncio.new_event_loop()",
+            "loop.run_until_complete(service.start())",
+            "before = set(sys.modules)",
+            "baseline.collect(profiles=baseline.resolve_profiles('clr-1.1'),",
+            "    suite=baseline.resolve_suite('micro.loop', 0.0), scale=0.0,",
+            "    git_sha='cafe', jobs=1, cache=None)",
+            "loop.run_until_complete(service.stop())",
+            "print(sorted(m for m in set(sys.modules) - before",
+            "             if m.split('.')[0] == 'repro'))",
+        ])
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
 
 class TestJobTiming:

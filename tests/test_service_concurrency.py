@@ -13,7 +13,7 @@ from repro.metrics import baseline
 from repro.service import ServiceClient, ServiceError
 from repro.service.jobs import JobTable, Now
 
-from tests.test_service import SMALL, DaemonHarness
+from tests.test_service import SMALL, DaemonHarness, _direct
 
 #: a second matrix, disjoint from SMALL, so the pair never coalesces
 OTHER = {"benchmarks": "micro.loop,scimark.sor",
@@ -22,15 +22,6 @@ OTHER = {"benchmarks": "micro.loop,scimark.sor",
 
 def _blob(client, job_id):
     return json.dumps(client.result(job_id), sort_keys=True)
-
-
-def _direct(matrix):
-    """The matrix run directly and serially — the identity reference."""
-    return json.dumps(baseline.collect(
-        profiles=baseline.resolve_profiles(matrix["profiles"]),
-        suite=baseline.resolve_suite(matrix["benchmarks"], matrix["scale"]),
-        scale=matrix["scale"], git_sha=matrix["git_sha"], jobs=1,
-    ), sort_keys=True)
 
 
 class TestCompileIsolation:
@@ -162,6 +153,45 @@ class TestCoalescing:
         assert view["status"] == "failed"
         assert f"coalesced with job {primary['id']}" in view["error"]
         assert "RuntimeError: injected" in view["error"]
+
+
+def test_requests_with_equal_cells_but_other_artifacts_do_not_coalesce(
+    tmp_path, monkeypatch
+):
+    # both resolve micro.arith to the same params, so every cell key is
+    # shared; the artifacts still differ in scale and profile order
+    import repro.service.daemon as daemon_mod
+
+    real = daemon_mod._run_job_subprocess
+    running, release = threading.Event(), threading.Event()
+
+    def slow(config):
+        running.set()
+        release.wait(60)
+        return real(config)
+
+    monkeypatch.setattr(daemon_mod, "_run_job_subprocess", slow)
+    first = {"benchmarks": "micro.arith", "profiles": "clr-1.1,native-c",
+             "scale": 0.0, "git_sha": "cafe"}
+    second = dict(first, profiles="native-c,clr-1.1", scale=0.001)
+    assert baseline.resolve_suite("micro.arith", 0.0) == baseline.resolve_suite(
+        "micro.arith", 0.001)
+    with DaemonHarness(tmp_path, workers=1) as harness:
+        client = harness.client
+        blocker = client.submit(OTHER)
+        assert running.wait(120), "blocker never started"
+        jobs = [client.submit(matrix) for matrix in (first, second)]
+        for job in jobs:
+            view = client.status(job["id"])
+            assert view["status"] == "queued"
+            assert view["coalesced_with"] is None
+        release.set()
+        assert client.wait(blocker["id"], timeout=300)["status"] == "done"
+        for job, matrix in zip(jobs, (first, second)):
+            view = client.wait(job["id"], timeout=300)
+            assert view["status"] == "done", view["error"]
+            assert _blob(client, job["id"]) == _direct(matrix)
+        assert client.stats()["coalesced_total"] == 0
 
 
 class TestQueuePosition:
