@@ -447,7 +447,8 @@ def run_collection(
     as usual and are appended to the store, together with a run row
     recording the collection; memo accounting lands on
     ``Collection.store``.  Its ``compile_calls`` is the compile count of
-    the execute step, measured in the process that runs it.
+    the execute step: this process's own, plus what the pool workers
+    report when the cells run in them.
     Memoization records only clean runs, so it cannot be combined with
     a fault plan.
 
@@ -478,10 +479,11 @@ def run_collection(
                 f"the store ({store.path})"
             )
         progress(f"{len(found.cells)} cells across jobs={jobs}")
-    # measured in the process that executes, so a daemon's forked job
+    # measured in the processes that execute, so a daemon's forked job
     # reports its own compiles, not a sample of a global other jobs share
     compiles_before = COMPILE_STATS["compile_source_calls"]
     payloads, report = _run(found, trace, jobs, cache, plan, cell_timeout)
+    compiles = COMPILE_STATS["compile_source_calls"] - compiles_before
     return _assemble(
         found,
         payloads,
@@ -490,7 +492,7 @@ def run_collection(
         git_sha=git_sha,
         plan=plan,
         record_to=store if record else None,
-        compile_calls=COMPILE_STATS["compile_source_calls"] - compiles_before,
+        compile_calls=compiles + report.compile_calls,
         trace=trace,
     )
 

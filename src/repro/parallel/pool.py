@@ -113,6 +113,9 @@ class PoolReport:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_corrupted: int = 0
+    #: front-end compiles the pool workers made (cells run in-process
+    #: compile in the caller's process, which counts its own)
+    compile_calls: int = 0
     #: per-cell wall seconds, in cell-index order
     cell_wall: List[float] = field(default_factory=list)
     #: plan-derived worker-fault accounting (identical serial/parallel)
@@ -295,8 +298,9 @@ def _apply_worker_fault(plan, index: int, attempt: int, queue) -> None:
 
 def _worker_main(spec: dict, chunk: Sequence[Tuple[int, object, int]], queue) -> None:
     """Stream one ``("cell", pid, index, payload, wall, t0)`` message per
-    cell, then ``("done", pid, hits, misses, corrupted, templates)``,
-    where ``templates`` are the dispatch templates this worker compiled
+    cell, then ``("done", pid, hits, misses, corrupted, compiles,
+    templates)``, where ``compiles`` counts the front-end compiles this
+    worker made and ``templates`` are the dispatch templates it compiled
     and did not inherit, for the parent to adopt.  Streaming
     (rather than batching the chunk) is what makes the parent's penalty
     rule sound: when this process dies, exactly the unreported cells are
@@ -305,9 +309,11 @@ def _worker_main(spec: dict, chunk: Sequence[Tuple[int, object, int]], queue) ->
     across processes on one host, so the parent can fold the cell into
     the submission's wall-clock trace as a span with a real start time.
     """
+    from ..lang.compiler import COMPILE_STATS
     from ..vm import dispatch
 
     inherited = dispatch.template_keys()
+    compiles_before = COMPILE_STATS["compile_source_calls"]
     try:
         state = _make_state(spec)
         plan = spec.get("plan")
@@ -326,7 +332,9 @@ def _worker_main(spec: dict, chunk: Sequence[Tuple[int, object, int]], queue) ->
             (0, 0, 0) if cache is None
             else (cache.hits, cache.misses, cache.corrupted)
         )
-        queue.put(("done", pid, *counts, dispatch.export_templates(inherited)))
+        compiles = COMPILE_STATS["compile_source_calls"] - compiles_before
+        queue.put(("done", pid, *counts, compiles,
+                   dispatch.export_templates(inherited)))
     except BaseException:
         queue.put(("error", os.getpid(), traceback.format_exc()))
 
@@ -513,11 +521,12 @@ def _run_parallel(spec: dict, indexed, njobs: int, outcomes, report: PoolReport,
                             index=index, worker=pid, track=f"worker-{pid}",
                         )
                 elif kind == "done":
-                    _k, _pid, hits, misses, corrupted, templates = message
+                    _k, _pid, hits, misses, corrupted, compiles, templates = message
                     adopt_templates(templates)
                     report.cache_hits += hits
                     report.cache_misses += misses
                     report.cache_corrupted += corrupted
+                    report.compile_calls += compiles
                     if worker is not None:
                         worker["done"] = True
                 else:  # host-side bug in the worker body

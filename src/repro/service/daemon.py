@@ -60,6 +60,7 @@ pipes, ``sqlite3``.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import hashlib
 import itertools
 import json
@@ -767,9 +768,19 @@ class ExperimentService:
             return "breaker"
         return None
 
+    @contextlib.contextmanager
+    def _reading(self):
+        """A read-pool connection, used under ``FORK_LOCK``: a job forked
+        while this thread is inside SQLite would inherit one of SQLite's
+        process-wide mutexes held (see :func:`_serve_in_process`)."""
+        from ..store import lease
+
+        with lease.FORK_LOCK, self._read_pool.connection() as store:
+            yield store
+
     def _all_cells_warm(self, cell_keys) -> bool:
         """Memo-only admission check: is every cell already on record?"""
-        with self._read_pool.connection() as store:
+        with self._reading() as store:
             return all(store.has_live(key) for key in cell_keys)
 
     def _submit(self, request: dict, ctx=NULL_CONTEXT) -> dict:
@@ -1102,8 +1113,9 @@ class ExperimentService:
         return 200, {"trace": trace_id, "spans": [s.to_dict() for s in spans]}
 
     def _stats(self, request, ctx):
-        with self._read_pool.connection() as store:
+        with self._reading() as store:
             counts = store.counts()
+            lease_row = None if self._lease is None else self._lease.info()
         self._refresh_gauges()
         table = self.table
         return 200, {
@@ -1152,7 +1164,7 @@ class ExperimentService:
                     "lost_total": self.registry.value(
                         "service.lease_lost_total"
                     ),
-                    "row": self._lease.info(),
+                    "row": lease_row,
                 }
             ),
             "uptime_seconds": (
@@ -1173,7 +1185,7 @@ class ExperimentService:
 
     def _trends(self, request, ctx):
         query = request.query
-        with self._read_pool.connection() as store:
+        with self._reading() as store:
             if "metric" in query:
                 rows = store.metric_trend(
                     query["metric"], benchmark=query.get("benchmark")

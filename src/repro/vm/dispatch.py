@@ -84,6 +84,28 @@ raising pc in ``ExecState.raise_pc`` before the throw.  The fuser keeps
 branch targets and exception-region boundaries out of a run's interior
 (only a latch may end one), and stands down entirely on machines with a
 fault injector armed (every pc stays an attributable fire site).
+
+Loop superinstructions: a run still returns to the driver at every
+block boundary, and the driver's round trip costs several times what
+one block transition costs inside a function.  :func:`loop_plan` picks
+the maximal, disjoint call-free loops of a function (an interval closed
+by a back edge, every op fusable, no exception-region edge inside), and
+:func:`_make_loop_gen` gives each one generated function that runs the
+loop's blocks — its runs, from the same fragments and with the same two
+paths, and the singles between them — in a local ``while``
+(:func:`_loop_source`).  At every block boundary it does exactly what the
+driver and the next closure would do: the budget and burst test, then
+the block's entry checks, so the flush cadence, ``icount``, the raise
+pcs, the float cost sums and the observer's memory-tax reports stay
+classic's.  It hands control back when the loop exits or the test
+trips, and when a run block's entry checks fail it calls that run's own
+closure, which checks again and runs or falls back to its head as under
+the driver.  The function
+is installed at every block start of the loop, so a binding that ended
+inside it, or a jump into it from outside (the entry jump of a
+bottom-tested loop), resumes in it at once; the interior pcs of runs
+keep their singles.  Loop templates are keyed by the instruction shapes
+and the block layout and live in the same bounded cache as the rest.
 """
 
 from __future__ import annotations
@@ -239,6 +261,66 @@ def fuse_plan(code, regions, branch_targets, faults_armed: bool,
         else:
             i += 1
     return runs
+
+
+def loop_plan(code, regions, branch_targets, faults_armed: bool):
+    """Plan loop superinstructions for one function.
+
+    Returns ``(head, latch, blocks)`` triples, one per loop, in pc order.
+    A loop is an interval ``[head, latch]`` closed by a back edge — the
+    jump at ``latch`` targets ``head`` — whose every op is in
+    :data:`FUSABLE_SECOND` (no call, allocation or rebind) and inside
+    which no exception region starts or ends.  The loops are maximal and
+    disjoint: of the back edges into one head the farthest that
+    qualifies closes its loop, the longest loop goes first, and one that
+    overlaps a chosen one is dropped, so of nested call-free loops the
+    outer one is taken.  Pure function of its inputs, like
+    :func:`fuse_plan`.
+
+    ``blocks`` are the loop's dispatch points as ``(offset, length)``
+    pairs relative to ``head``: the :func:`fuse_plan` runs that start in
+    the interval, one single per pc no run covers, and one single for each
+    run-ending latch that is a branch target.  Every pc control can reach
+    from a block without leaving the interval starts a block, so the
+    loop's generated function (:func:`_make_loop_gen`) can go from block
+    to block as the driver would go from closure to closure.  With a fault
+    injector armed there are no loops, as there are no runs.
+    """
+    if faults_armed:
+        return []
+    edges = set()
+    for reg in regions:
+        edges.update((reg.try_start, reg.try_end, reg.handler_start, reg.handler_end))
+    latches = {}  # head -> the farthest back edge into it that qualifies
+    for pc, ins in enumerate(code):
+        head = ins.target
+        if (
+            (ins.op == mir.JMP or ins.op in mir.COND_JUMPS) and 0 <= head <= pc
+            and all(code[k].op in FUSABLE_SECOND for k in range(head, pc + 1))
+            and not any(head < edge <= pc for edge in edges)
+        ):
+            latches[head] = pc
+    candidates = sorted(latches.items(), key=lambda loop: (loop[0] - loop[1], loop[0]))
+    chosen = []
+    for head, latch in candidates:
+        if all(latch < h or l < head for h, l in chosen):
+            chosen.append((head, latch))
+    if not chosen:
+        return []
+    runs = dict(fuse_plan(code, regions, branch_targets, False))
+    loops = []
+    for head, latch in sorted(chosen):
+        blocks = []
+        pc = head
+        while pc <= latch:
+            length = runs.get(pc, 1)
+            blocks.append((pc - head, length))
+            end = pc + length - 1
+            if length > 1 and end in branch_targets:
+                blocks.append((end - head, 1))
+            pc += length
+        loops.append((head, latch, tuple(blocks)))
+    return loops
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +713,102 @@ def _single_source(shape, hook=False):
     return ["st.spent += C0"] + body + tail
 
 
+#: every run and loop body starts by hoisting the bookkeeping into locals
+_PROLOGUE = (
+    "spent = st.spent",
+    "tot = st.total",
+    "bud = st.budget",
+    "ic = st.icount",
+    "bur = st.burst",
+)
+
+
+def _indent(lines):
+    return ["    " + ln for ln in lines]
+
+
+def _run_checks(b, e, n_tax, length):
+    """The entry checks of a fused run's int fast path and sequential
+    path, for :func:`_run_paths`: the comments there say why each is
+    exact."""
+    return (
+        f"{'not lws and ' if n_tax else ''}spent.__class__ is int"
+        f" and tot + spent + P{e} < bud and ic + {length} < bur",
+        f"tot + spent + P{e}{f' + {n_tax} * _memtax' if n_tax else ''}"
+        f" + 1.0 < bud and ic + {length} < bur",
+    )
+
+
+def _run_paths(shapes, b, e, all_int, taxed, exit_, tail, checks=_run_checks):
+    """The paths of a fused run over elements ``b .. e`` of ``shapes``, as
+    ``(entry_check, lines)`` pairs in the order to try them — the int fast
+    path when ``all_int``, then the sequential path — or None when an
+    element is outside the codegen subset.  Each path runs every
+    element's body in order, then ``exit_(sum)``, the bookkeeping with
+    ``sum`` the run's final cost sum, then ``tail(transfer)``, the last
+    element's control transfer.  ``taxed`` follows the sequential path's
+    memory-tax add (the observer's report, say).  ``P{k}`` is the cost of
+    elements ``b .. k``, ``{i}`` in a raise prelude the element's place in
+    the run.  ``checks(b, e, n_tax, length)`` gives the two paths' entry
+    checks (:func:`_run_checks`, or a loop's cheaper ones).
+    """
+    length = e - b + 1
+    n_tax = sum(1 for shape in shapes[b:e + 1] if shape[0] in _TAXED)
+
+    def path(raise_pre, memtax, step, total):
+        out = []
+        for k in range(b, e + 1):
+            frag = _fragment(
+                shapes[k], k, str(k),
+                raise_pre=[ln.format(k=k, i=k - b) for ln in raise_pre],
+                memtax=memtax,
+            )
+            if frag is None:
+                return None
+            out += step(k) + frag[0]
+        return out + exit_(total) + tail(frag[1])
+
+    fast_check, seq_check = checks(b, e, n_tax, length)
+    paths = []
+    # Int fast path: when every cost in the run is an int (exact,
+    # associative arithmetic), no array access pays the float memory tax,
+    # and neither the budget nor the burst can trip anywhere inside the
+    # run — provable with one conservative entry check, since costs are
+    # non-negative — the per-element bookkeeping collapses to two stores at
+    # the exits.  The ``spent`` int check matters: dynamic costs can have
+    # made it a float, and float ``+=`` is order-sensitive.
+    if all_int:
+        fast = path(
+            ("st.spent = spent + P{k}", "st.icount = ic + {i}", "st.raise_pc = Q{k}"),
+            (), lambda k: [], f"spent + P{e}",
+        )
+        if fast is None:
+            return None
+        paths.append((fast_check, fast))
+
+    # Sequential path: any cost or ``spent`` type, memory tax included.
+    # The additions are classic's, in classic's order, into a local; only
+    # the per-element budget/burst checks are skipped, which is exact when
+    # none of them could trip.  Costs and the tax are non-negative, so
+    # every intermediate ``tot + sp`` is at most the final one, and the
+    # entry check bounds the final one by adding the same terms in another
+    # grouping.  The two float sums can differ by rounding: a few dozen
+    # half-ulps of values below the budget, far below 1.0 for any budget
+    # under 2**40 cycles (a quantum is tens of thousands).  Demanding a
+    # 1-cycle margin absorbs that difference, so when the entry check
+    # passes classic's own ``tot + spent`` stays below the budget after
+    # every element and the run cannot end mid-way.
+    seq = path(
+        ("st.spent = sp", "st.icount = ic + {i}", "st.raise_pc = Q{k}"),
+        ("if lws:", "    sp += _memtax") + taxed,
+        lambda k: [f"sp = spent + C{k}" if k == b else f"sp += C{k}"], "sp",
+    )
+    if seq is None:
+        return None
+    paths.append((seq_check, seq))
+    return paths
+
+
 def _run_source(shapes, all_int, hook=False):
     """One flat function body for a fused run of ``shapes``.
 
@@ -646,93 +824,161 @@ def _run_source(shapes, all_int, hook=False):
     With ``hook`` each taxed access also reports the tax to the observer's
     ``dyn`` hook right after adding it, as the array-access singles do.
     """
-    length = len(shapes)
-    last = length - 1
-    n_tax = sum(1 for shape in shapes if shape[0] in _TAXED)
-    lines = [
-        "spent = st.spent",
-        "tot = st.total",
-        "bud = st.budget",
-        "ic = st.icount",
-        "bur = st.burst",
-    ]
-    tax = ()
-    if n_tax:
+    last = len(shapes) - 1
+    lines = list(_PROLOGUE)
+    if any(shape[0] in _TAXED for shape in shapes):
         lines.append("lws = _M.large_working_set")
-        tax = ("if lws:", "    sp += _memtax")
-        if hook:
-            tax += (f"    _dyn(_fn, {CAT_MEMTAX!r}, _memtax)",)
-
-    def path(raise_pre, memtax, step, exit_):
-        """Every element's body in order: ``step(k)`` lines before element
-        ``k``, ``exit_`` before the last element's control transfer."""
-        out = []
-        for k, shape in enumerate(shapes):
-            frag = _fragment(
-                shape, k, str(k),
-                raise_pre=[ln.format(k=k) for ln in raise_pre], memtax=memtax,
-            )
-            if frag is None:
-                return None
-            body, tail = frag
-            out += step(k) + body
-            if k == last:
-                out += exit_ + tail
-        return out
-
-    # Int fast path: when every cost in the run is an int (exact,
-    # associative arithmetic), no array access pays the float memory tax,
-    # and neither the budget nor the burst can trip anywhere inside the
-    # run — provable with one conservative entry check, since costs are
-    # non-negative — the per-element bookkeeping collapses to two stores at
-    # the exits.  The ``spent`` int check matters: dynamic costs can have
-    # made it a float, and float ``+=`` is order-sensitive.  ``P{k}`` is
-    # the cost of elements 0..k.
-    if all_int:
-        fast = path(
-            ("st.spent = spent + P{k}", "st.icount = ic + {k}", "st.raise_pc = Q{k}"),
-            (), lambda k: [],
-            [f"st.spent = spent + P{last}", f"st.icount = ic + {last}"],
-        )
-        if fast is None:
-            return None
-        lines.append(
-            f"if {'not lws and ' if n_tax else ''}spent.__class__ is int"
-            f" and tot + spent + P{last} < bud and ic + {length} < bur:"
-        )
-        lines += ["    " + ln for ln in fast]
-
-    # Sequential path: any cost or ``spent`` type, memory tax included.
-    # The additions are classic's, in classic's order, into a local; only
-    # the per-element budget/burst checks are skipped, which is exact when
-    # none of them could trip.  Costs and the tax are non-negative, so
-    # every intermediate ``tot + sp`` is at most the final one, and the
-    # entry check bounds the final one by adding the same terms in another
-    # grouping.  The two float sums can differ by rounding: a few dozen
-    # half-ulps of values below the budget, far below 1.0 for any budget
-    # under 2**40 cycles (a quantum is tens of thousands).  Demanding a
-    # 1-cycle margin absorbs that difference, so when the entry check
-    # passes classic's own ``tot + spent`` stays below the budget after
-    # every element and the run cannot end mid-way.
-    seq = path(
-        ("st.spent = sp", "st.icount = ic + {k}", "st.raise_pc = Q{k}"),
-        tax, lambda k: ["sp = spent + C0" if k == 0 else f"sp += C{k}"],
-        ["st.spent = sp", f"st.icount = ic + {last}"],
+    dyn = (f"    _dyn(_fn, {CAT_MEMTAX!r}, _memtax)",) if hook else ()
+    paths = _run_paths(
+        shapes, 0, last, all_int, dyn,
+        lambda total: [f"st.spent = {total}", f"st.icount = ic + {last}"], list,
     )
-    if seq is None:
+    if paths is None:
         return None
-    lines.append(
-        f"if tot + spent + P{last}{f' + {n_tax} * _memtax' if n_tax else ''}"
-        f" + 1.0 < bud and ic + {length} < bur:"
-    )
-    lines += ["    " + ln for ln in seq]
-
+    for check, body in paths:
+        lines += [f"if {check}:", *_indent(body)]
     # Head fallback: the quantum may end inside the run, so run only its
     # first element, through ``F0`` — the closure the run replaced at its
     # start, exactly what the driver would have dispatched there.  The
     # driver then checks the budget and burst and goes on through the
     # interior pcs, which keep their own closures.
     return lines + ["return F0(R, st)"]
+
+
+def _assign_tail(tail):
+    """A :func:`_fragment` tail — ``if c:`` / ``    return x`` pairs, then
+    one ``return y`` — as an if/elif/else that sets ``pc`` instead."""
+    out = []
+    for line in tail:
+        if line.startswith("if "):
+            out.append(line if not out else "el" + line)
+        elif line.startswith("    return "):
+            out.append("    pc = " + line[len("    return "):])
+        else:
+            target = line[len("return "):]
+            out += ["else:", f"    pc = {target}"] if out else [f"pc = {target}"]
+    return out
+
+
+def _loop_source(shapes, blocks, hook=False):
+    """One function body for a loop superinstruction.
+
+    ``shapes`` are the loop's instructions, ``blocks`` its dispatch points
+    (:func:`loop_plan`) as ``(offset, length, all_int, leaves)``, where
+    ``leaves`` says whether the block's last element can transfer control
+    out of the loop.  The body keeps the bookkeeping in locals, as a fused
+    run does, and goes from block to block in a ``while`` loop of one
+    ``if pc == <block start>`` section per block, in pc order: a block that
+    falls or branches forward reaches the next section with one compare.
+    Each section does what the driver and the block's closure would do:
+
+    * the driver's test after the previous block (``tot + spent >= bud or
+      icount >= bur``).  A run block makes it only when its own entry
+      checks fail: they add non-negative terms to the same ``tot + spent``
+      and demand a stricter burst bound, so when either passes the
+      driver's test passes too.  A single block makes it first.  When it
+      trips the function hands the pc back with the previous block's
+      bookkeeping, and the driver ends the binding there, as it would
+      have.  At the section the function starts at the test is the one
+      the driver just passed, so it passes again;
+    * the driver's ``icount += 1`` (kept one ahead in ``ic``, as the
+      closure sees it) and the block itself: a run's two paths, from the
+      same fragments as :func:`_run_source`, behind entry checks against
+      bounds worked out once per call (as strict as the run's own), or a
+      single's cost add and memory tax, as :func:`_single_source` has
+      them.
+      ``st.total``, ``st.budget``, ``st.burst`` and the working-set flag
+      are constant across the loop (nothing in it flushes or allocates),
+      so the hoisted copies see what the driver and the closures would
+      read.
+
+    So the cycle sums, the flush cadence and the raise pcs stay those of
+    the classic loop.  The function also returns the next pc, with the
+    bookkeeping stored back, when control leaves the loop.  When the
+    driver's test passes but a run block's entry checks both fail it
+    returns what that run's own closure ``F{offset}`` returns: the closure
+    checks again and runs the block or falls back to its head, as it
+    would under the driver.  Every pc a block can reach inside the loop starts a block
+    (:func:`loop_plan`), so the ``while`` always finds a section.
+    """
+    last = len(shapes) - 1
+    lines = list(_PROLOGUE)
+    dyn = (f"    _dyn(_fn, {CAT_MEMTAX!r}, _memtax)",) if hook else ()
+    # A run block's entry checks compare with bounds worked out once per
+    # call from ``room = bud - tot - 1``, the cycles ``spent`` may reach
+    # with a 1-cycle margin (which absorbs the rounding of a float
+    # ``tot``, as in :func:`_run_paths`).  The int fast path checks
+    # ``spent + P < lim`` (``limt`` for a run with an array access): both
+    # are ``room`` while ``spent`` is an int, ``limt`` is -1 in the large
+    # working set, and both drop to -1 for good once a float cost or the
+    # float memory tax makes ``spent`` a float.  The sequential path
+    # checks ``spent < sq{b}``, ``room`` less the run's costs and taxes.
+    # Both check the burst as ``ic < bl{length}``, ``bur - length``.
+    lines += ["room = bud - tot - 1",
+              "lim = room if spent.__class__ is int else -1"]
+    drop = "lim = -1"
+    if any(shape[0] in _TAXED for shape in shapes):
+        lines += ["lws = _M.large_working_set", "limt = -1 if lws else lim"]
+        drop = "lim = limt = -1"
+    lengths = set()
+    for b, length, _all_int, _leaves in blocks:
+        if length > 1:
+            e = b + length - 1
+            n_tax = sum(1 for shape in shapes[b:e + 1] if shape[0] in _TAXED)
+            lines.append(f"sq{b} = room - (P{e} + {n_tax} * _memtax)" if n_tax
+                         else f"sq{b} = room - P{e}")
+            if length not in lengths:
+                lengths.add(length)
+                lines.append(f"bl{length} = bur - {length}")
+
+    def checks(b, e, n_tax, length):
+        return (f"spent + P{e} < {'limt' if n_tax else 'lim'} and ic < bl{length}",
+                f"spent < sq{b} and ic < bl{length}")
+    taxed = ("    lim = -1",) + dyn
+    lines += ["pc = E", "while True:"]
+    # the driver's test after the previous block, and ending the binding
+    # at this block when it trips
+    tripped = ["if tot + spent >= bud or ic > bur:",
+               "    st.spent = spent",
+               "    st.icount = ic - 1",
+               "    return pc"]
+
+    for b, length, all_int, leaves in blocks:
+        if length == 1:
+            frag = _fragment(
+                shapes[b], b, str(b),
+                raise_pre=("st.spent = spent", "st.icount = ic", f"st.raise_pc = Q{b}"),
+                memtax=("if lws:", "    spent += _memtax") + taxed,
+            )
+            if frag is None:
+                return None
+            out = tripped + [f"spent += C{b}", *([] if all_int else [drop]),
+                             *frag[0], "ic += 1", *_assign_tail(frag[1])]
+        else:
+            # ``ic`` moves on past the run and the next dispatch at once
+            paths = _run_paths(
+                shapes, b, b + length - 1, all_int, taxed,
+                lambda total: [f"spent = {total}", f"ic += {length}",
+                               *([] if all_int else [drop])],
+                _assign_tail, checks,
+            )
+            if paths is None:
+                return None
+            out = []
+            for index, (check, body) in enumerate(paths):
+                out += [f"{'el' if index else ''}if {check}:", *_indent(body)]
+            out += ["el" + tripped[0], *tripped[1:],
+                    "else:",
+                    "    st.spent = spent",
+                    "    st.icount = ic",
+                    f"    return F{b}(R, st)"]
+        if leaves:
+            out += [f"if pc < Q0 or pc > Q{last}:",
+                    "    st.spent = spent",
+                    "    st.icount = ic - 1",
+                    "    return pc"]
+        lines += [f"    if pc == Q{b}:", *_indent(_indent(out))]
+    return lines
 
 
 def _operand_source(letter, k):
@@ -747,13 +993,17 @@ def _operand_source(letter, k):
     return f"I{k}.{_OPERAND[letter]}"
 
 
-def _compile_template(lines):
+def _compile_template(lines, starts=(0,), loop=False):
     """Compile a template body into the code of ``bind(code, s, M, F0)``,
     which returns a new ``op_(R, st, <params>)`` running ``lines``: its
     defaults are the operands the body reads, of the instructions at
     ``code[s:]``, then the environment names it uses, on machine ``M``.
     A body that reports to the observer's ``dyn`` hook binds the MIR
-    function it reports for too: ``bind(code, s, M, F0, fn)``."""
+    function it reports for too: ``bind(code, s, M, F0, fn)``.  ``P{k}``
+    sums the costs from the nearest of ``starts`` up to element ``k``.  A
+    loop's body binds ``bind(code, s, M, G, E[, fn])`` instead: ``F{k}``
+    is ``G[k]``, the closure the loop found at ``s + k``, and ``E`` the pc
+    the function starts at."""
     text = "\n".join(lines)
     operands = sorted(
         {(letter, int(k)) for letter, k in _PARAM.findall(text)},
@@ -762,17 +1012,22 @@ def _compile_template(lines):
     params = [f"{letter}{k}={_operand_source(letter, k)}" for letter, k in operands]
     env = sorted(set(_ENV_USE.findall(text)))
     params += [f"{name}={_MACHINE_ENV.get(name, name)}" for name in env]
+    fallbacks = []
+    if loop:
+        params.append("E=E")
+        fallbacks = [f"    F{k} = G[{k}]" for letter, k in operands if letter == "F"]
     # every element's cost is a parameter, so every element is loaded;
-    # ``P{k}``, the cost of elements 0..k, is summed left to right like
-    # classic's per-instruction adds
+    # ``P{k}`` is summed left to right like classic's per-instruction adds
     last = operands[-1][1]
     sums = max([k for letter, k in operands if letter == "P"], default=-1)
     src = "\n".join(
-        ["def bind(code, s, M, F0{}):".format(", fn" if "_fn" in env else ""),
+        ["def bind(code, s, M, {}{}):".format(
+            "G, E" if loop else "F0", ", fn" if "_fn" in env else ""),
          "    I0 = code[s]"]
         + [f"    I{k} = code[s + {k}]" for k in range(1, last + 1)]
-        + ["    P0 = I0.cost"] * (sums >= 0)
-        + [f"    P{k} = P{k - 1} + I{k}.cost" for k in range(1, sums + 1)]
+        + [f"    P{k} = I{k}.cost" if k == 0 or k in starts
+           else f"    P{k} = P{k - 1} + I{k}.cost" for k in range(sums + 1)]
+        + fallbacks
         + ["    def op_(R, st, {}):".format(", ".join(params))]
         + ["        " + ln for ln in lines]
         + ["    return op_"]
@@ -786,8 +1041,10 @@ def _compile_template(lines):
 #: or None for a shape outside the codegen subset.  A single's key is its
 #: shape, or ``(shape, True)`` for an array access that reports the
 #: memory tax to an observer; a fused run's is ``(all_int, shapes)``, or
-#: ``(all_int, shapes, True)`` for a run whose array accesses report it.
-#: Bounded: the oldest entry goes first.
+#: ``(all_int, shapes, True)`` for a run whose array accesses report it;
+#: a loop's is ``("loop", shapes, layout)``, or with ``True`` appended
+#: likewise (see :func:`_make_loop_gen`).  Bounded: the oldest entry goes
+#: first.
 _TEMPLATES = {}
 _TEMPLATE_LIMIT = 4096
 _MISSING = object()
@@ -830,12 +1087,13 @@ def adopt_templates(blob):
     return adopted
 
 
-def _template(key, source, *args):
-    """Template ``key``; compiles ``source(*args)`` on a miss."""
+def _template(key, source, *args, **options):
+    """Template ``key``; compiles ``source(*args)`` on a miss, with the
+    :func:`_compile_template` ``options``."""
     template = _TEMPLATES.get(key, _MISSING)
     if template is _MISSING:
         lines = source(*args)
-        template = None if lines is None else _compile_template(lines)
+        template = None if lines is None else _compile_template(lines, **options)
         _remember(_TEMPLATES, key, template)
     return template
 
@@ -879,6 +1137,44 @@ def _make_fused_gen(code, start, length, machine, fallback=None, fn=None):
     if hook:
         return make(code, start, machine, fallback, fn)
     return make(code, start, machine, fallback)
+
+
+def _make_loop_gen(code, head, latch, blocks, entry, machine, originals, fn=None):
+    """Loop superinstruction for ``code[head : latch + 1]`` (see
+    :func:`loop_plan` for ``blocks``) that starts at pc ``entry``, or None
+    when an element is outside the subset.  ``originals`` are the closures
+    at ``head .. latch`` before it is installed: a run block whose entry
+    checks fail calls its own.
+    ``fn`` is as for :func:`_make_fused_gen`.  The template is keyed by the
+    shapes and the block layout, which holds of each block's branch target
+    only whether it leaves the loop; the targets themselves are
+    parameters, so the same loop anywhere in any function shares it."""
+    body = code[head:latch + 1]
+    shapes = tuple(map(_shape, body))
+    layout = []
+    for b, length in blocks:
+        end = body[b + length - 1]
+        exits = [b + length] if end.op != mir.JMP else []
+        if end.op == mir.JMP or end.op in mir.COND_JUMPS:
+            exits.append(end.target - head)
+        layout.append((
+            b, length,
+            all(type(ins.cost) is int for ins in body[b:b + length]),
+            any(not 0 <= x < len(body) for x in exits),
+        ))
+    layout = tuple(layout)
+    hook = fn is not None and machine.observer is not None and any(
+        shape[0] in _TAXED for shape in shapes
+    )
+    key = ("loop", shapes, layout, True) if hook else ("loop", shapes, layout)
+    starts = {b for b, length in blocks if length > 1}
+    bind = _template(key, _loop_source, shapes, layout, hook, starts=starts, loop=True)
+    if bind is None:
+        return None
+    make = FunctionType(bind, _GEN_GLOBALS)
+    if hook:
+        return make(code, head, machine, originals, entry, fn)
+    return make(code, head, machine, originals, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -1346,8 +1642,9 @@ def _observed(inner, obs_instr, fn, ins):
 # soon all compiled).  Once it has retired ``_FUSE_RUNS`` times as many
 # instructions as it has (every instruction ran that often on average),
 # :func:`build_ops` replaces its straight-line runs in place with
-# superinstructions.  A function that reached the superinstruction tier
-# once in this process starts in it on every later machine
+# superinstructions, and its call-free loops with loop superinstructions.
+# A function that reached the superinstruction tier once in this process
+# starts in it on every later machine
 # (:data:`_HOT_CODE`).  The tier-up happens between bindings, never inside
 # a closure, and only changes host speed: both tiers are bit-identical to
 # classic.
@@ -1397,8 +1694,9 @@ def build_ops(machine, fn, tr=None):
     Without ``tr``: a new :class:`Translation` of generated singles and
     hand-written closures, fused at once when the tier memory knows ``fn``.
     With ``tr`` (the function turned hot): give each fusion run its
-    superinstruction in place (none with a fault injector armed, see
-    :func:`fuse_plan`).  A machine whose observer has a per-instruction
+    superinstruction in place, and then each call-free loop its loop
+    superinstruction (none of either with a fault injector armed, see
+    :func:`fuse_plan` and :func:`loop_plan`).  A machine whose observer has a per-instruction
     hook (``observer.instr is not None``) never tiers up: the hook needs
     per-instruction closures.  Any other observer (``MachineMetrics``,
     ``StackSampler``) tiers up and shares the tier memory like a bare
@@ -1418,10 +1716,22 @@ def build_ops(machine, fn, tr=None):
     targets = getattr(fn, "branch_targets", None)
     if targets is None:
         targets = mir.branch_targets(fn)
-    for pc, length in fuse_plan(code, fn.regions, targets, machine.faults is not None):
+    faults_armed = machine.faults is not None
+    for pc, length in fuse_plan(code, fn.regions, targets, faults_armed):
         fused = _make_fused_gen(code, pc, length, machine, ops[pc], fn)
         if fused is not None:
             ops[pc] = fused
+    for head, latch, blocks in loop_plan(code, fn.regions, targets, faults_armed):
+        # the loop's function starts at each of its dispatch points, so a
+        # binding that ends inside the loop (quantum, burst) or a branch
+        # into it from outside resumes in it at once
+        originals = ops[head:latch + 1]
+        for b, _length in blocks:
+            loop = _make_loop_gen(code, head, latch, blocks, head + b,
+                                  machine, originals, fn)
+            if loop is None:
+                break
+            ops[head + b] = loop
     tr.heat = 0
     key = _tier_key(fn)
     if key is not None and key not in _HOT_CODE:

@@ -847,3 +847,251 @@ def test_template_cache_holds_no_runtime_objects():
         ), type(obj)
         pending.extend(gc.get_referents(obj))
 
+
+# ------------------------------------------------ loop superinstructions
+#
+# A hot call-free loop runs inside one generated function that goes from
+# block to block as the driver would go from closure to closure.  These
+# programs end bindings at every block of such a loop, raise from inside
+# it, pay the float memory tax in it, nest loops, enter a loop at its
+# latch, share one loop between recursive activations and two threads,
+# and run it on a metrics machine.
+
+
+@pytest.fixture
+def looping(monkeypatch):
+    """Record every loop superinstruction the engine builds and what each
+    call of one does: where it started, on which thread, the pcs inside
+    the loop it handed back (a binding that ended there) and the guest
+    exceptions it raised."""
+    from repro.vm import dispatch
+    from repro.vm.exceptions import GuestException
+
+    seen = {"loops": {}, "entries": set(), "threads": set(), "returned": set(),
+            "raised": 0}
+    make = dispatch._make_loop_gen
+
+    def recording(code, head, latch, blocks, entry, machine, originals, fn=None):
+        op = make(code, head, latch, blocks, entry, machine, originals, fn)
+        if op is None:
+            return None
+        key = (fn.full_name, head)
+        seen["loops"][key] = {
+            "ops": [ins.op for ins in code[head:latch + 1]],
+            "blocks": blocks,
+            "observed": machine.observer is not None,
+        }
+
+        def recorded(R, st):
+            seen["entries"].add((key, entry - head))
+            seen["threads"].add((key, id(st.thread)))
+            try:
+                n = op(R, st)
+            except GuestException:
+                seen["raised"] += 1
+                raise
+            if head <= n <= latch:
+                seen["returned"].add((key, n - head))
+            return n
+        return recorded
+
+    monkeypatch.setattr(dispatch, "_make_loop_gen", recording)
+    return seen
+
+
+#: a loop with a forward branch in its body: its blocks are an if, an
+#: else, the join, and the latch, a single that the loop entry jumps to
+LOOP_BRANCHY = """
+class P {
+    static int Run(int[] a, int n) {
+        int s = 7;
+        for (int i = 0; i < n; i++) {
+            int k = i & 15;
+            if ((i & 3) == 0) { s = s + a[k] * 3; } else { s = s - k; }
+            a[k] = s & 1023;
+        }
+        return s;
+    }
+    static int Main() {
+        int[] a = new int[16];
+        return P.Run(a, 3000);
+    }
+}
+"""
+
+
+def test_loop_ends_bindings_at_every_block(looping):
+    """Quanta of 9 to 40 cycles (bursts of 8 to 20 instructions) end a
+    binding at every block of the loop; the int and the float cost sums
+    stay bit-identical."""
+    assembly = compile_source(LOOP_BRANCHY, assembly_name="loop_branchy")
+    for profile in (CLR11, FLOAT_COSTS):
+        for quantum in range(9, 41):
+            prints = _engine_prints(assembly, profile, quantum=quantum)
+            for engine in ENGINES:
+                assert prints[engine] == prints["classic"], (
+                    profile.name, quantum, engine)
+    [(key, loop)] = looping["loops"].items()
+    assert len(loop["blocks"]) >= 4
+    starts = {b for b, _length in loop["blocks"]}
+    # bindings ended all over the loop, and the next one went on in it
+    # at every block (the entry jump to the latch enters it from the side)
+    assert {offset for k, offset in looping["entries"] if k == key} == starts
+    # ... some where the driver's test tripped between two blocks, some
+    # inside a run whose entry checks failed (it fell back to its head)
+    returned = {offset for k, offset in looping["returned"] if k == key}
+    assert returned & starts and returned - starts
+
+
+#: a DIV by zero and an out-of-range array read, each from inside a loop
+#: that runs in a try block; the handlers read the locals the loop wrote
+LOOP_THROWS = """
+class P {
+    static int Divide(int[] data, int d) {
+        int acc = 0; int i = 0; int q = 0;
+        try {
+            for (i = 0; i < 4000; i++) {
+                q = data[i % 50];
+                acc = acc + q / (d - i) + i;
+            }
+        } catch (DivideByZeroException e) {
+            acc = acc * 3 + i * 1000 + q;
+        }
+        return acc;
+    }
+    static int Index(int[] data, int reach) {
+        int acc = 0; int i = 0; int q = 0;
+        try {
+            for (i = 0; i < 4000; i++) {
+                acc = acc + q + i;
+                q = data[(i * 7) % reach];
+            }
+        } catch (IndexOutOfRangeException e) {
+            acc = acc * 5 + i * 1000 + q;
+        }
+        return acc;
+    }
+    static int Main() {
+        int[] data = new int[50];
+        for (int k = 0; k < 50; k++) { data[k] = k * 11 + 1; }
+        int total = 0;
+        for (int r = 0; r < 3; r++) {
+            total = total + P.Divide(data, 2500) + P.Index(data, 50);
+            total = total + P.Index(data, 51);
+        }
+        return total;
+    }
+}
+"""
+
+
+def test_throw_from_inside_a_loop_is_caught_at_the_exact_pc(looping, monkeypatch):
+    throw_sites = []
+    throw = Machine._throw
+
+    def recording_throw(machine, thread, exc_obj):
+        frame = thread.frames[-1]
+        throw_sites.append((frame.fn.full_name, frame.pc))
+        return throw(machine, thread, exc_obj)
+
+    monkeypatch.setattr(Machine, "_throw", recording_throw)
+    assembly = compile_source(LOOP_THROWS, assembly_name="loop_throws")
+    expected = Interpreter(LoadedAssembly(assembly)).run()
+    for profile in (NATIVE_C, CLR11, SSCLI10, FLOAT_COSTS):
+        prints, sites = {}, {}
+        for engine in ("classic",) + ENGINES:
+            del throw_sites[:]
+            with use_engine(engine) as machine_class:
+                machine = machine_class(LoadedAssembly(assembly), profile)
+                prints[engine] = machine_fingerprint(machine, machine.run())
+            sites[engine] = list(throw_sites)
+        assert prints["classic"]["result"] == repr(expected), profile.name
+        assert len(sites["classic"]) == 6
+        for engine in ENGINES:
+            assert prints[engine] == prints["classic"], (profile.name, engine)
+            assert sites[engine] == sites["classic"], (profile.name, engine)
+    loops = {name for name, _head in looping["loops"]}
+    assert {"P::Divide", "P::Index"} <= loops
+    assert looping["raised"] > 0
+
+
+def test_loop_pays_the_float_memory_tax(looping):
+    assembly = compile_source(HOT_FLOAT_LOOP, assembly_name="loop_memtax")
+    for quantum in (1_500, 50_000):
+        prints = _engine_prints(assembly, CLR11, quantum=quantum)
+        assert "." in prints["classic"]["cycles"]  # taxed: the sums are float
+        for engine in ENGINES:
+            assert prints[engine] == prints["classic"], (quantum, engine)
+    from repro.jit import mir
+
+    assert any(mir.LDELEM in loop["ops"] and mir.STELEM in loop["ops"]
+               for loop in looping["loops"].values())
+
+
+LOOP_NESTED = """
+class P {
+    static int Main() {
+        int[] m = new int[64];
+        int s = 0;
+        for (int r = 0; r < 30; r++) {
+            for (int i = 0; i < 8; i++) {
+                for (int j = 0; j < 8; j++) {
+                    int v = m[i * 8 + j] + i - j + r;
+                    m[i * 8 + j] = v & 255;
+                    s = s + v;
+                }
+            }
+        }
+        return s;
+    }
+}
+"""
+
+
+def test_nested_loops_run_in_the_outer_loop(looping):
+    from repro.jit import mir
+
+    assembly = compile_source(LOOP_NESTED, assembly_name="loop_nested")
+    for profile in (CLR11, FLOAT_COSTS):
+        for quantum in (23, 1_500, 50_000):
+            prints = _engine_prints(assembly, profile, quantum=quantum)
+            for engine in ENGINES:
+                assert prints[engine] == prints["classic"], (
+                    profile.name, quantum, engine)
+    [loop] = looping["loops"].values()
+    jumps = [op for op in loop["ops"] if op == mir.JMP or op in mir.COND_JUMPS]
+    assert len(jumps) >= 3  # the three loops' latches, at least
+
+
+def test_loop_shared_by_recursion_and_two_threads(looping):
+    assembly = compile_source(HOT_SHARED, assembly_name="loop_shared")
+    expected = _spin(3, 2000) + _spin(1, 2000) + _spin(2, 2000)
+    for quantum in (97, 1_500, 50_000):
+        prints = _engine_prints(assembly, CLR11, quantum=quantum)
+        assert prints["classic"]["result"] == repr(expected)
+        for engine in ENGINES:
+            assert prints[engine] == prints["classic"], (quantum, engine)
+    keys = [key for key in looping["loops"] if key[0] == "P::Spin"]
+    assert keys
+    threads = {thread for key, thread in looping["threads"] if key in keys}
+    assert len(threads) >= 2
+
+
+def test_loop_on_a_metrics_machine(looping):
+    """A metrics machine builds loops too; their array accesses report
+    the memory tax where classic does, so the snapshot is identical."""
+    from repro.metrics import MachineMetrics
+
+    assembly = compile_source(HOT_FLOAT_LOOP, assembly_name="loop_metrics")
+    seen = {}
+    for engine in ("classic",) + ENGINES:
+        observer = MachineMetrics()
+        with use_engine(engine) as machine_class:
+            machine = machine_class(LoadedAssembly(assembly), CLR11,
+                                    observer=observer)
+            seen[engine] = (machine_fingerprint(machine, machine.run()),
+                            json.dumps(observer.snapshot(), sort_keys=True))
+    for engine in ENGINES:
+        assert seen[engine] == seen["classic"], engine
+    assert json.loads(seen["classic"][1])["counters"]["cycles.memtax"] > 0
+    assert any(loop["observed"] for loop in looping["loops"].values())

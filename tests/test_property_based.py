@@ -433,3 +433,116 @@ class TestFusePlan:
         # each inner loop's latch is the last element of a run
         assert [tail for head, tail in inner if tail not in fused] == []
 
+
+_jump_ops = ("JMP", "JTRUE", "JEQ", "JLT")
+
+
+def _jumpy_code(mir, ops):
+    """MIR from ``(opname, target)`` pairs: jumps get their target (taken
+    modulo the code length), everything else ignores it.  Returns the
+    code and its branch targets, as ``mir.branch_targets`` would."""
+    n = len(ops)
+    code = [
+        mir.MInstr(op=getattr(mir, op), target=target % n if op in _jump_ops else -1)
+        for op, target in ops
+    ]
+    return code, frozenset(ins.target for ins in code if ins.target >= 0)
+
+
+class TestLoopPlan:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(_fusable_ops, st.sampled_from(_jump_ops), _opaque_ops),
+                st.integers(min_value=0, max_value=23),
+            ),
+            min_size=1, max_size=24,
+        ),
+        st.sets(st.integers(min_value=0, max_value=23), max_size=3),
+        st.booleans(),
+    )
+    def test_plan_obeys_all_safety_rules(self, ops, extra_targets, with_region):
+        mir, dispatch = _mir_modules()
+        code, targets = _jumpy_code(mir, ops)
+        targets |= {t for t in extra_targets if t < len(code)}
+        regions = []
+        if with_region and len(code) >= 4:
+            regions.append(mir.MIRRegion(
+                kind="catch", try_start=1, try_end=len(code) // 2,
+                handler_start=len(code) // 2, handler_end=len(code) - 1,
+            ))
+        edges = set()
+        for reg in regions:
+            edges.update((reg.try_start, reg.try_end,
+                          reg.handler_start, reg.handler_end))
+        assert dispatch.loop_plan(code, regions, targets, faults_armed=True) == []
+        plan = dispatch.loop_plan(code, regions, targets, faults_armed=False)
+        runs = dict(dispatch.fuse_plan(code, regions, targets, faults_armed=False))
+
+        def eligible(head, latch):
+            return (
+                all(code[pc].op in dispatch.FUSABLE_SECOND
+                    for pc in range(head, latch + 1))
+                and not any(head < edge <= latch for edge in edges)
+            )
+
+        prev_latch = -1
+        for head, latch, blocks in plan:
+            # disjoint, in order, each closed by a back edge to its head
+            assert prev_latch < head <= latch
+            prev_latch = latch
+            assert code[latch].op in mir.COND_JUMPS | {mir.JMP}
+            assert code[latch].target == head
+            # call-free and inside one exception region
+            assert eligible(head, latch)
+            # the blocks start at the head and are the fuse plan's runs,
+            # the singles between them and the latches that are targets
+            starts = [b for b, _ in blocks]
+            assert starts[0] == 0 and starts == sorted(set(starts))
+            for b, length in blocks:
+                pc = head + b
+                assert length == runs.get(pc, 1) or length == 1
+                assert pc + length - 1 <= latch
+                # every pc a block can reach inside the loop starts a block
+                end = code[pc + length - 1]
+                exits = [] if end.op == mir.JMP else [pc + length]
+                if end.op == mir.JMP or end.op in mir.COND_JUMPS:
+                    exits.append(end.target)
+                for x in exits:
+                    assert not head <= x <= latch or x - head in starts, (
+                        head, latch, blocks, pc, x)
+        # maximal: an eligible loop the plan left out overlaps a chosen one
+        chosen = [(head, latch) for head, latch, _ in plan]
+        for latch, ins in enumerate(code):
+            head = ins.target
+            if (ins.op == mir.JMP or ins.op in mir.COND_JUMPS) and 0 <= head <= latch \
+                    and eligible(head, latch):
+                assert any(not (latch < h or l < head) for h, l in chosen), (
+                    head, latch, chosen)
+
+    def test_nested_call_free_loops_plan_the_outer_one(self):
+        mir, dispatch = _mir_modules()
+        code, targets = _jumpy_code(mir, [
+            ("ADD", 0), ("JMP", 4),                          # enter at 4
+            ("ADD", 0), ("ADD", 0), ("JLT", 2),              # inner: 2..4
+            ("ADD", 0), ("JLT", 0),                          # outer: 0..6
+            ("CALL", 0), ("ADD", 0), ("JMP", 7),             # 7..9 calls
+        ])
+        plan = dispatch.loop_plan(code, [], targets, faults_armed=False)
+        assert [(head, latch) for head, latch, _ in plan] == [(0, 6)]
+        # the run 2..4 ends on the inner latch, which the entry jumps to:
+        # the latch gets a block of its own
+        assert plan[0][2] == ((0, 2), (2, 3), (4, 1), (5, 2))
+
+    def test_region_edge_inside_excludes_the_loop(self):
+        mir, dispatch = _mir_modules()
+        code, targets = _jumpy_code(mir, [("ADD", 0)] * 3 + [("JLT", 0)])
+        inside = mir.MIRRegion(kind="catch", try_start=0, try_end=2,
+                               handler_start=4, handler_end=5)
+        assert dispatch.loop_plan(code, [inside], targets, faults_armed=False) == []
+        around = mir.MIRRegion(kind="catch", try_start=0, try_end=4,
+                               handler_start=4, handler_end=5)
+        plan = dispatch.loop_plan(code, [around], targets, faults_armed=False)
+        assert [(head, latch) for head, latch, _ in plan] == [(0, 3)]
+

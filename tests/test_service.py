@@ -262,6 +262,34 @@ class TestInProcessServing:
             assert _in_process(armed) == 0
 
 
+def test_daemon_reads_the_store_only_under_the_fork_lock(tmp_path, monkeypatch):
+    """A thread inside SQLite when a job forks would leave the child a
+    process-wide SQLite mutex held: memo-only admission, ``/v1/stats``
+    and ``/v1/trends`` read the store under ``FORK_LOCK``, like a job
+    served in process."""
+    from repro.store import lease
+
+    with DaemonHarness(tmp_path) as warm:
+        warm.client.wait(warm.client.submit(SMALL)["id"])
+    with DaemonHarness(tmp_path, degraded=True) as degraded:
+        pool = degraded.service._read_pool
+        connection = pool.connection
+        reads = []
+
+        def locked_connection():
+            assert lease.FORK_LOCK.locked(), "store read outside FORK_LOCK"
+            reads.append(1)
+            return connection()
+
+        monkeypatch.setattr(pool, "connection", locked_connection)
+        view = degraded.client.wait(degraded.client.submit(SMALL)["id"])
+        assert view["status"] == "done", view["error"]
+        assert view["memo_only"] is True
+        assert degraded.client.stats()["store"]
+        assert degraded.client.trends()["rows"]
+        assert len(reads) >= 4  # admission, the served job, stats, trends
+
+
 def _adopted(daemon):
     return daemon.client.stats()["metrics"]["counters"][
         "service.templates_adopted"]

@@ -191,6 +191,19 @@ class TestMemoization:
         assert blob(warm) == blob(direct)
         store.close()
 
+    def test_cold_pool_collection_counts_its_workers_compiles(self, tmp_path):
+        # the cells compile in the pool workers, not in this process
+        store = ExperimentStore(str(tmp_path / "e.sqlite"))
+        result = baseline.run_collection(
+            profiles=baseline.resolve_profiles("clr-1.1,native-c"),
+            suite=baseline.resolve_suite("micro.arith,grande.sieve", 0.0),
+            scale=0.0, git_sha="cafe", store=store, jobs=2,
+        )
+        assert result.report.jobs == 2 and result.store["misses"] == 4
+        assert result.store["compile_calls"] > 0
+        assert result.store["compile_calls"] == result.report.compile_calls
+        store.close()
+
     def test_store_with_fault_plan_is_rejected(self, tmp_path):
         from repro.faults import FaultPlan
 

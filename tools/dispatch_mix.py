@@ -9,9 +9,11 @@ Prints closure dispatches, retired guest instructions and instructions
 per dispatch, broken down by tier (``closure``: hand-written closures,
 for ops outside the template subset; ``single``: the generated singles a
 function starts on; ``fused``: superinstructions, listed under the opcode
-that starts the run) and by opcode.  ``--min-ipd X`` exits 1 when the
-overall instructions per dispatch fall below ``X``, which makes the tool
-a fusion gate.
+that starts the run; ``loop``: loop superinstructions, one dispatch each
+time the driver enters one, listed under the opcode of the block it
+enters at) and by opcode.  ``--min-ipd X`` exits 1 when the overall
+instructions per dispatch fall below ``X``, which makes the tool a
+fusion gate.
 
 The engine carries no counter.  The tool wraps ``repro.vm.dispatch.
 build_ops`` and puts a counting shim around every closure it installs;
@@ -34,8 +36,12 @@ from repro.jit import mir
 from repro.vm import dispatch
 
 #: tier labels: hand-written closures, then what each template maker makes
-TIERS = ("closure", "single", "fused")
-MAKERS = {"_make_single_gen": "single", "_make_fused_gen": "fused"}
+TIERS = ("closure", "single", "fused", "loop")
+MAKERS = {
+    "_make_single_gen": "single",
+    "_make_fused_gen": "fused",
+    "_make_loop_gen": "loop",
+}
 
 
 class Mix:
