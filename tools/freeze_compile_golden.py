@@ -3,11 +3,14 @@
 
     PYTHONPATH=src python tools/freeze_compile_golden.py
 
-The fixture holds sha256 fingerprints of three things.  For the corelib,
+The fixture holds sha256 fingerprints of four things.  For the corelib,
 every registry benchmark source (default parameters) and every program
 in ``tests/fuzz_corpus``:
 
 * the token stream: each token's kind, value, line and column;
+* the compiled CIL image: the text of ``disassemble_assembly``, which
+  spells out every body, exception region and ``.maxstack`` (local
+  names without their symbol numbers);
 * every JIT-compiled ``MIRFunction`` of the compiled program, on every
   runtime profile: each ``MInstr`` field (``cost`` and ``bounds_check``
   included), plus ``in_register``, ``regions`` and ``stats``.
@@ -18,7 +21,8 @@ And, for every registry benchmark (at the small parameters of
 * the :class:`~repro.metrics.MachineMetrics` snapshot of one run on
   every runtime profile.
 
-A rewrite of the lexer, parser, JIT passes or metrics layer must leave
+A rewrite of the lexer, parser, code generator, verifier, JIT passes or
+metrics layer must leave
 them unchanged; ``tests/test_compile_golden.py`` asserts it.  Regenerate
 the fixture only with a change meant to move compiled code or the metric
 catalogue, and say so.
@@ -29,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import sys
 from typing import Dict, List, Tuple
 
@@ -104,17 +109,28 @@ def function_payload(fn) -> dict:
     }
 
 
-def mir_fingerprints(source: str, include_corelib: bool) -> Dict[str, str]:
+#: the process-wide symbol number the type checker appends to a local's
+#: name (``i$13``): it counts every compile the process has run, so it
+#: is masked out of the CIL fingerprint
+_SYMBOL_UID = re.compile(r"\$\d+\b")
+
+
+def cil_fingerprint(assembly) -> str:
+    from repro.cil import disassemble_assembly
+
+    text = _SYMBOL_UID.sub("$", disassemble_assembly(assembly))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def mir_fingerprints(assembly, include_corelib: bool) -> Dict[str, str]:
     """profile name -> fingerprint of every method body JIT-compiled on
     that profile.  Corelib methods are frozen once, under ``corelib``, and
     skipped in the programs that link it."""
     from repro.jit.pipeline import JitCompiler
-    from repro.lang import compile_source
     from repro.lang.builtins import CORELIB_CLASSES
     from repro.runtimes import ALL_PROFILES
     from repro.vm.loader import LoadedAssembly
 
-    assembly = compile_source(source, include_corelib=include_corelib)
     skip = set(CORELIB_CLASSES) if include_corelib else set()
     methods = [m for name, cls in assembly.classes.items() if name not in skip
                for m in cls.methods if m.body]
@@ -162,11 +178,16 @@ def metrics_fingerprints() -> Dict[str, Dict[str, str]]:
 
 
 def observe() -> dict:
-    tokens, mir = {}, {}
+    from repro.lang import compile_source
+
+    tokens, cil, mir = {}, {}, {}
     for name, source, include_corelib in programs():
         tokens[name] = token_fingerprint(source)
-        mir[name] = mir_fingerprints(source, include_corelib)
-    return {"tokens": tokens, "mir": mir, "metrics": metrics_fingerprints()}
+        assembly = compile_source(source, include_corelib=include_corelib)
+        cil[name] = cil_fingerprint(assembly)
+        mir[name] = mir_fingerprints(assembly, include_corelib)
+    return {"tokens": tokens, "cil": cil, "mir": mir,
+            "metrics": metrics_fingerprints()}
 
 
 def main() -> int:
