@@ -8,7 +8,9 @@ Public surface:
   ``FieldDef`` — self-describing metadata.
 * :class:`~repro.cil.builder.MethodBuilder` — label-resolving IL emission.
 * :func:`~repro.cil.verifier.verify_method` /
-  :func:`~repro.cil.verifier.verify_assembly` — type-safety verification.
+  :func:`~repro.cil.verifier.verify_assembly` — type-safety verification,
+  the only walk of the evaluation stack; it records ``max_stack`` and the
+  :func:`~repro.cil.verifier.stack_facts` both execution engines read.
 * :func:`~repro.cil.disassembler.disassemble_method` — Table-5-style text.
 """
 

@@ -3,8 +3,8 @@
 The :class:`MethodBuilder` is what the Kernel-C# code generator (and tests)
 use to emit method bodies: it supports forward-referencing labels, local
 allocation, and exception-region bracketing, then produces a finished
-:class:`~repro.cil.metadata.MethodDef` with resolved branch targets and a
-computed ``max_stack``.
+:class:`~repro.cil.metadata.MethodDef` with resolved branch targets.  The
+verifier computes its ``max_stack``.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class MethodBuilder:
     # -- finish ----------------------------------------------------------------
 
     def build(self) -> MethodDef:
-        """Resolve labels, compute max_stack, and return the finished method."""
+        """Resolve labels and return the finished method."""
         for index, label in self._fixups:
             if label.position is None:
                 raise CilError(
@@ -138,94 +138,5 @@ class MethodBuilder:
             self._instructions[index].operand = targets
         self.method.body = self._instructions
         self.method.regions = self._regions
-        self.method.max_stack = _compute_max_stack(self.method)
         return self.method
 
-
-def _stack_delta(method: MethodDef, instr: Instruction) -> Tuple[int, int]:
-    """(pops, pushes) for one instruction, resolving dynamic effects."""
-    i = op.info(instr.opcode)
-    pops, pushes = i.pops, i.pushes
-    if instr.opcode == op.RET:
-        pops = 0 if method.return_type.name == "void" else 1
-        pushes = 0
-    elif instr.opcode in (op.CALL, op.CALLVIRT):
-        ref = instr.operand
-        pops = len(ref.param_types) + (0 if ref.is_static else 1)
-        pushes = 0 if ref.return_type.name == "void" else 1
-    elif instr.opcode == op.NEWOBJ:
-        ref = instr.operand
-        pops = len(ref.param_types)
-        pushes = 1
-    elif instr.opcode in (op.NEWARR_MD,):
-        _elem, rank = instr.operand
-        pops, pushes = rank, 1
-    elif instr.opcode == op.LDELEM_MD:
-        _elem, rank = instr.operand
-        pops, pushes = rank + 1, 1
-    elif instr.opcode == op.STELEM_MD:
-        _elem, rank = instr.operand
-        pops, pushes = rank + 2, 0
-    assert pops is not None and pushes is not None
-    return pops, pushes
-
-
-def _compute_max_stack(method: MethodDef) -> int:
-    """Worst-case evaluation stack depth via worklist dataflow.
-
-    Exception handlers start with depth 1 (the exception object) for catch,
-    0 for finally.
-    """
-    body = method.body
-    if not body:
-        return 0
-    depth_at: Dict[int, int] = {0: 0}
-    work: List[int] = [0]
-    for region in method.regions:
-        start_depth = 1 if region.kind == CATCH else 0
-        if region.handler_start not in depth_at:
-            depth_at[region.handler_start] = start_depth
-            work.append(region.handler_start)
-    max_depth = 0
-    while work:
-        index = work.pop()
-        depth = depth_at[index]
-        instr = body[index]
-        pops, pushes = _stack_delta(method, instr)
-        depth = depth - pops
-        if depth < 0:
-            raise CilError(
-                f"stack underflow at {index}:{instr.mnemonic} in {method.full_name}"
-            )
-        depth += pushes
-        if depth > max_depth:
-            max_depth = depth
-        code = instr.opcode
-        succs: List[int] = []
-        if code in (op.BR,):
-            succs = [instr.operand]
-        elif code == op.LEAVE:
-            # leave clears the evaluation stack
-            succs = [instr.operand]
-            depth = 0
-        elif code in op.CONDITIONAL_BRANCHES:
-            succs = [instr.operand, index + 1]
-        elif code == op.SWITCH:
-            succs = list(instr.operand) + [index + 1]
-        elif code in (op.RET, op.THROW, op.RETHROW, op.ENDFINALLY):
-            succs = []
-        else:
-            succs = [index + 1]
-        for s in succs:
-            if s >= len(body):
-                raise CilError(f"branch past end of {method.full_name}")
-            prev = depth_at.get(s)
-            if prev is None:
-                depth_at[s] = depth
-                work.append(s)
-            elif prev != depth:
-                raise CilError(
-                    f"inconsistent stack depth at {s} in {method.full_name}: "
-                    f"{prev} vs {depth}"
-                )
-    return max_depth

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..errors import CilError
 from .cts import CType, VOID
 from .instructions import ExceptionRegion, Instruction, MethodRef
+
+if TYPE_CHECKING:
+    from .verifier import StackFacts
 
 #: serialization format tag for :meth:`Assembly.to_bytes`; bump on any
 #: layout change of the metadata classes so stale payloads are rejected
@@ -52,12 +55,18 @@ class MethodDef:
     locals: List[LocalVar] = field(default_factory=list)
     body: List[Instruction] = field(default_factory=list)
     regions: List[ExceptionRegion] = field(default_factory=list)
+    #: worst-case evaluation stack depth, set by the verifier
     max_stack: int = 0
 
     #: owning class name; stamped when added to a ClassDef
     declaring_class: str = ""
     #: vtable slot for virtual methods, assigned by the loader
     vtable_slot: int = -1
+    #: the verifier's :class:`~repro.cil.verifier.StackFacts`; read them
+    #: through :func:`~repro.cil.verifier.stack_facts`
+    _stack_facts: Optional["StackFacts"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def full_name(self) -> str:

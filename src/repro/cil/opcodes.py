@@ -1,9 +1,8 @@
 """CIL opcode definitions (ECMA-335 partition III subset).
 
-Opcodes are small integers for fast dispatch; ``OpInfo`` carries the static
-stack effect used by the verifier and max-stack computation.  A stack effect
-of ``None`` means the effect depends on the operand (calls, newobj, ...) and
-is computed by :mod:`repro.cil.verifier`.
+Opcodes are small integers for fast dispatch; ``OpInfo`` carries the
+mnemonic and the operand kind.  Stack effects live in one place, the
+verifier (:mod:`repro.cil.verifier`), which also computes ``max_stack``.
 
 Deviations from ECMA-335, documented per DESIGN.md section 2:
 
@@ -20,17 +19,13 @@ Deviations from ECMA-335, documented per DESIGN.md section 2:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 
 @dataclass(frozen=True)
 class OpInfo:
     code: int
     mnemonic: str
-    #: number of values popped from the evaluation stack (None => dynamic)
-    pops: Optional[int]
-    #: number of values pushed (None => dynamic)
-    pushes: Optional[int]
     #: operand kind: none|i4|i8|r4|r8|str|local|arg|field|method|type|target|
     #: switch|typerank
     operand: str
@@ -41,105 +36,105 @@ _by_name: Dict[str, OpInfo] = {}
 _next = [0]
 
 
-def _op(mnemonic: str, pops: Optional[int], pushes: Optional[int], operand: str = "none") -> int:
+def _op(mnemonic: str, operand: str = "none") -> int:
     code = _next[0]
     _next[0] += 1
-    info = OpInfo(code, mnemonic, pops, pushes, operand)
+    info = OpInfo(code, mnemonic, operand)
     _ops[code] = info
     _by_name[mnemonic] = info
     return code
 
 
 # --- constants -----------------------------------------------------------
-NOP = _op("nop", 0, 0)
-LDC_I4 = _op("ldc.i4", 0, 1, "i4")
-LDC_I8 = _op("ldc.i8", 0, 1, "i8")
-LDC_R4 = _op("ldc.r4", 0, 1, "r4")
-LDC_R8 = _op("ldc.r8", 0, 1, "r8")
-LDSTR = _op("ldstr", 0, 1, "str")
-LDNULL = _op("ldnull", 0, 1)
+NOP = _op("nop")
+LDC_I4 = _op("ldc.i4", "i4")
+LDC_I8 = _op("ldc.i8", "i8")
+LDC_R4 = _op("ldc.r4", "r4")
+LDC_R8 = _op("ldc.r8", "r8")
+LDSTR = _op("ldstr", "str")
+LDNULL = _op("ldnull")
 
 # --- locals / arguments --------------------------------------------------
-LDLOC = _op("ldloc", 0, 1, "local")
-STLOC = _op("stloc", 1, 0, "local")
-LDARG = _op("ldarg", 0, 1, "arg")
-STARG = _op("starg", 1, 0, "arg")
+LDLOC = _op("ldloc", "local")
+STLOC = _op("stloc", "local")
+LDARG = _op("ldarg", "arg")
+STARG = _op("starg", "arg")
 
 # --- fields --------------------------------------------------------------
-LDFLD = _op("ldfld", 1, 1, "field")
-STFLD = _op("stfld", 2, 0, "field")
-LDSFLD = _op("ldsfld", 0, 1, "field")
-STSFLD = _op("stsfld", 1, 0, "field")
+LDFLD = _op("ldfld", "field")
+STFLD = _op("stfld", "field")
+LDSFLD = _op("ldsfld", "field")
+STSFLD = _op("stsfld", "field")
 
 # --- arrays --------------------------------------------------------------
-NEWARR = _op("newarr", 1, 1, "type")
-LDLEN = _op("ldlen", 1, 1)
-LDELEM = _op("ldelem", 2, 1, "type")
-STELEM = _op("stelem", 3, 0, "type")
-NEWARR_MD = _op("newarr.md", None, 1, "typerank")
-LDELEM_MD = _op("ldelem.md", None, 1, "typerank")
-STELEM_MD = _op("stelem.md", None, 0, "typerank")
+NEWARR = _op("newarr", "type")
+LDLEN = _op("ldlen")
+LDELEM = _op("ldelem", "type")
+STELEM = _op("stelem", "type")
+NEWARR_MD = _op("newarr.md", "typerank")
+LDELEM_MD = _op("ldelem.md", "typerank")
+STELEM_MD = _op("stelem.md", "typerank")
 
 # --- arithmetic / logic --------------------------------------------------
-ADD = _op("add", 2, 1)
-SUB = _op("sub", 2, 1)
-MUL = _op("mul", 2, 1)
-DIV = _op("div", 2, 1)
-REM = _op("rem", 2, 1)
-NEG = _op("neg", 1, 1)
-AND = _op("and", 2, 1)
-OR = _op("or", 2, 1)
-XOR = _op("xor", 2, 1)
-NOT = _op("not", 1, 1)
-SHL = _op("shl", 2, 1)
-SHR = _op("shr", 2, 1)
-SHR_UN = _op("shr.un", 2, 1)
+ADD = _op("add")
+SUB = _op("sub")
+MUL = _op("mul")
+DIV = _op("div")
+REM = _op("rem")
+NEG = _op("neg")
+AND = _op("and")
+OR = _op("or")
+XOR = _op("xor")
+NOT = _op("not")
+SHL = _op("shl")
+SHR = _op("shr")
+SHR_UN = _op("shr.un")
 
 # --- comparison ----------------------------------------------------------
-CEQ = _op("ceq", 2, 1)
-CGT = _op("cgt", 2, 1)
-CLT = _op("clt", 2, 1)
+CEQ = _op("ceq")
+CGT = _op("cgt")
+CLT = _op("clt")
 
 # --- conversions ---------------------------------------------------------
-CONV_I1 = _op("conv.i1", 1, 1)
-CONV_U1 = _op("conv.u1", 1, 1)
-CONV_I2 = _op("conv.i2", 1, 1)
-CONV_U2 = _op("conv.u2", 1, 1)
-CONV_I4 = _op("conv.i4", 1, 1)
-CONV_I8 = _op("conv.i8", 1, 1)
-CONV_R4 = _op("conv.r4", 1, 1)
-CONV_R8 = _op("conv.r8", 1, 1)
+CONV_I1 = _op("conv.i1")
+CONV_U1 = _op("conv.u1")
+CONV_I2 = _op("conv.i2")
+CONV_U2 = _op("conv.u2")
+CONV_I4 = _op("conv.i4")
+CONV_I8 = _op("conv.i8")
+CONV_R4 = _op("conv.r4")
+CONV_R8 = _op("conv.r8")
 
 # --- control flow --------------------------------------------------------
-BR = _op("br", 0, 0, "target")
-BRTRUE = _op("brtrue", 1, 0, "target")
-BRFALSE = _op("brfalse", 1, 0, "target")
-BEQ = _op("beq", 2, 0, "target")
-BNE = _op("bne.un", 2, 0, "target")
-BGE = _op("bge", 2, 0, "target")
-BGT = _op("bgt", 2, 0, "target")
-BLE = _op("ble", 2, 0, "target")
-BLT = _op("blt", 2, 0, "target")
-SWITCH = _op("switch", 1, 0, "switch")
-RET = _op("ret", None, 0)
+BR = _op("br", "target")
+BRTRUE = _op("brtrue", "target")
+BRFALSE = _op("brfalse", "target")
+BEQ = _op("beq", "target")
+BNE = _op("bne.un", "target")
+BGE = _op("bge", "target")
+BGT = _op("bgt", "target")
+BLE = _op("ble", "target")
+BLT = _op("blt", "target")
+SWITCH = _op("switch", "switch")
+RET = _op("ret")
 
 # --- calls / objects -----------------------------------------------------
-CALL = _op("call", None, None, "method")
-CALLVIRT = _op("callvirt", None, None, "method")
-NEWOBJ = _op("newobj", None, 1, "method")
-BOX = _op("box", 1, 1, "type")
-UNBOX = _op("unbox", 1, 1, "type")
-CASTCLASS = _op("castclass", 1, 1, "type")
-ISINST = _op("isinst", 1, 1, "type")
-DUP = _op("dup", 1, 2)
-POP = _op("pop", 1, 0)
-STRUCT_COPY = _op("struct.copy", 1, 1, "type")
+CALL = _op("call", "method")
+CALLVIRT = _op("callvirt", "method")
+NEWOBJ = _op("newobj", "method")
+BOX = _op("box", "type")
+UNBOX = _op("unbox", "type")
+CASTCLASS = _op("castclass", "type")
+ISINST = _op("isinst", "type")
+DUP = _op("dup")
+POP = _op("pop")
+STRUCT_COPY = _op("struct.copy", "type")
 
 # --- exceptions ----------------------------------------------------------
-THROW = _op("throw", 1, 0)
-RETHROW = _op("rethrow", 0, 0)
-LEAVE = _op("leave", 0, 0, "target")
-ENDFINALLY = _op("endfinally", 0, 0)
+THROW = _op("throw")
+RETHROW = _op("rethrow")
+LEAVE = _op("leave", "target")
+ENDFINALLY = _op("endfinally")
 
 
 def info(code: int) -> OpInfo:

@@ -6,11 +6,16 @@ local/argument bounds, branch-target validity, stack-type simulation with
 merge-point consistency, and arithmetic operand compatibility (int32/int64/
 float never mix without an explicit conversion, exactly the rule csc's
 output obeys).
+
+It is the only walk of the evaluation stack.  While it checks a method it
+records what both execution engines need to know about the stack (see
+:class:`StackFacts`) and the method's ``max_stack``; :func:`stack_facts`
+hands them out, verifying the method first if nothing has yet.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import VerifyError
 from . import cts, opcodes as op
@@ -20,6 +25,40 @@ from .metadata import Assembly, MethodDef
 
 # Arithmetic result categories on the evaluation stack
 _NUMERIC = (cts.INT32, cts.INT64, cts.FLOAT32, cts.FLOAT64)
+
+# operand kinds, as the interpreter and the JIT name them
+I4, I8, R4, R8, REF = "i4", "i8", "r4", "r8", "ref"
+
+_KIND_OF_TYPE = {
+    "int8": I4, "uint8": I4, "int16": I4, "uint16": I4, "char": I4,
+    "bool": I4, "int32": I4, "int64": I8, "float32": R4, "float64": R8,
+}
+
+
+def kind_of(t: CType) -> str:
+    return _KIND_OF_TYPE.get(t.name, REF)
+
+
+def _compare_kind(a: CType, b: CType) -> str:
+    """Operand kind of a comparison: float32 against float64 is float64."""
+    ka, kb = kind_of(a), kind_of(b)
+    return ka if ka == kb or R8 not in (ka, kb) else R8
+
+
+class StackFacts(NamedTuple):
+    """What verifying one method body learned about its evaluation stack.
+
+    ``kinds`` maps each kind-sensitive instruction's index to the numeric
+    kind it operates on (``i4``, ``i8``, ``r4``, ``r8`` or ``ref``): the
+    common operand kind for binary ops and compares, the *source* kind for
+    conversions, the single operand's kind for ``neg``/``not``/shifts/
+    ``brtrue``/``brfalse``, the literal kind for ``ldc``s, and the declared
+    type's kind for stores, element accesses, ``box`` and ``unbox``.
+    ``depths`` maps every reachable index to its entry stack depth.
+    """
+
+    kinds: Dict[int, str]
+    depths: Dict[int, int]
 
 
 def _binary_result(a: CType, b: CType, where: str) -> CType:
@@ -53,19 +92,28 @@ def _comparable(a: CType, b: CType, where: str) -> None:
     raise VerifyError(f"{where}: cannot compare {a.name} with {b.name}")
 
 
-class _State:
-    __slots__ = ("stack",)
-
-    def __init__(self, stack: Tuple[CType, ...]) -> None:
-        self.stack = stack
+def stack_facts(method: MethodDef) -> StackFacts:
+    """The :class:`StackFacts` of ``method``, verifying it first when no
+    verification recorded them (an assembler-built image, or a compile-cache
+    entry written before they were kept)."""
+    facts = method._stack_facts
+    if facts is None:
+        verify_method(method)
+        facts = method._stack_facts
+    return facts
 
 
 def verify_method(method: MethodDef, assembly: Optional[Assembly] = None) -> None:
-    """Verify one method body; raises :class:`VerifyError` on failure."""
+    """Verify one method body; raises :class:`VerifyError` on failure.
+
+    On success, sets ``method.max_stack`` and records the method's
+    :class:`StackFacts`."""
     body = method.body
     if not body:
         if method.return_type is not cts.VOID:
             raise VerifyError(f"{method.full_name}: empty body for non-void method")
+        method.max_stack = 0
+        method._stack_facts = StackFacts({}, {})
         return
     nlocals = len(method.locals)
     nargs = method.arg_count
@@ -75,6 +123,8 @@ def verify_method(method: MethodDef, assembly: Optional[Assembly] = None) -> Non
     arg_types.extend(method.param_types)
 
     where = method.full_name
+    kinds: Dict[int, str] = {}
+    max_stack = 0
     states: Dict[int, Tuple[CType, ...]] = {0: ()}
     work: List[int] = [0]
     for region in method.regions:
@@ -141,12 +191,16 @@ def verify_method(method: MethodDef, assembly: Optional[Assembly] = None) -> Non
             if not isinstance(instr.operand, int):
                 raise VerifyError(f"{label}: ldc.i4 needs int operand")
             stack.append(cts.INT32)
+            kinds[index] = I4
         elif code == op.LDC_I8:
             stack.append(cts.INT64)
+            kinds[index] = I8
         elif code == op.LDC_R4:
             stack.append(cts.FLOAT32)
+            kinds[index] = R4
         elif code == op.LDC_R8:
             stack.append(cts.FLOAT64)
+            kinds[index] = R8
         elif code == op.LDSTR:
             stack.append(cts.STRING)
         elif code == op.LDNULL:
@@ -165,6 +219,7 @@ def verify_method(method: MethodDef, assembly: Optional[Assembly] = None) -> Non
                 raise VerifyError(
                     f"{label}: cannot store {v.name} into {method.locals[i].var_type.name}"
                 )
+            kinds[index] = kind_of(method.locals[i].var_type)
         elif code == op.LDARG:
             i = instr.operand
             if not isinstance(i, int) or not 0 <= i < nargs:
@@ -175,6 +230,7 @@ def verify_method(method: MethodDef, assembly: Optional[Assembly] = None) -> Non
             if not isinstance(i, int) or not 0 <= i < nargs:
                 raise VerifyError(f"{label}: bad arg index {i}")
             pop()
+            kinds[index] = kind_of(arg_types[i])
         elif code in (op.LDFLD, op.STFLD, op.LDSFLD, op.STSFLD):
             ref = instr.operand
             if not isinstance(ref, FieldRef):
@@ -191,6 +247,7 @@ def verify_method(method: MethodDef, assembly: Optional[Assembly] = None) -> Non
                     raise VerifyError(
                         f"{label}: cannot store {v.name} into field {ref.field_type.name}"
                     )
+                kinds[index] = kind_of(ref.field_type)
             elif code == op.LDSFLD:
                 stack.append(cts.stack_type(ref.field_type))
             else:  # STSFLD
@@ -199,6 +256,7 @@ def verify_method(method: MethodDef, assembly: Optional[Assembly] = None) -> Non
                     raise VerifyError(
                         f"{label}: cannot store {v.name} into field {ref.field_type.name}"
                     )
+                kinds[index] = kind_of(ref.field_type)
         elif code == op.NEWARR:
             (n,) = pop()
             if cts.stack_type(n) is not cts.INT32:
@@ -215,6 +273,7 @@ def verify_method(method: MethodDef, assembly: Optional[Assembly] = None) -> Non
             if cts.stack_type(idx) is not cts.INT32:
                 raise VerifyError(f"{label}: index must be int32")
             stack.append(cts.stack_type(instr.operand))
+            kinds[index] = kind_of(instr.operand)
         elif code == op.STELEM:
             v, = pop()
             idx, = pop()
@@ -225,6 +284,7 @@ def verify_method(method: MethodDef, assembly: Optional[Assembly] = None) -> Non
                 raise VerifyError(
                     f"{label}: cannot store {v.name} into {instr.operand.name}[]"
                 )
+            kinds[index] = kind_of(instr.operand)
         elif code == op.NEWARR_MD:
             elem, rank = instr.operand
             dims = pop(rank)
@@ -237,6 +297,7 @@ def verify_method(method: MethodDef, assembly: Optional[Assembly] = None) -> Non
             pop(rank)  # indices
             pop()  # array
             stack.append(cts.stack_type(elem))
+            kinds[index] = kind_of(elem)
         elif code == op.STELEM_MD:
             elem, rank = instr.operand
             v = pop()[0]
@@ -244,10 +305,13 @@ def verify_method(method: MethodDef, assembly: Optional[Assembly] = None) -> Non
             pop()
             if not cts.is_assignable(v, elem):
                 raise VerifyError(f"{label}: cannot store {v.name} into md array of {elem.name}")
+            kinds[index] = kind_of(elem)
         elif code in (op.ADD, op.SUB, op.MUL, op.DIV, op.REM):
             b, = pop()
             a, = pop()
-            stack.append(_binary_result(a, b, label))
+            result = _binary_result(a, b, label)
+            stack.append(result)
+            kinds[index] = kind_of(result)
         elif code in (op.AND, op.OR, op.XOR):
             b, = pop()
             a, = pop()
@@ -255,27 +319,33 @@ def verify_method(method: MethodDef, assembly: Optional[Assembly] = None) -> Non
             if a is not b or a not in (cts.INT32, cts.INT64):
                 raise VerifyError(f"{label}: bitwise requires matching ints")
             stack.append(a)
+            kinds[index] = kind_of(a)
         elif code in (op.SHL, op.SHR, op.SHR_UN):
             b, = pop()
             a, = pop()
-            stack.append(_shift_result(a, b, label))
+            result = _shift_result(a, b, label)
+            stack.append(result)
+            kinds[index] = kind_of(result)
         elif code == op.NEG:
             (a,) = pop()
             a = cts.stack_type(a)
             if a not in _NUMERIC:
                 raise VerifyError(f"{label}: neg on {a.name}")
             stack.append(a)
+            kinds[index] = kind_of(a)
         elif code == op.NOT:
             (a,) = pop()
             a = cts.stack_type(a)
             if a not in (cts.INT32, cts.INT64):
                 raise VerifyError(f"{label}: not on {a.name}")
             stack.append(a)
+            kinds[index] = kind_of(a)
         elif code in (op.CEQ, op.CGT, op.CLT):
             b, = pop()
             a, = pop()
             _comparable(a, b, label)
             stack.append(cts.INT32)
+            kinds[index] = _compare_kind(a, b)
         elif code in (
             op.CONV_I1, op.CONV_U1, op.CONV_I2, op.CONV_U2,
             op.CONV_I4, op.CONV_I8, op.CONV_R4, op.CONV_R8,
@@ -284,6 +354,7 @@ def verify_method(method: MethodDef, assembly: Optional[Assembly] = None) -> Non
             a = cts.stack_type(a)
             if a not in _NUMERIC:
                 raise VerifyError(f"{label}: conv on {a.name}")
+            kinds[index] = kind_of(a)
             result = {
                 op.CONV_I1: cts.INT32, op.CONV_U1: cts.INT32,
                 op.CONV_I2: cts.INT32, op.CONV_U2: cts.INT32,
@@ -298,11 +369,13 @@ def verify_method(method: MethodDef, assembly: Optional[Assembly] = None) -> Non
             a = cts.stack_type(a)
             if a not in (cts.INT32, cts.INT64) and not a.is_reference:
                 raise VerifyError(f"{label}: brtrue/brfalse on {a.name}")
+            kinds[index] = kind_of(a)
             next_targets = [instr.operand, index + 1]
         elif code in (op.BEQ, op.BNE, op.BGE, op.BGT, op.BLE, op.BLT):
             b, = pop()
             a, = pop()
             _comparable(a, b, label)
+            kinds[index] = _compare_kind(a, b)
             next_targets = [instr.operand, index + 1]
         elif code == op.SWITCH:
             (a,) = pop()
@@ -348,11 +421,13 @@ def verify_method(method: MethodDef, assembly: Optional[Assembly] = None) -> Non
         elif code == op.BOX:
             (v,) = pop()
             stack.append(cts.OBJECT)
+            kinds[index] = kind_of(instr.operand)
         elif code == op.UNBOX:
             (v,) = pop()
             if not v.is_reference:
                 raise VerifyError(f"{label}: unbox on non-reference {v.name}")
             stack.append(cts.stack_type(instr.operand))
+            kinds[index] = kind_of(instr.operand)
         elif code in (op.CASTCLASS, op.ISINST):
             (v,) = pop()
             if not v.is_reference:
@@ -378,6 +453,8 @@ def verify_method(method: MethodDef, assembly: Optional[Assembly] = None) -> Non
                 raise VerifyError(f"{label}: rethrow outside catch handler")
             next_targets = []
         elif code == op.LEAVE:
+            # the depth leave empties still counts towards max_stack
+            max_stack = max(max_stack, len(stack))
             stack.clear()
             next_targets = [instr.operand]
         elif code == op.ENDFINALLY:
@@ -390,6 +467,7 @@ def verify_method(method: MethodDef, assembly: Optional[Assembly] = None) -> Non
         else:  # pragma: no cover - defensive
             raise VerifyError(f"{label}: unverifiable opcode")
 
+        max_stack = max(max_stack, len(stack))
         frozen = tuple(stack)
         for t in next_targets:
             push_state(t, frozen)
@@ -398,6 +476,8 @@ def verify_method(method: MethodDef, assembly: Optional[Assembly] = None) -> Non
     last = body[-1]
     if (len(body) - 1) in states and last.opcode not in op.UNCONDITIONAL_FLOW and last.opcode not in op.CONDITIONAL_BRANCHES:
         raise VerifyError(f"{where}: control falls off end of method")
+    method.max_stack = max_stack
+    method._stack_facts = StackFacts(kinds, {i: len(s) for i, s in states.items()})
 
 
 def verify_assembly(assembly: Assembly) -> int:

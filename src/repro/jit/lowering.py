@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..cil import cts, opcodes as op
 from ..cil.metadata import MethodDef
-from ..cil.typesim import annotate, stack_shapes
+from ..cil.verifier import stack_facts
 from ..errors import JitError
 from . import mir
 
@@ -36,10 +36,14 @@ _CONV_SPEC = {
 
 
 def lower(method: MethodDef) -> mir.MIRFunction:
-    """Translate one verified CIL method body to MIR."""
+    """Translate one CIL method body to MIR.
+
+    Operand kinds and entry stack depths come from the verifier's
+    :func:`~repro.cil.verifier.stack_facts`, which verifies the method
+    first if nothing has (so an unverifiable body raises
+    :class:`~repro.errors.VerifyError`)."""
     body = method.body
-    kinds = annotate(method)
-    shapes = stack_shapes(method)
+    kinds, depths = stack_facts(method)
 
     fn = mir.MIRFunction(
         full_name=method.full_name,
@@ -65,9 +69,9 @@ def lower(method: MethodDef) -> mir.MIRFunction:
 
     canonical: Dict[int, List[int]] = {}
     for t in targets:
-        shape = shapes.get(t)
-        if shape:
-            canonical[t] = [fn.new_vreg() for _ in shape]
+        depth = depths.get(t)
+        if depth:
+            canonical[t] = [fn.new_vreg() for _ in range(depth)]
     # catch-handler entries always carry the exception object
     handler_entry: Dict[int, int] = {}
     for region in method.regions:
@@ -111,11 +115,11 @@ def lower(method: MethodDef) -> mir.MIRFunction:
             stack = list(canonical[i])
             dead = False
         elif dead:
-            # only resurrect at positions the type simulation reached: a
-            # target that exists solely inside unreachable code (e.g. the
-            # front end folded `if (false)` into a `br` across it) must
-            # stay dead, or its entry stack would be wrong
-            if i in shapes and (
+            # only resurrect at positions the verifier reached: a target
+            # that exists solely inside unreachable code (e.g. the front
+            # end folded `if (false)` into a `br` across it) must stay
+            # dead, or its entry stack would be wrong
+            if i in depths and (
                 i in targets
                 or any(
                     r.handler_start == i or r.try_start == i

@@ -36,7 +36,6 @@ def compile_source(
     entry_class: Optional[str] = None,
     entry_method: str = "Main",
     include_corelib: bool = True,
-    verify: bool = True,
 ) -> Assembly:
     """Compile Kernel-C# ``source`` into a verified CIL assembly.
 
@@ -49,8 +48,7 @@ def compile_source(
     program = parse(full)
     checker = check_program(program)
     assembly = CodeGen(checker, assembly_name).generate()
-    if verify:
-        verify_assembly(assembly)
+    verify_assembly(assembly)
     if entry_class is None:
         for cls in assembly.classes.values():
             m = cls.find_method(entry_method)

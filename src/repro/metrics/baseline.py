@@ -498,26 +498,17 @@ def run_collection(
 
 
 def collect(*args, **kwargs) -> dict:
-    """:func:`run_collection`, returning just the artifact and leaving
-    the reports on ``collect.last_report`` / ``last_faults`` /
-    ``last_store`` for callers that still read them there."""
-    collect.last_report = collect.last_faults = collect.last_store = None
+    """:func:`run_collection`, returning just the artifact and leaving the
+    pool report on ``collect.last_report`` for callers that still read it
+    there."""
+    collect.last_report = None
     result = run_collection(*args, **kwargs)
     collect.last_report = result.report
-    collect.last_faults = result.faults
-    collect.last_store = result.store
     return result.artifact
 
 
 #: the last collection's repro.parallel.PoolReport
 collect.last_report = None
-
-#: the last collection's repro.faults.FaultMatrixReport
-collect.last_faults = None
-
-#: the last collection's store-memoization accounting (None when no store
-#: was attached); see :attr:`Collection.store`
-collect.last_store = None
 
 
 # ---------------------------------------------------------------- serialize

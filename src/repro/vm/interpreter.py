@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 from ..cil import cts, opcodes as op
 from ..cil.instructions import FieldRef, MethodRef
 from ..cil.metadata import Assembly, MethodDef
-from ..cil.typesim import annotate
+from ..cil.verifier import stack_facts
 from ..errors import VMError
 from .bench import BenchRecorder
 from .exceptions import GuestException, make_exception, matches
@@ -71,11 +71,6 @@ class Interpreter:
         self.serializer = Serializer()
         self.bench = BenchRecorder(self.now)
         self.allocated_bytes = 0
-        # static type annotation cache: annotate() is a whole-body pass, so
-        # re-running it per _exec entry made every finally handler (which
-        # executes through a nested _exec on the shared frame) re-derive
-        # the same table; keyed by method identity like the JIT code cache
-        self._kinds: Dict[int, dict] = {}
         # single-threaded monitor bookkeeping (reentrancy only)
         self._monitor_depth: Dict[int, int] = {}
 
@@ -188,9 +183,7 @@ class Interpreter:
         the loop runs a finally handler in the caller's frame (shared
         ``locals_``) and returns when its ``endfinally`` is reached."""
         body = method.body
-        kinds = self._kinds.get(id(method))
-        if kinds is None:
-            kinds = self._kinds.setdefault(id(method), annotate(method))
+        kinds = stack_facts(method).kinds
         loaded = self.loaded
         if locals_ is None:
             locals_ = [None] * len(method.locals)

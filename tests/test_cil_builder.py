@@ -1,4 +1,4 @@
-"""Unit tests for the CIL builder, metadata and max-stack computation."""
+"""Unit tests for the CIL builder, metadata and the CTS."""
 
 import pytest
 
@@ -9,9 +9,9 @@ from repro.cil import (
     Label,
     MethodBuilder,
     MethodDef,
-    MethodRef,
     cts,
     opcodes as op,
+    verify_method,
 )
 from repro.errors import CilError
 
@@ -28,6 +28,7 @@ class TestMethodBuilder:
         b.emit(op.RET)
         built = b.build()
         assert [i.mnemonic for i in built.body] == ["ldc.i4", "ret"]
+        verify_method(built)
         assert built.max_stack == 1
 
     def test_forward_label_fixup(self):
@@ -82,38 +83,6 @@ class TestMethodBuilder:
         b = MethodBuilder(make_method())
         with pytest.raises(CilError, match="unknown local"):
             b.local_index("ghost")
-
-    def test_max_stack_call(self):
-        ref = MethodRef("C", "F", (cts.INT32, cts.INT32), cts.INT32)
-        m = make_method(ret=cts.INT32)
-        b = MethodBuilder(m)
-        b.emit(op.LDC_I4, 1)
-        b.emit(op.LDC_I4, 2)
-        b.emit(op.CALL, ref)
-        b.emit(op.RET)
-        built = b.build()
-        assert built.max_stack == 2
-
-    def test_stack_underflow_detected(self):
-        m = make_method()
-        b = MethodBuilder(m)
-        b.emit(op.POP)
-        b.emit(op.RET)
-        with pytest.raises(CilError, match="underflow"):
-            b.build()
-
-    def test_inconsistent_merge_depth_detected(self):
-        m = make_method(ret=cts.INT32)
-        b = MethodBuilder(m)
-        join = b.new_label()
-        b.emit(op.LDC_I4, 0)
-        b.emit_branch(op.BRFALSE, join)
-        b.emit(op.LDC_I4, 1)  # depth 1 on this edge
-        b.mark_label(join)  # depth 0 on fallthrough edge
-        b.emit(op.LDC_I4, 2)
-        b.emit(op.RET)
-        with pytest.raises(CilError, match="inconsistent stack depth"):
-            b.build()
 
     def test_switch_fixups(self):
         m = make_method(ret=cts.INT32)

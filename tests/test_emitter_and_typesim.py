@@ -1,9 +1,9 @@
-"""Tests for the pseudo-x86 emitter and the static type simulation."""
+"""Tests for the pseudo-x86 emitter and the verifier's stack facts."""
 
 import pytest
 
 from repro.cil import cts, opcodes as op
-from repro.cil.typesim import annotate, kind_of, stack_shapes
+from repro.cil.verifier import kind_of, stack_facts
 from repro.jit.emitter import render_x86
 from repro.jit.pipeline import JitCompiler
 from repro.lang import compile_source
@@ -96,14 +96,14 @@ class TestTypesim:
                 double d = a + b + c + 0.5;
                 return d;
             } }""")
-        kinds = annotate(method)
+        kinds = stack_facts(method).kinds
         found = set(kinds.values())
         assert {"i4", "i8", "r4", "r8"} <= found
 
     def test_conv_records_source_kind(self):
         method = self._main("""
             class P { static int Main() { double d = 2.9; return (int)d; } }""")
-        kinds = annotate(method)
+        kinds = stack_facts(method).kinds
         conv_kinds = [
             kinds[i] for i, ins in enumerate(method.body)
             if ins.opcode == op.CONV_I4
@@ -117,9 +117,9 @@ class TestTypesim:
                 int y = x > 3 ? 10 : 20;
                 return y;
             } }""")
-        shapes = stack_shapes(method)
+        depths = stack_facts(method).depths
         # the ternary merge point carries one value on the stack
-        assert any(len(s) == 1 for s in shapes.values())
+        assert any(d == 1 for d in depths.values())
 
     def test_kind_of_types(self):
         assert kind_of(cts.INT32) == "i4"
@@ -132,5 +132,5 @@ class TestTypesim:
 
     def test_annotation_cached(self):
         method = self._main("class P { static int Main() { return 1; } }")
-        first = annotate(method)
-        assert annotate(method) is first
+        first = stack_facts(method)
+        assert stack_facts(method) is first

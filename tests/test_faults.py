@@ -426,10 +426,11 @@ class TestPartialArtifact:
         plan = FaultPlan(seed=4, pinned=((0, "worker_crash"),), max_retries=0)
         suite = [("micro.arith", {"Reps": 60}), ("micro.loop", {"Reps": 200})]
         profiles = [CLR11, MONO023]
-        artifact = baseline.collect(
+        result = baseline.run_collection(
             profiles=profiles, suite=suite, git_sha="test", plan=plan
         )
-        assert baseline.collect.last_faults is not None
+        artifact = result.artifact
+        assert result.faults is not None
         failures = artifact["failures"]
         assert [f["index"] for f in failures] == [0]
         assert failures[0]["status"] == "quarantined"
@@ -438,7 +439,7 @@ class TestPartialArtifact:
         assert "clr-1.1" not in arith and "mono-0.23" in arith
         loop = artifact["benchmarks"]["micro.loop"]["profiles"]
         assert set(loop) == {"clr-1.1", "mono-0.23"}
-        assert baseline.collect.last_faults.contained
+        assert result.faults.contained
 
     def test_collect_without_plan_has_no_failures_key(self):
         suite = [("micro.arith", {"Reps": 60})]

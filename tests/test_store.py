@@ -171,24 +171,23 @@ class TestMemoization:
         store = ExperimentStore(str(tmp_path / "e.sqlite"))
         profiles = baseline.resolve_profiles("clr-1.1,native-c")
         suite = baseline.resolve_suite("micro.arith,grande.sieve", 0.0)
-        cold = baseline.collect(profiles=profiles, suite=suite, scale=0.0,
-                                git_sha="cafe", store=store)
-        assert baseline.collect.last_store["misses"] == 4
+        cold = baseline.run_collection(profiles=profiles, suite=suite,
+                                       scale=0.0, git_sha="cafe", store=store)
+        assert cold.store["misses"] == 4
         before = COMPILE_STATS["compile_source_calls"]
-        warm = baseline.collect(profiles=profiles, suite=suite, scale=0.0,
-                                git_sha="cafe", store=store)
+        warm = baseline.run_collection(profiles=profiles, suite=suite,
+                                       scale=0.0, git_sha="cafe", store=store)
         assert COMPILE_STATS["compile_source_calls"] == before, (
             "a warm store collection must not compile anything"
         )
-        stats = baseline.collect.last_store
-        assert stats["hits"] == 4 and stats["misses"] == 0
+        assert warm.store["hits"] == 4 and warm.store["misses"] == 0
         # zero guest cycles: every cell was merged from the memo
-        assert baseline.collect.last_report.memoized == 4
+        assert warm.report.memoized == 4
         direct = baseline.collect(profiles=profiles, suite=suite, scale=0.0,
                                   git_sha="cafe")
         blob = lambda a: json.dumps(a, sort_keys=True)
-        assert blob(cold) == blob(direct)
-        assert blob(warm) == blob(direct)
+        assert blob(cold.artifact) == blob(direct)
+        assert blob(warm.artifact) == blob(direct)
         store.close()
 
     def test_cold_pool_collection_counts_its_workers_compiles(self, tmp_path):
@@ -224,10 +223,10 @@ class TestMemoization:
         artifact = baseline.collect(profiles=profiles, suite=suite, scale=0.0,
                                     git_sha="cafe")
         store.import_artifact(artifact)
-        baseline.collect(profiles=profiles, suite=suite, scale=0.0,
-                         git_sha="cafe", store=store)
+        result = baseline.run_collection(profiles=profiles, suite=suite,
+                                         scale=0.0, git_sha="cafe", store=store)
         # partial imported records must not satisfy the memo lookup
-        assert baseline.collect.last_store["hits"] == 0
+        assert result.store["hits"] == 0
         store.close()
 
 

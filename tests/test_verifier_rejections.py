@@ -11,11 +11,12 @@ invisible).
 
 import pytest
 
-from repro.cil import cts, opcodes as op
+from repro.cil import MethodBuilder, MethodRef, cts, opcodes as op
 from repro.cil.instructions import ExceptionRegion, Instruction
 from repro.cil.metadata import LocalVar, MethodDef
-from repro.cil.verifier import verify_method
+from repro.cil.verifier import stack_facts, verify_method
 from repro.errors import VerifyError
+from repro.jit.lowering import lower
 
 
 def _method(
@@ -189,3 +190,76 @@ def test_verifier_accepts_wellformed_control():
         ]
     )
     verify_method(method)  # must not raise
+
+
+def test_lowering_an_unverifiable_method_raises_verify_error():
+    """Lowering reads the verifier's stack facts, so a hand-built body that
+    never went through the verifier is verified (and refused) first."""
+    with pytest.raises(VerifyError, match="stack underflow"):
+        lower(_method([I(op.ADD), I(op.RET)]))
+
+
+class TestStackDepth:
+    """``max_stack`` and stack-depth consistency, from builder-made bodies."""
+
+    def test_max_stack_call(self):
+        ref = MethodRef("C", "F", (cts.INT32, cts.INT32), cts.INT32)
+        b = MethodBuilder(_method([], return_type=cts.INT32))
+        b.emit(op.LDC_I4, 1)
+        b.emit(op.LDC_I4, 2)
+        b.emit(op.CALL, ref)
+        b.emit(op.RET)
+        built = b.build()
+        verify_method(built)
+        assert built.max_stack == 2
+
+    def test_stack_underflow_detected(self):
+        b = MethodBuilder(_method([]))
+        b.emit(op.POP)
+        b.emit(op.RET)
+        with pytest.raises(VerifyError, match="underflow"):
+            verify_method(b.build())
+
+    def test_inconsistent_merge_depth_detected(self):
+        b = MethodBuilder(_method([], return_type=cts.INT32))
+        join = b.new_label()
+        b.emit(op.LDC_I4, 0)
+        b.emit_branch(op.BRFALSE, join)
+        b.emit(op.LDC_I4, 1)  # depth 1 on this edge
+        b.mark_label(join)  # depth 0 on fallthrough edge
+        b.emit(op.LDC_I4, 2)
+        b.emit(op.RET)
+        with pytest.raises(VerifyError, match="stack depth mismatch"):
+            verify_method(b.build())
+
+    def test_max_stack_counts_the_stack_leave_empties(self):
+        # the catch handler leaves with the exception object still pushed
+        m = _method(
+            [I(op.NOP), I(op.LEAVE, 3), I(op.LEAVE, 3), I(op.RET)],
+            regions=[ExceptionRegion("catch", 0, 2, 2, 3, "System.Exception")],
+        )
+        verify_method(m)
+        assert m.max_stack == 1
+
+
+class TestStackKinds:
+    """The operand kinds the verifier records for the execution engines."""
+
+    def test_float32_against_float64_compares_as_float64(self):
+        m = _method(
+            [I(op.LDC_R4, 1.0), I(op.LDC_R8, 2.0), I(op.CLT), I(op.RET)],
+            return_type=cts.INT32,
+        )
+        assert stack_facts(m).kinds[2] == "r8"
+
+    def test_first_state_wins_at_a_float_merge(self):
+        # the fall-through edge (float32) is pushed last, so it is walked
+        # first and its state stands when the float64 edge reaches 5
+        m = _method(
+            [I(op.LDC_I4, 1), I(op.BRTRUE, 4), I(op.LDC_R4, 1.0), I(op.BR, 5),
+             I(op.LDC_R8, 2.0), I(op.CONV_R8), I(op.RET)],
+            return_type=cts.FLOAT64,
+        )
+        facts = stack_facts(m)
+        assert facts.kinds[5] == "r4"
+        assert facts.depths == {0: 0, 1: 1, 2: 0, 3: 1, 4: 0, 5: 1, 6: 1}
