@@ -15,7 +15,7 @@ hands them out, verifying the method first if nothing has yet.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from ..errors import VerifyError
 from . import cts, opcodes as op
@@ -103,7 +103,7 @@ def stack_facts(method: MethodDef) -> StackFacts:
     return facts
 
 
-def verify_method(method: MethodDef, assembly: Optional[Assembly] = None) -> None:
+def verify_method(method: MethodDef) -> None:
     """Verify one method body; raises :class:`VerifyError` on failure.
 
     On success, sets ``method.max_stack`` and records the method's
@@ -484,6 +484,6 @@ def verify_assembly(assembly: Assembly) -> int:
     """Verify every method in the assembly; returns the number verified."""
     count = 0
     for method in assembly.all_methods():
-        verify_method(method, assembly)
+        verify_method(method)
         count += 1
     return count

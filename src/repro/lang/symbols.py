@@ -10,9 +10,6 @@ from ..cil.cts import CType
 from ..cil.instructions import FieldRef
 
 
-_next_symbol_id = [0]
-
-
 @dataclass
 class VarSymbol:
     """A local variable or parameter; identity (``uid``) survives shadowing."""
@@ -20,9 +17,11 @@ class VarSymbol:
     name: str
     ctype: CType
     kind: str  # 'local' | 'arg'
+    #: numbered per checked program, so one source always compiles to one
+    #: image whatever was compiled before it in the process
+    uid: int
     #: argument index (including implicit this) for kind == 'arg'
     arg_index: int = -1
-    uid: int = field(default_factory=lambda: _next_symbol_id.__setitem__(0, _next_symbol_id[0] + 1) or _next_symbol_id[0])
 
     @property
     def slot_name(self) -> str:

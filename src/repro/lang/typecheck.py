@@ -91,8 +91,14 @@ class Checker:
         self._method: Optional[MethodInfo] = None
         self._loop_depth = 0
         self._catch_depth = 0
+        self._symbols = 0
 
     # ------------------------------------------------------------------ utils
+
+    def symbol(self, name: str, ctype: CType, kind: str,
+               arg_index: int = -1) -> VarSymbol:
+        self._symbols += 1
+        return VarSymbol(name, ctype, kind, self._symbols, arg_index)
 
     def error(self, message: str, node: ast.Node) -> TypeCheckError:
         return TypeCheckError(message, getattr(node, "line", 0) or 0)
@@ -357,7 +363,7 @@ class Checker:
         self._catch_depth = 0
         arg_base = 0 if mi.is_static else 1
         for i, (pname, ptype) in enumerate(zip(mi.param_names, mi.param_types)):
-            sym = VarSymbol(pname, ptype, "arg", arg_index=arg_base + i)
+            sym = self.symbol(pname, ptype, "arg", arg_base + i)
             self._scopes[0][pname] = sym
         if decl.base_args is not None:
             if not mi.is_ctor:
@@ -387,7 +393,7 @@ class Checker:
         for scope in self._scopes:
             if name in scope:
                 raise self.error(f"duplicate variable {name!r}", node)
-        sym = VarSymbol(name, ctype, "local")
+        sym = self.symbol(name, ctype, "local")
         self._scopes[-1][name] = sym
         return sym
 

@@ -11,7 +11,6 @@ metrics attached and writes/compares ``BENCH_<seq>.json`` artifacts
 
 from .baseline import (
     BENCH_SCHEMA,
-    DEFAULT_TOLERANCES,
     collect,
     compare,
     current_git_sha,
@@ -40,7 +39,6 @@ from .sampler import RUNTIME_FRAME, StackSampler
 __all__ = [
     "BENCH_SCHEMA",
     "Counter",
-    "DEFAULT_TOLERANCES",
     "EXPOSITION_CONTENT_TYPE",
     "Gauge",
     "Histogram",

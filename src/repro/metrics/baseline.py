@@ -22,7 +22,11 @@ Tolerance policy:
   claims, so a shift in either direction beyond tolerance is flagged.
 
 A benchmark or profile that disappears from the new artifact is a
-regression (coverage loss); a new one is informational.
+regression (coverage loss); a new one is informational.  This module is
+the only place the policy and the ratio anchor live: :func:`attribute`
+(behind ``repro store report --attribute``) reads :func:`compare`'s
+verdicts, and the store's trend ladder anchors through
+:func:`anchored_ratios`, as :func:`build_artifact` does.
 """
 
 from __future__ import annotations
@@ -164,6 +168,33 @@ def entry_from_run(run) -> dict:
     }
 
 
+def ratio_anchor(profiles: Iterable[str]) -> Optional[str]:
+    """The anchor rule behind every cross-runtime ratio: of the profiles
+    that ran a benchmark in one run, in run order, CLR 1.1 when it is
+    among them, else the first (None when there are none)."""
+    profiles = list(profiles)
+    if RATIO_BASE in profiles:
+        return RATIO_BASE
+    return profiles[0] if profiles else None
+
+
+def anchored_ratios(
+    cycles: Dict[str, float],
+) -> Tuple[Optional[str], Dict[str, float]]:
+    """One benchmark's ``{profile: cycles}`` of one run, in run order, as
+    ``(anchor, {profile: cycles / anchor cycles})`` under
+    :func:`ratio_anchor`, the anchor itself left out."""
+    anchor = ratio_anchor(cycles)
+    if anchor is None:
+        return None, {}
+    base = cycles[anchor]
+    return anchor, {
+        pname: value / base if base else 0.0
+        for pname, value in cycles.items()
+        if pname != anchor
+    }
+
+
 def build_artifact(
     suite,
     profile_names,
@@ -185,25 +216,15 @@ def build_artifact(
         per_profile = {
             pname: entries[pname] for pname in profile_names if pname in entries
         }
-        ratios: Dict[str, float] = {}
-        if per_profile:
-            base_name = (
-                RATIO_BASE
-                if RATIO_BASE in per_profile
-                else next(p for p in profile_names if p in per_profile)
-            )
-            base_cycles = per_profile[base_name]["cycles"]
-            ratios = {
-                f"{pname}/{base_name}": (
-                    entry["cycles"] / base_cycles if base_cycles else 0.0
-                )
-                for pname, entry in per_profile.items()
-                if pname != base_name
-            }
+        anchor, ratios = anchored_ratios(
+            {pname: entry["cycles"] for pname, entry in per_profile.items()}
+        )
         benchmarks[name] = {
             "params": dict(params),
             "profiles": per_profile,
-            "ratios": ratios,
+            "ratios": {
+                f"{pname}/{anchor}": ratio for pname, ratio in ratios.items()
+            },
         }
     return {
         "schema": BENCH_SCHEMA,
@@ -556,6 +577,21 @@ def _rel_delta(base: float, new: float) -> float:
     return (new - base) / base
 
 
+def _tolerances(overrides: Optional[Dict[str, float]]) -> Dict[str, float]:
+    """The default tolerances with ``overrides`` applied; an unknown
+    metric name raises ValueError."""
+    tol = dict(DEFAULT_TOLERANCES)
+    if overrides:
+        unknown = set(overrides) - set(tol)
+        if unknown:
+            raise ValueError(
+                f"unknown tolerance metrics {sorted(unknown)}; "
+                f"known: {sorted(tol)}"
+            )
+        tol.update(overrides)
+    return tol
+
+
 def compare(
     base: dict,
     new: dict,
@@ -566,17 +602,9 @@ def compare(
     Each row: ``{benchmark, profile, metric, base, new, delta, tolerance,
     status}`` with status one of ``ok`` / ``improved`` / ``regression`` /
     ``removed`` / ``added``.  ``delta`` is relative (fraction of base) for
-    cycles/instructions and absolute for ratios.
+    cycles, instructions and ratios.
     """
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        unknown = set(tolerances) - set(tol)
-        if unknown:
-            raise ValueError(
-                f"unknown tolerance metrics {sorted(unknown)}; "
-                f"known: {sorted(tol)}"
-            )
-        tol.update(tolerances)
+    tol = _tolerances(tolerances)
     rows: List[dict] = []
 
     def row(benchmark, profile, metric, b, n, delta, tolerance, status):
@@ -638,6 +666,109 @@ def compare(
 
 def regressions(rows: List[dict]) -> List[dict]:
     return [r for r in rows if r["status"] in ("regression", "removed")]
+
+
+def _rel(base_value: float, new_value: float) -> Optional[float]:
+    return (new_value - base_value) / base_value if base_value else None
+
+
+def attribute(
+    base: dict,
+    new: dict,
+    tolerances: Optional[Dict[str, float]] = None,
+) -> dict:
+    """Break the delta between two artifacts down to the responsible cells.
+
+    Every verdict is a :func:`compare` row, so attribution and the gate
+    cannot disagree: a cell is flagged when its cycles or instructions
+    row regressed, a ratio when its row did, and ``only_in_base`` /
+    ``only_in_new`` spell out the ``removed`` / ``added`` coverage rows.
+    Each cell in both artifacts carries its raw-metric deltas and, when
+    flagged, the five largest counter/gauge moves of its metric snapshot
+    — the "what inside the cell moved" evidence.
+    """
+    rows = compare(base, new, tolerances)
+    regressed = {
+        (r["benchmark"], r["profile"], r["metric"])
+        for r in rows
+        if r["status"] == "regression"
+    }
+    cells: List[dict] = []
+    coverage: Dict[str, List[str]] = {"removed": [], "added": []}
+    for r in rows:
+        bench, pname = r["benchmark"], r["profile"]
+        if r["metric"] == "coverage":
+            side = base if r["status"] == "removed" else new
+            names = (side["benchmarks"][bench]["profiles"] if pname == "*"
+                     else [pname])
+            coverage[r["status"]] += [f"{bench}@{p}" for p in names]
+        if r["metric"] != "cycles":
+            continue
+        b = base["benchmarks"][bench]["profiles"][pname]
+        n = new["benchmarks"][bench]["profiles"][pname]
+        deltas = {}
+        for field in ("cycles", "instructions", "allocated_bytes",
+                      "gc_collections"):
+            key = "total_cycles" if field == "cycles" else field
+            deltas[key] = {"base": b[field], "new": n[field],
+                           "delta": n[field] - b[field],
+                           "rel": _rel(b[field], n[field])}
+            if (bench, pname, field) in regressed:
+                deltas[key]["flagged"] = True
+        flagged = any(delta.get("flagged") for delta in deltas.values())
+        cells.append({
+            "benchmark": bench, "profile": pname, "deltas": deltas,
+            "flagged": flagged,
+            "movers": (_metric_movers(b["metrics"], n["metrics"])
+                       if flagged else []),
+        })
+    ratios = sorted(
+        (
+            {"benchmark": r["benchmark"],
+             "profile": r["profile"].split("/")[0],
+             "base_ratio": r["base"], "new_ratio": r["new"],
+             "rel": r["delta"], "flagged": r["status"] == "regression"}
+            for r in rows
+            if r["metric"] == "ratio"
+        ),
+        key=lambda entry: (entry["benchmark"], entry["profile"]),
+    )
+    return {
+        "base_sha": base.get("git_sha"),
+        "new_sha": new.get("git_sha"),
+        "ratio_base": ratio_anchor(new.get("profiles", ())),
+        "tolerances": _tolerances(tolerances),
+        "cells": cells,
+        "ratios": ratios,
+        "flagged_cells": [
+            f"{c['benchmark']}@{c['profile']}" for c in cells if c["flagged"]
+        ],
+        "flagged_ratios": [
+            f"{r['benchmark']}@{r['profile']}" for r in ratios if r["flagged"]
+        ],
+        "only_in_base": sorted(coverage["removed"]),
+        "only_in_new": sorted(coverage["added"]),
+    }
+
+
+def _metric_movers(base_snapshot: Optional[dict],
+                   new_snapshot: Optional[dict]) -> List[dict]:
+    """A flagged cell's five largest relative counter/gauge moves — names
+    the subsystem (gc, jit, dispatch...) that moved."""
+    moves: List[dict] = []
+    for kind in ("counters", "gauges"):
+        base_values = (base_snapshot or {}).get(kind) or {}
+        new_values = (new_snapshot or {}).get(kind) or {}
+        for name in sorted(set(base_values) | set(new_values)):
+            b, n = base_values.get(name, 0), new_values.get(name, 0)
+            if b != n:
+                moves.append({"metric": name, "kind": kind[:-1], "base": b,
+                              "new": n, "delta": n - b, "rel": _rel(b, n)})
+    moves.sort(
+        key=lambda m: float("inf") if m["rel"] is None else abs(m["rel"]),
+        reverse=True,
+    )
+    return moves[:5]
 
 
 def render_compare(rows: List[dict], base: dict, new: dict,

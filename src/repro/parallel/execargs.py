@@ -149,8 +149,6 @@ def add_trend_filters(parser, *, metric: bool = True) -> None:
     out ``--metric`` (the anchored-ratio report has no metric axis)."""
     parser.add_argument("--benchmark", default=None)
     parser.add_argument("--profile", default=None)
-    parser.add_argument("--ratio-base", default=None,
-                        help="ratio anchor profile (default: clr-1.1)")
     if metric:
         parser.add_argument("--metric", default=None,
                             help="flattened counter/gauge name instead of cycles")

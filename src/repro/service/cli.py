@@ -215,7 +215,6 @@ def cmd_trends(args, client) -> int:
     payload = client.trends(
         benchmark=args.benchmark,
         profile=args.profile,
-        ratio_base=args.ratio_base,
         metric=args.metric,
     )
     rows = payload["rows"]

@@ -1185,6 +1185,15 @@ class ExperimentService:
 
     def _trends(self, request, ctx):
         query = request.query
+        # every ratio uses the BENCH gate's anchor; a request that still
+        # names another is refused rather than answered under the wrong one
+        if "ratio_base" in query:
+            raise HttpError(
+                400,
+                f"bad ratio_base {query['ratio_base']!r}: the ratio_base "
+                "parameter was removed (ratios use the regression gate's "
+                "anchor)",
+            )
         with self._reading() as store:
             if "metric" in query:
                 rows = store.metric_trend(
@@ -1194,7 +1203,6 @@ class ExperimentService:
                 rows = store.trend(
                     benchmark=query.get("benchmark"),
                     profile=query.get("profile"),
-                    ratio_base=query.get("ratio_base"),
                 )
         return 200, {"rows": rows}
 

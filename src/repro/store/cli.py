@@ -5,8 +5,7 @@
     repro store [--db DB] import BENCH_1.json [BENCH_2.json ...]
     repro store [--db DB] export (--run ID | --seq N) [--out FILE]
     repro store [--db DB] runs
-    repro store [--db DB] trends [--benchmark B] [--profile P]
-                [--ratio-base R] [--metric M]
+    repro store [--db DB] trends [--benchmark B] [--profile P] [--metric M]
     repro store [--db DB] report [--benchmark B] [--profile P]
                 [--attribute BASE NEW] [--json]
 
@@ -18,7 +17,9 @@ BENCH JSON is now an interchange format, not the substrate.  ``report``
 renders the cross-run anchored-ratio history as sparkline trend ladders
 (one per benchmark x profile) and, with ``--attribute BASE NEW``, breaks
 the delta between two runs down per profile x benchmark x metric
-snapshot to name the cells responsible for a flagged regression.
+snapshot to name the cells responsible for a flagged regression.  Ratios
+and regression verdicts follow the ``repro bench compare`` gate's policy
+(:mod:`repro.metrics.baseline`); the anchor is not selectable.
 """
 
 from __future__ import annotations
@@ -103,11 +104,7 @@ def cmd_trends(args) -> int:
         if args.metric:
             rows = store.metric_trend(args.metric, benchmark=args.benchmark)
         else:
-            rows = store.trend(
-                benchmark=args.benchmark,
-                profile=args.profile,
-                ratio_base=args.ratio_base,
-            )
+            rows = store.trend(benchmark=args.benchmark, profile=args.profile)
     if args.json:
         print(_dump({"rows": rows}), end="")
         return 0
@@ -224,18 +221,12 @@ def _render_attribution(attribution: dict) -> List[str]:
 
 def cmd_report(args) -> int:
     with _open_for_read(args.db) as store:
-        rows = store.trend(
-            benchmark=args.benchmark,
-            profile=args.profile,
-            ratio_base=args.ratio_base,
-        )
+        rows = store.trend(benchmark=args.benchmark, profile=args.profile)
         attribution = None
         if args.attribute:
             base_id, new_id = args.attribute
             try:
-                attribution = store.attribute(
-                    base_id, new_id, ratio_base=args.ratio_base
-                )
+                attribution = store.attribute(base_id, new_id)
             except StoreError as exc:
                 raise SystemExit(f"repro-store: {exc}")
     if args.json:

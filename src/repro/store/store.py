@@ -520,38 +520,44 @@ class ExperimentStore:
         self,
         benchmark: Optional[str] = None,
         profile: Optional[str] = None,
-        ratio_base: Optional[str] = None,
     ) -> List[dict]:
         """The cross-run runtime-ratio ladder: one row per (run, benchmark,
-        profile) with cycles and the ratio against ``ratio_base`` (default
-        the BENCH anchor, CLR 1.1) *within the same run* — exactly the
-        trajectory the paper's graphs plot, but across history."""
-        from ..metrics.baseline import RATIO_BASE
+        profile) recorded under a run, with cycles and the ratio under the
+        BENCH artifact's anchor rule
+        (:func:`repro.metrics.baseline.anchored_ratios`) among the cells
+        that run recorded for the benchmark — exactly the trajectory the
+        paper's graphs plot, but across history."""
+        from ..metrics.baseline import anchored_ratios
 
-        base_profile = ratio_base or RATIO_BASE
-        rows: List[dict] = []
-        base_cycles: Dict[Tuple[int, str], float] = {}
+        query = (
+            "SELECT cells.run_id, runs.seq, runs.git_sha, runs.profiles,"
+            " cells.benchmark, cells.profile, cells.record FROM cells"
+            " JOIN runs ON runs.id = cells.run_id"
+        )
+        if benchmark is not None:
+            query += " WHERE cells.benchmark = ?"
         cells = self._conn.execute(
-            "SELECT cells.run_id, runs.seq, runs.git_sha, cells.benchmark,"
-            " cells.profile, cells.record FROM cells"
-            " JOIN runs ON runs.id = cells.run_id ORDER BY cells.id"
+            query + " ORDER BY cells.id",
+            () if benchmark is None else (benchmark,),
         ).fetchall()
+        cycles: Dict[Tuple[int, str], Dict[str, float]] = {}
         for row in cells:
-            if row["profile"] == base_profile:
-                record = json.loads(row["record"])
-                base_cycles[(row["run_id"], row["benchmark"])] = record[
-                    "total_cycles"
-                ]
+            cycles.setdefault((row["run_id"], row["benchmark"]), {})[
+                row["profile"]
+            ] = json.loads(row["record"])["total_cycles"]
+        order = {row["run_id"]: json.loads(row["profiles"]) for row in cells}
+        ratios = {
+            (run_id, bench): anchored_ratios(
+                {pname: recorded[pname] for pname in order[run_id]
+                 if pname in recorded}
+            )[1]
+            for (run_id, bench), recorded in cycles.items()
+        }
+        rows: List[dict] = []
         for row in cells:
-            if benchmark is not None and row["benchmark"] != benchmark:
-                continue
             if profile is not None and row["profile"] != profile:
                 continue
-            record = json.loads(row["record"])
-            base = base_cycles.get((row["run_id"], row["benchmark"]))
-            ratio = None
-            if base and row["profile"] != base_profile:
-                ratio = record["total_cycles"] / base
+            group = (row["run_id"], row["benchmark"])
             rows.append(
                 {
                     "run": row["run_id"],
@@ -559,8 +565,8 @@ class ExperimentStore:
                     "git_sha": row["git_sha"],
                     "benchmark": row["benchmark"],
                     "profile": row["profile"],
-                    "cycles": record["total_cycles"],
-                    "ratio": ratio,
+                    "cycles": cycles[group][row["profile"]],
+                    "ratio": ratios[group].get(row["profile"]),
                 }
             )
         return rows
@@ -600,164 +606,20 @@ class ExperimentStore:
         base_run_id: int,
         new_run_id: int,
         tolerances: Optional[Dict[str, float]] = None,
-        ratio_base: Optional[str] = None,
-        movers: int = 5,
     ) -> dict:
-        """Break the delta between two runs down to the responsible cells.
+        """Break the delta between two runs down to the responsible cells:
+        :func:`repro.metrics.baseline.attribute` over both runs' exports,
+        so every flagged cell and ratio is a verdict of the regression
+        gate's own policy."""
+        from ..metrics.baseline import attribute
 
-        For every ``(benchmark, profile)`` present in both runs the cell
-        block carries the cycles / instructions deltas (relative to base)
-        plus, for flagged cells, the largest-moving flattened
-        counters/gauges from the recorded metric snapshots — the "what
-        inside the cell moved" evidence.  The ratio block applies the
-        BENCH gate's anchored-ratio lens (each profile's cycles over the
-        anchor profile's, within the same run).  A cell or ratio is
-        *flagged* when its relative delta exceeds the tolerance policy —
-        by default the same one the regression gate uses (one-sided on
-        raw metrics: only growth regresses; two-sided on ratios).
-        """
-        from ..metrics.baseline import DEFAULT_TOLERANCES, RATIO_BASE
-
-        tol = dict(DEFAULT_TOLERANCES)
-        if tolerances:
-            tol.update(tolerances)
-        anchor = ratio_base or RATIO_BASE
-        base_run = self._run_row(base_run_id)
-        new_run = self._run_row(new_run_id)
-        base_cells = self.resolve_cells(base_run_id)
-        new_cells = self.resolve_cells(new_run_id)
-        shared = sorted(set(base_cells) & set(new_cells))
-
-        def _rel(base_value, new_value):
-            if not base_value:
-                return None
-            return (new_value - base_value) / base_value
-
-        cells: List[dict] = []
-        flagged_cells: List[str] = []
-        for (bench, profile) in shared:
-            base_record = base_cells[(bench, profile)]
-            new_record = new_cells[(bench, profile)]
-            block = {"benchmark": bench, "profile": profile, "deltas": {},
-                     "flagged": False, "movers": []}
-            for metric in ("total_cycles", "instructions",
-                           "allocated_bytes", "gc_collections"):
-                base_value = base_record.get(metric)
-                new_value = new_record.get(metric)
-                if base_value is None or new_value is None:
-                    continue
-                rel = _rel(base_value, new_value)
-                block["deltas"][metric] = {
-                    "base": base_value,
-                    "new": new_value,
-                    "delta": new_value - base_value,
-                    "rel": rel,
-                }
-                # the gate's one-sided rule: only growth regresses
-                bound = tol.get(
-                    "cycles" if metric == "total_cycles" else metric,
-                    tol.get("instructions", 0.02),
-                )
-                if rel is not None and metric in ("total_cycles",
-                                                  "instructions"):
-                    if rel > bound:
-                        block["deltas"][metric]["flagged"] = True
-                        block["flagged"] = True
-            if block["flagged"]:
-                flagged_cells.append(f"{bench}@{profile}")
-                block["movers"] = self._metric_movers(
-                    base_record, new_record, movers
-                )
-            cells.append(block)
-
-        ratios: List[dict] = []
-        benches = sorted({bench for bench, _p in shared})
-        for bench in benches:
-            base_anchor = base_cells.get((bench, anchor))
-            new_anchor = new_cells.get((bench, anchor))
-            if base_anchor is None or new_anchor is None:
-                continue
-            for (cell_bench, profile) in shared:
-                if cell_bench != bench or profile == anchor:
-                    continue
-                base_ratio = (
-                    base_cells[(bench, profile)]["total_cycles"]
-                    / base_anchor["total_cycles"]
-                )
-                new_ratio = (
-                    new_cells[(bench, profile)]["total_cycles"]
-                    / new_anchor["total_cycles"]
-                )
-                rel = _rel(base_ratio, new_ratio)
-                entry = {
-                    "benchmark": bench,
-                    "profile": profile,
-                    "base_ratio": base_ratio,
-                    "new_ratio": new_ratio,
-                    "rel": rel,
-                    # two-sided: a ratio moving either way is a drift
-                    "flagged": rel is not None and abs(rel) > tol["ratio"],
-                }
-                ratios.append(entry)
-
-        return {
-            "base_run": base_run_id,
-            "new_run": new_run_id,
-            "base_sha": base_run["git_sha"],
-            "new_sha": new_run["git_sha"],
-            "ratio_base": anchor,
-            "tolerances": tol,
-            "cells": cells,
-            "ratios": ratios,
-            "flagged_cells": flagged_cells,
-            "flagged_ratios": [
-                f"{r['benchmark']}@{r['profile']}" for r in ratios
-                if r["flagged"]
-            ],
-            "only_in_base": sorted(
-                f"{b}@{p}" for b, p in set(base_cells) - set(new_cells)
-            ),
-            "only_in_new": sorted(
-                f"{b}@{p}" for b, p in set(new_cells) - set(base_cells)
-            ),
-        }
-
-    @staticmethod
-    def _metric_movers(base_record: dict, new_record: dict, limit: int) -> List[dict]:
-        """The flagged cell's largest relative counter/gauge moves, base
-        vs new — names the subsystem (gc, jit, dispatch...) that moved."""
-        base_snapshot = base_record.get("metrics") or {}
-        new_snapshot = new_record.get("metrics") or {}
-        moves: List[dict] = []
-        for kind in ("counters", "gauges"):
-            base_values = base_snapshot.get(kind) or {}
-            new_values = new_snapshot.get(kind) or {}
-            for name in sorted(set(base_values) | set(new_values)):
-                base_value = base_values.get(name, 0)
-                new_value = new_values.get(name, 0)
-                if base_value == new_value:
-                    continue
-                rel = (
-                    (new_value - base_value) / base_value
-                    if base_value else None
-                )
-                moves.append(
-                    {
-                        "metric": name,
-                        "kind": kind[:-1],
-                        "base": base_value,
-                        "new": new_value,
-                        "delta": new_value - base_value,
-                        "rel": rel,
-                    }
-                )
-        moves.sort(
-            key=lambda m: (
-                float("inf") if m["rel"] is None else abs(m["rel"])
-            ),
-            reverse=True,
+        attribution = attribute(
+            self.export_artifact(base_run_id),
+            self.export_artifact(new_run_id),
+            tolerances,
         )
-        return moves[:limit]
+        attribution.update(base_run=base_run_id, new_run=new_run_id)
+        return attribution
 
 
 class StoreReadPool:

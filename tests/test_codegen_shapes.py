@@ -211,3 +211,28 @@ class TestCctorAndInit:
             class C { int v = 3; }
             class P { static int Main() { return new C().v; } }""")
         assert assembly.get_class("C").find_method(".ctor") is not None
+
+
+class TestImageDeterminism:
+    PROGRAM = """
+        class P { static int Main() {
+            int s = 0;
+            for (int i = 0; i < 10; i++) { int t = i * 2; s += t; }
+            return s;
+        } }"""
+
+    def test_image_does_not_depend_on_earlier_compiles(self):
+        from repro.cil import disassemble_assembly
+
+        first = compile_source(self.PROGRAM)
+        # other programs declare locals of their own in between
+        for reps in (3, 4):
+            compile_source(f"""
+                class Q {{ static int Main() {{
+                    int acc = 0;
+                    for (int k = 0; k < {reps}; k++) {{ acc += k; }}
+                    return acc;
+                }} }}""")
+        again = compile_source(self.PROGRAM)
+        assert again.to_bytes() == first.to_bytes()
+        assert disassemble_assembly(again) == disassemble_assembly(first)

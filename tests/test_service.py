@@ -109,6 +109,10 @@ class TestDaemon:
         with pytest.raises(ServiceError) as err:
             daemon.client.submit({"dispatch": "warp-drive"})
         assert err.value.status == 400
+        # ratios use the gate's anchor; the removed knob is refused
+        with pytest.raises(ServiceError, match="ratio_base") as err:
+            daemon.client.trends(ratio_base="mono-0.23")
+        assert err.value.status == 400
         with pytest.raises(ServiceError) as err:
             daemon.client.submit({"plan": {"seed": 1}})
         assert err.value.status == 409

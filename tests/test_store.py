@@ -432,6 +432,120 @@ class TestAttribution:
             "grande.sieve@clr-1.1", "grande.sieve@native-c"]
 
 
+def record_cells(store, git_sha, profiles, cells, benches):
+    """Append a run over ``benches`` x ``profiles`` recording ``cells``
+    (``{(bench, profile): (cycles, instructions)}``); a cell left out is
+    absent from the run, like a failed one."""
+    suite = [(bench, {"N": 4}) for bench in benches]
+    novel, cell_keys = [], {}
+    for bench, params in suite:
+        for profile in profiles:
+            if (bench, profile) not in cells:
+                continue
+            cycles, instructions = cells[(bench, profile)]
+            record = fake_record(bench, profile, cycles)
+            record["instructions"] = instructions
+            key = cell_key(bench, profile, params)
+            cell_keys[f"{bench}@{profile}"] = key
+            novel.append({"key": key, "benchmark": bench, "profile": profile,
+                          "params": params, "record": record})
+    return store.record_collection(
+        git_sha=git_sha, scale=0.0, profiles=list(profiles), suite=suite,
+        cell_keys=cell_keys, novel=novel,
+    )
+
+
+def gate_verdicts(base, new):
+    """What ``repro bench compare`` decides about two artifacts, in the
+    shape of an attribution's verdict fields."""
+    rows = baseline.compare(base, new)
+    bad = baseline.regressions(rows)
+
+    def coverage(status, side):
+        names = set()
+        for row in rows:
+            if row["status"] == status:
+                profiles = (side["benchmarks"][row["benchmark"]]["profiles"]
+                            if row["profile"] == "*" else [row["profile"]])
+                names |= {f"{row['benchmark']}@{p}" for p in profiles}
+        return sorted(names)
+
+    return {
+        "flagged_cells": sorted({f"{r['benchmark']}@{r['profile']}"
+                                 for r in bad
+                                 if r["metric"] in ("cycles", "instructions")}),
+        "flagged_ratios": sorted(
+            f"{r['benchmark']}@{r['profile'].split('/')[0]}"
+            for r in bad if r["metric"] == "ratio"),
+        "only_in_base": coverage("removed", base),
+        "only_in_new": coverage("added", new),
+    }
+
+
+class TestOnePolicy:
+    """Attribution and the regression gate read one policy: for seeded
+    perturbations of two recorded runs, the cells and ratios
+    ``attribute`` flags are exactly the gate's regression rows."""
+
+    BENCHES = ("micro.arith", "micro.loop", "grande.sieve")
+
+    @pytest.mark.parametrize("profiles", [
+        ("native-c", "clr-1.1", "mono-0.23"),
+        # no CLR 1.1: every ratio anchors on native-c, as in the artifact
+        ("native-c", "mono-0.23", "sun-1.4"),
+    ])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_attribution_flags_what_the_gate_flags(self, tmp_path, profiles,
+                                                   seed):
+        import random
+
+        rng = random.Random(seed)
+        base_cells = {}
+        for bench in self.BENCHES:
+            for profile in profiles:
+                cycles = rng.randint(1000, 5000)
+                base_cells[(bench, profile)] = (cycles, cycles // 2)
+        dropped = rng.choice(self.BENCHES)
+        grown_bench, missing_bench = rng.sample(
+            [b for b in self.BENCHES if b != dropped], 2)
+        new_cells = {}
+        for (bench, profile), (cycles, instructions) in base_cells.items():
+            if bench == dropped:
+                continue
+            # noise on both sides of the tolerances, in both directions
+            cycles = int(cycles * (1 + rng.choice([-0.1, -0.01, 0, 0.01, 0.03])))
+            instructions = int(instructions * (1 + rng.choice([-0.03, 0, 0.03])))
+            new_cells[(bench, profile)] = (cycles, instructions)
+        grown = (grown_bench, rng.choice(profiles))
+        cycles, instructions = base_cells[grown]
+        new_cells[grown] = (int(cycles * 1.1), instructions)
+        del new_cells[(missing_bench, rng.choice(profiles))]
+        new_benches = [b for b in self.BENCHES if b != dropped]
+        with ExperimentStore(str(tmp_path / "e.sqlite")) as store:
+            base = record_cells(store, "base", profiles, base_cells,
+                                self.BENCHES)
+            new = record_cells(store, "new", profiles, new_cells, new_benches)
+            # a fully warm rerun of new: no cells of its own, only keys
+            warm = store.record_collection(
+                git_sha="warm", scale=0.0, profiles=list(profiles),
+                suite=[(b, {"N": 4}) for b in new_benches],
+                cell_keys={f"{b}@{p}": cell_key(b, p, {"N": 4})
+                           for b, p in new_cells},
+                novel=[], store_hits=len(new_cells),
+            )
+            for base_id, new_id in ((base, new), (new, base), (base, warm)):
+                attribution = store.attribute(base_id, new_id)
+                expected = gate_verdicts(store.export_artifact(base_id),
+                                         store.export_artifact(new_id))
+                assert {key: sorted(attribution[key])
+                        for key in expected} == expected
+            forward = store.attribute(base, new)
+        assert f"{grown[0]}@{grown[1]}" in forward["flagged_cells"]
+        assert forward["flagged_ratios"] and forward["only_in_base"]
+        assert forward["ratio_base"] == (
+            "clr-1.1" if "clr-1.1" in profiles else "native-c")
+
+
 class TestReportCli:
     def _seed(self, db):
         with ExperimentStore(db) as store:
@@ -521,6 +635,18 @@ class TestQueries:
             assert [row["ratio"] for row in rows] == [0.25, 0.2]
             base_rows = store.trend(profile="clr-1.1")
             assert all(row["ratio"] is None for row in base_rows)
+
+    def test_trend_anchors_like_the_artifact(self, tmp_path):
+        with ExperimentStore(str(tmp_path / "e.sqlite")) as store:
+            # no CLR 1.1 in the run: both anchor on its first profile
+            run = append_run(store, profiles=("native-c", "mono-0.23"),
+                             cycles=(250, 1000))
+            rows = store.trend()
+            ratios = store.export_artifact(run)["benchmarks"][
+                "micro.arith"]["ratios"]
+        assert ratios == {"mono-0.23/native-c": 4.0}
+        assert [(row["profile"], row["ratio"]) for row in rows] == [
+            ("native-c", None), ("mono-0.23", 4.0)]
 
     def test_metric_trend(self, tmp_path):
         with ExperimentStore(str(tmp_path / "e.sqlite")) as store:

@@ -109,9 +109,10 @@ def function_payload(fn) -> dict:
     }
 
 
-#: the process-wide symbol number the type checker appends to a local's
-#: name (``i$13``): it counts every compile the process has run, so it
-#: is masked out of the CIL fingerprint
+#: the symbol number the type checker appends to a local's name
+#: (``i$13``): numbered per checked program, but the frozen digests were
+#: taken when it counted every compile of the process, so it stays masked
+#: out of the CIL fingerprint
 _SYMBOL_UID = re.compile(r"\$\d+\b")
 
 
