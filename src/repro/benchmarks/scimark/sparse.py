@@ -5,7 +5,7 @@ indirection addressing and non-regular memory references."
 Port of SciMark 2.0 SparseCompRow.java including its structured fill
 pattern.  The inner loop uses an explicit bound variable exactly like the
 original — rewriting it to ``row.Length`` is the paper's section-5
-bounds-check experiment, reproduced in ``benchmarks/bench_ablation_boundscheck.py``.
+bounds-check experiment, checked in ``tests/test_paper_findings.py``.
 Flops = 2 * nz * reps.
 """
 

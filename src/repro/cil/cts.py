@@ -13,7 +13,7 @@ verifier and the JIT.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 
 class CType:
@@ -24,14 +24,6 @@ class CType:
 
     @property
     def is_primitive(self) -> bool:
-        return False
-
-    @property
-    def is_numeric(self) -> bool:
-        return False
-
-    @property
-    def is_integral(self) -> bool:
         return False
 
     @property
@@ -66,14 +58,6 @@ class PrimitiveType(CType):
     @property
     def is_primitive(self) -> bool:
         return True
-
-    @property
-    def is_numeric(self) -> bool:
-        return self.kind in ("int", "float", "char")
-
-    @property
-    def is_integral(self) -> bool:
-        return self.kind in ("int", "char")
 
     @property
     def is_float(self) -> bool:

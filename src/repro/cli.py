@@ -2,7 +2,7 @@
 
 ::
 
-    repro list | profiles | run | experiment | experiments | disasm
+    repro list | profiles | run | experiment | experiments
     repro fuzz | prof | bench | chaos | store | trace  <subcommand> ...
     repro serve [...]                   # the experiment daemon
     repro client [...] <subcommand>     # its HTTP client
@@ -27,7 +27,7 @@ from typing import List, Optional
 #: verb -> the package whose ``cli.register`` declares it
 VERBS = {
     "list": "harness", "profiles": "harness", "run": "harness",
-    "experiment": "harness", "experiments": "harness", "disasm": "harness",
+    "experiment": "harness", "experiments": "harness",
     "fuzz": "fuzz", "prof": "observe", "bench": "metrics", "chaos": "faults",
     "serve": "service", "client": "service", "store": "store", "trace": "trace",
 }

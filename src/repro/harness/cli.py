@@ -7,7 +7,6 @@
     repro run micro.arith [options]     # one benchmark across profiles
     repro experiment graph09 [...]      # regenerate one paper graph/table
     repro experiments                   # regenerate everything (EXPERIMENTS.md body)
-    repro disasm                        # Table 5-8 style code listings
 """
 
 from __future__ import annotations
@@ -149,14 +148,6 @@ def cmd_experiments(args) -> int:
     return 0 if all(result.all_passed for result in results) else 1
 
 
-def cmd_disasm(args) -> int:
-    from .experiments import tables_jit
-
-    result = tables_jit.run()
-    print(result.text)
-    return 0
-
-
 def register(sub) -> None:
     """Declare the harness verbs on the root ``repro`` subparsers."""
     from ..parallel.execargs import add_execution_args
@@ -187,5 +178,3 @@ def register(sub) -> None:
     p_all = sub.add_parser("experiments", help="regenerate every graph/table")
     p_all.add_argument("--scale", type=float, default=1.0)
     p_all.set_defaults(func=cmd_experiments)
-
-    sub.add_parser("disasm", help="Tables 5-8 code listings").set_defaults(func=cmd_disasm)

@@ -19,7 +19,7 @@ The pattern recognized (conservatively) is::
 When it matches, the range checks on ``arr[i]`` inside the loop are
 dropped.  Loops bounded by a plain local (``i < n``) do NOT match — which
 is exactly why rewriting SciMark's sparse kernel to use ``.Length`` gives
-the measured speedup (see ``benchmarks/bench_ablation_boundscheck.py``).
+the measured speedup (see ``tests/test_paper_findings.py``).
 """
 
 from __future__ import annotations

@@ -250,12 +250,6 @@ class Parser:
 
     # -- types ------------------------------------------------------------------
 
-    def looks_like_type(self, offset: int = 0) -> bool:
-        tok = self.peek(offset)
-        if tok.kind == KEYWORD and tok.value in TYPE_KEYWORDS:
-            return True
-        return tok.kind == IDENT
-
     def parse_type(self) -> ast.TypeExpr:
         tok = self.peek()
         if tok.kind == KEYWORD and tok.value in TYPE_KEYWORDS:

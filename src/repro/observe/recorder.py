@@ -177,10 +177,6 @@ class Observer(MachineObserver):
             raise ValueError("Observer is already attached to another Machine")
         self.machine = machine
 
-    @property
-    def runtime_name(self) -> Optional[str]:
-        return None if self.machine is None else self.machine.profile.name
-
     # ------------------------------------------------- machine-facing hooks
     #
     # `fn` is the executing MIRFunction (or None when no managed frame is

@@ -154,24 +154,31 @@ def sparkline(values: List[float]) -> str:
 
 def _render_report(rows: List[dict], metric: str) -> List[str]:
     """Sparkline trend ladders: one line per (benchmark, profile) series,
-    in run order, with first/last values and the relative move."""
+    in run order, with first/last values and the relative move.  Ratio
+    series split by anchor; one not anchored on CLR 1.1 names its anchor."""
+    from ..metrics.baseline import RATIO_BASE
+
     series: dict = {}
     for row in rows:
         value = row.get("ratio") if metric == "ratio" else row.get("cycles")
         if value is None:
             continue
-        series.setdefault((row["benchmark"], row["profile"]), []).append(
+        anchor = row["anchor"] if metric == "ratio" else RATIO_BASE
+        series.setdefault((row["benchmark"], row["profile"], anchor), []).append(
             (row["run"], value)
         )
     lines = []
-    for (bench, profile), points in sorted(series.items()):
+    for (bench, profile, anchor), points in sorted(series.items()):
         points.sort()
         values = [value for _run, value in points]
         first, last = values[0], values[-1]
         move = (last - first) / first if first else 0.0
         unit = "" if metric == "ratio" else " cycles"
+        label = f"{bench}/{profile}"
+        if anchor != RATIO_BASE:
+            label += f" vs {anchor}"
         lines.append(
-            f"{bench + '/' + profile:<28} {sparkline(values)} "
+            f"{label:<28} {sparkline(values)} "
             f"{first:>12g} -> {last:>12g}{unit} "
             f"({move:+.1%} over {len(values)} runs)"
         )

@@ -522,8 +522,8 @@ class ExperimentStore:
         profile: Optional[str] = None,
     ) -> List[dict]:
         """The cross-run runtime-ratio ladder: one row per (run, benchmark,
-        profile) recorded under a run, with cycles and the ratio under the
-        BENCH artifact's anchor rule
+        profile) recorded under a run, with cycles, and the ratio and its
+        ``anchor`` profile under the BENCH artifact's anchor rule
         (:func:`repro.metrics.baseline.anchored_ratios`) among the cells
         that run recorded for the benchmark — exactly the trajectory the
         paper's graphs plot, but across history."""
@@ -546,11 +546,11 @@ class ExperimentStore:
                 row["profile"]
             ] = json.loads(row["record"])["total_cycles"]
         order = {row["run_id"]: json.loads(row["profiles"]) for row in cells}
-        ratios = {
+        anchored = {
             (run_id, bench): anchored_ratios(
                 {pname: recorded[pname] for pname in order[run_id]
                  if pname in recorded}
-            )[1]
+            )
             for (run_id, bench), recorded in cycles.items()
         }
         rows: List[dict] = []
@@ -558,6 +558,7 @@ class ExperimentStore:
             if profile is not None and row["profile"] != profile:
                 continue
             group = (row["run_id"], row["benchmark"])
+            anchor, ratios = anchored[group]
             rows.append(
                 {
                     "run": row["run_id"],
@@ -566,7 +567,8 @@ class ExperimentStore:
                     "benchmark": row["benchmark"],
                     "profile": row["profile"],
                     "cycles": cycles[group][row["profile"]],
-                    "ratio": ratios[group].get(row["profile"]),
+                    "ratio": ratios.get(row["profile"]),
+                    "anchor": anchor,
                 }
             )
         return rows

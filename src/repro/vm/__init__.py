@@ -14,19 +14,17 @@ creating a package-level import cycle (the machine imports the JIT).
 
 from typing import TYPE_CHECKING
 
-__all__ = ["Interpreter", "LoadedAssembly", "Machine", "run_source", "run_source_on"]
+__all__ = ["Interpreter", "LoadedAssembly", "Machine"]
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
-    from .interpreter import Interpreter, run_source
+    from .interpreter import Interpreter
     from .loader import LoadedAssembly
-    from .machine import Machine, run_source_on
+    from .machine import Machine
 
 _LAZY = {
     "Interpreter": ("repro.vm.interpreter", "Interpreter"),
-    "run_source": ("repro.vm.interpreter", "run_source"),
     "LoadedAssembly": ("repro.vm.loader", "LoadedAssembly"),
     "Machine": ("repro.vm.machine", "Machine"),
-    "run_source_on": ("repro.vm.machine", "run_source_on"),
 }
 
 

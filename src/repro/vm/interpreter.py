@@ -35,7 +35,6 @@ from .objects import (
     ObjectInstance,
     SZArray,
     StructValue,
-    get_monitor,
 )
 from .values import (
     float_to_i32,
@@ -101,10 +100,6 @@ class Interpreter:
         if entry is None:
             raise VMError("assembly has no entry point")
         return self.call(entry, list(args or []))
-
-    def call_named(self, class_name: str, method_name: str, args: Optional[List] = None):
-        m = self.loaded.assembly.find_method(class_name, method_name)
-        return self.call(m, list(args or []))
 
     # ----------------------------------------------------------------- calls
 
@@ -698,14 +693,3 @@ def _box_matches(box_type: str, target_name: str) -> bool:
         return True
     group_int = {"int32", "int16", "int8", "uint8", "uint16", "char", "bool"}
     return box_type in group_int and target_name in group_int
-
-
-def run_source(source: str, entry_class: Optional[str] = None):
-    """Convenience: compile + load + interpret; returns (result, interpreter)."""
-    from ..lang import compile_source
-
-    assembly = compile_source(source, entry_class=entry_class)
-    loaded = LoadedAssembly(assembly)
-    interp = Interpreter(loaded)
-    result = interp.run()
-    return result, interp

@@ -286,10 +286,6 @@ class Machine:
             )
         return main.result
 
-    def run_named(self, class_name: str, method_name: str, args: Optional[List] = None):
-        m = self.loaded.assembly.find_method(class_name, method_name)
-        return self.run(entry=m, args=args)
-
     # ------------------------------------------------------------ jit/link
 
     def _function(self, method: MethodDef):
@@ -1300,15 +1296,3 @@ class ClassicMachine(Machine):
             total_spent += spent
             self.instructions += icount
             spent = 0
-
-
-def run_source_on(source: str, profile, entry_class: Optional[str] = None,
-                  quantum: int = 50_000):
-    """Convenience: compile once, run on one profile; returns (result, machine)."""
-    from ..lang import compile_source
-
-    assembly = compile_source(source, entry_class=entry_class)
-    loaded = LoadedAssembly(assembly)
-    machine = Machine(loaded, profile, quantum=quantum)
-    result = machine.run()
-    return result, machine

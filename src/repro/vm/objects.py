@@ -14,7 +14,7 @@ Python-level encodings of the CTS value kinds:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from ..cil import cts
 from ..cil.cts import CType
@@ -148,13 +148,6 @@ class MDArray:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         commas = "x".join(str(d) for d in self.dims)
         return f"<{self.elem.name}[{commas}]>"
-
-
-#: byte size of an element for allocation accounting
-def element_size(t: CType) -> int:
-    if isinstance(t, cts.PrimitiveType):
-        return max(t.size, 1)
-    return 8  # references / structs-by-ref accounting
 
 
 class Monitor:

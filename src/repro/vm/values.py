@@ -30,14 +30,6 @@ def i64(value: int) -> int:
     return value - 0x10000000000000000 if value >= 0x8000000000000000 else value
 
 
-def u32(value: int) -> int:
-    return value & _I32_MASK
-
-
-def u64(value: int) -> int:
-    return value & _I64_MASK
-
-
 def i8(value: int) -> int:
     value &= 0xFF
     return value - 0x100 if value >= 0x80 else value

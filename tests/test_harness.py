@@ -213,7 +213,7 @@ class TestCli:
         }
 
     def test_disasm(self, capsys):
-        assert cli_main(["disasm"]) == 0
+        assert cli_main(["experiment", "tables5-8"]) == 0
         out = capsys.readouterr().out
         assert "Table 8" in out
 

@@ -579,6 +579,28 @@ class TestReportCli:
         assert "cycles trend" in out and " cycles " in out
         assert "micro.arith/clr-1.1" in out  # the anchor rows appear here
 
+    def test_report_keeps_each_ratio_series_to_one_anchor(self, tmp_path, capsys):
+        from repro.cli import main
+
+        db = str(tmp_path / "e.sqlite")
+        with ExperimentStore(db) as store:
+            for sha, mono in (("r1", 2000), ("r2", 2100)):
+                append_run(store, git_sha=sha, profiles=("clr-1.1", "mono-0.23"),
+                           cycles=(1000, mono))
+            # no CLR 1.1: this run's ratios anchor on native-c
+            append_run(store, git_sha="r3",
+                       profiles=("native-c", "mono-0.23", "sun-1.4"),
+                       cycles=(250, 2000, 1500))
+        assert main(["store", "--db", db, "report",
+                     "--benchmark", "micro.arith"]) == 0
+        mono = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()
+                if "micro.arith/mono-0.23" in line]
+        assert len(mono) == 2, mono
+        assert mono[0].startswith("micro.arith/mono-0.23 ")
+        assert mono[0].endswith(" 2 -> 2.1 (+5.0% over 2 runs)")
+        assert mono[1].startswith("micro.arith/mono-0.23 vs native-c ")
+        assert mono[1].endswith(" 8 -> 8 (+0.0% over 1 runs)")
+
     def test_report_attributes_injected_regression(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -645,8 +667,8 @@ class TestQueries:
             ratios = store.export_artifact(run)["benchmarks"][
                 "micro.arith"]["ratios"]
         assert ratios == {"mono-0.23/native-c": 4.0}
-        assert [(row["profile"], row["ratio"]) for row in rows] == [
-            ("native-c", None), ("mono-0.23", 4.0)]
+        assert [(row["profile"], row["ratio"], row["anchor"]) for row in rows] == [
+            ("native-c", None, "native-c"), ("mono-0.23", 4.0, "native-c")]
 
     def test_metric_trend(self, tmp_path):
         with ExperimentStore(str(tmp_path / "e.sqlite")) as store:
