@@ -260,10 +260,9 @@ class Collection:
 class Lookup:
     """The store-lookup step of a collection: its (benchmark x profile)
     ``cells`` in order and, with ``store``, their content ``keys``
-    (``sha256(COMPILER_VERSION, profile, benchmark, canonical overrides,
-    seed)``) and the runs already on record by cell index (``served``),
-    looked up inside a ``store.lookup`` span.  Without a store both are
-    None."""
+    (:func:`repro.store.cell_key`) and the runs already on record by cell
+    index (``served``), looked up inside a ``store.lookup`` span.  Without
+    a store both are None."""
 
     def __init__(self, profiles, suite, store=None, trace=None) -> None:
         from ..trace import NULL_CONTEXT
@@ -279,11 +278,13 @@ class Lookup:
         self.served: Optional[Dict[int, object]] = None
         if store is None:
             return
+        from ..store import cell_key
+
         trace = trace if trace is not None else NULL_CONTEXT
         with trace.child("store.lookup", cells=len(self.cells),
                          track="store") as lookup_span:
             self.keys = [
-                store.cell_key(name, pname, overrides=params)
+                cell_key(name, pname, overrides=params)
                 for name, params, pname in self.cells
             ]
             self.served = {}

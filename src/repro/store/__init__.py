@@ -3,10 +3,11 @@
 Replaces point-in-time ``BENCH_*.json`` files as the result substrate:
 every cell result is recorded across history, keyed content-addressed on
 ``sha256(COMPILER_VERSION, profile, benchmark, canonical overrides,
-"classic", seed)`` (the constant holds a removed engine slot, so old
-records stay addressable), so the bench gate, the experiment service's memo
-cache, and cross-PR trend queries all read one database.  BENCH JSON
-remains as an import/export format (``repro store import/export``).
+"classic", "None")`` (the constants hold a removed engine slot and an
+unused seed slot, so old records stay addressable), so the bench gate,
+the experiment service's memo cache, and cross-PR trend queries all read
+one database.  BENCH JSON remains as an import/export format
+(``repro store import/export``).
 """
 
 from .codec import (

@@ -4,13 +4,12 @@ Two translations live here:
 
 * :func:`cell_key` — the memoization key of one experiment cell, a
   SHA-256 over ``(COMPILER_VERSION, profile, benchmark, canonical
-  overrides, "classic", seed)``.  Same idiom as the PR 4 compile cache:
+  overrides, "classic", "None")``.  Same idiom as the PR 4 compile cache:
   bumping the compiler version orphans every old entry, and override
   values are canonicalized through :func:`repro.harness.runner.compile_key`
-  so ``1``, ``1.0`` and ``True`` cannot collide.  The constant
-  ``"classic"`` fills the slot a since-removed engine choice held, and
-  ``seed`` reserves a slot for seeded workloads; harness cells pass
-  ``None``.
+  so ``1``, ``1.0`` and ``True`` cannot collide.  The two constants fill
+  the slots of a since-removed engine choice and of an unused seed, so
+  every key stays the one it was when those were arguments.
 * :func:`run_to_record` / :func:`run_from_record` — a JSON-exact
   round-trip of a :class:`~repro.harness.results.ProfileRun` (minus the
   live ``observation`` object).  Python's JSON float round-trip is exact
@@ -34,7 +33,6 @@ def cell_key(
     benchmark: str,
     profile: str,
     overrides: Optional[Dict[str, object]] = None,
-    seed: Optional[int] = None,
 ) -> str:
     """The content-addressed memoization key of one experiment cell."""
     from ..harness.runner import compile_key
@@ -52,7 +50,9 @@ def cell_key(
         # always keyed as "classic", so every record stored before the
         # choice was removed stays addressable without a key migration
         "classic",
-        repr(seed),
+        # where a seed argument no caller passed was hashed; the constant
+        # keeps every key what it was
+        repr(None),
     ):
         digest.update(part.encode())
         digest.update(b"\x00")

@@ -151,8 +151,6 @@ class ExperimentStore:
 
     # ----------------------------------------------------------- memoization
 
-    cell_key = staticmethod(codec.cell_key)
-
     def lookup(self, key: str) -> Optional[dict]:
         """The latest live record for ``key``, or None.  Each call counts
         toward this instance's hit/miss telemetry."""

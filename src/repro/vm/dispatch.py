@@ -1,13 +1,14 @@
 """Threaded-code dispatch: the measured (MIR) engine's executor.
 
-The classic executor (:meth:`repro.vm.machine.ClassicMachine._step_thread`,
-kept only as the tests' cycle oracle) walks one giant if/elif chain per
-instruction and re-derives operands, cost constants and jump targets from
-the :class:`~repro.jit.mir.MInstr` on every cycle.  This module removes
-that: each function's MIR is translated into a flat array of *pre-bound
-closures* — one per pc, with operand vregs, cost constants, resolved call
-records and jump targets bound in — and the driver loop shrinks to
-``pc = ops[pc](R, st)``.  Every :class:`~repro.vm.machine.Machine` runs it.
+The classic executor (the tests' cycle oracle in
+``tests/classic_oracle.py``, outside this package) walks one giant
+if/elif chain per instruction and re-derives operands, cost constants and
+jump targets from the :class:`~repro.jit.mir.MInstr` on every cycle.  This
+module removes that: each function's MIR is translated into a flat array
+of *pre-bound closures* — one per pc, with operand vregs, cost constants,
+resolved call records and jump targets bound in — and the driver loop
+shrinks to ``pc = ops[pc](R, st)``.  Every
+:class:`~repro.vm.machine.Machine` runs it.
 
 Translation is tiered (see :func:`build_ops`).  Tier 0, built when a
 function first runs, is generated singles, with hand-written closures

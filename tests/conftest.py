@@ -87,16 +87,17 @@ def use_engine(name):
     the machine class to construct.
 
     ``threaded`` is the one product engine.  ``classic`` is the
-    :class:`~repro.vm.machine.ClassicMachine` oracle; it is also put behind
-    the harness runner, so ``Runner.run_on`` and pool workers forked
-    inside the block build it too.  ``unfused`` is the threaded engine
-    held below its superinstruction tier, which pins a divergence on
-    either the closure translation or the fuser; it sees an empty tier
+    :class:`~tests.classic_oracle.ClassicMachine` oracle; it is also put
+    behind the harness runner, so ``Runner.run_on`` and pool workers
+    forked inside the block build it too.  ``unfused`` is the threaded
+    engine held below its superinstruction tier, which pins a divergence
+    on either the closure translation or the fuser; it sees an empty tier
     memory, so no function remembered from a fused run starts fused.
     """
     from repro.harness import runner
     from repro.vm import dispatch
-    from repro.vm.machine import ClassicMachine, Machine
+    from repro.vm.machine import Machine
+    from tests.classic_oracle import ClassicMachine
 
     assert name in ("classic", "threaded", "unfused"), name
     machine_class = ClassicMachine if name == "classic" else Machine

@@ -3,10 +3,11 @@
 The threaded-code engine (``repro.vm.dispatch``) re-implements the MIR hot
 path as pre-bound closure arrays with superinstruction fusion.  Its whole
 license to exist is this file's oracle: **every observable number is
-bit-identical to the classic loop** (``ClassicMachine``, kept only for
-these tests) — results, simulated cycles (including float cost
-accumulation order), instruction counts, allocation/GC totals, metrics
-snapshots, observe-profiles, and stdout.  Anything the classic engine
+bit-identical to the classic loop** (``ClassicMachine`` in
+``tests/classic_oracle.py``, outside the ``repro`` package) — results,
+simulated cycles (including float cost accumulation order), instruction
+counts, allocation/GC totals, metrics snapshots, observe-profiles, and
+stdout.  Anything the classic engine
 produces is ground truth; the threaded engine is only ever faster, never
 different.
 
@@ -35,7 +36,8 @@ from repro.observe.report import profile_to_dict
 from repro.runtimes import ALL_PROFILES, CLR11, NATIVE_C, SSCLI10
 from repro.vm.interpreter import Interpreter
 from repro.vm.loader import LoadedAssembly
-from repro.vm.machine import ClassicMachine, Machine
+from repro.vm.machine import Machine
+from tests.classic_oracle import ClassicMachine
 from tests.conftest import use_engine
 
 CORPUS = Path(__file__).parent / "fuzz_corpus"

@@ -5,8 +5,12 @@ The key invariant: for every program, every runtime profile computes the
 simulated cycles.  (Paper section 3: same CIL on every runtime.)
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.errors import ManagedException, VMError
 from repro.lang import compile_source
 from repro.runtimes import (
@@ -598,3 +602,25 @@ class TestTwoPassUnwindFaults:
         }"""
         reference, _runs = run_all(src)
         assert reference == 742  # normal exit once, finally-thrown once
+
+
+def test_product_package_holds_one_mir_executor():
+    """The classic MIR loop is a tests/ oracle only: no module of the
+    ``repro`` package defines or names ``ClassicMachine``, and none imports
+    from ``tests``, so nothing in the product can build the classic loop."""
+    package = Path(repro.__file__).parent
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) > 50  # the walk really covers the package
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.relative_to(package.parent)}:{getattr(node, 'lineno', 0)}"
+            # def/class names, loaded and stored names, attributes, imports
+            named = {getattr(node, field, None) for field in ("name", "id", "attr", "asname")}
+            assert "ClassicMachine" not in named, where
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported = [node.module]
+            else:
+                imported = []
+            assert all(name.split(".")[0] != "tests" for name in imported), where

@@ -116,8 +116,9 @@ generated singles when it first runs, with hand-written closures only
 for ops outside the template subset, and superinstructions for its
 straight-line runs, array and field accesses included, once it has
 retired 200 times its length in instructions.  The classic fetch/decode loop
-survives only as a test oracle (``ClassicMachine``), which no command
-can select.  The two differ only in *host* wall-clock: every simulated
+survives only as a test oracle (``ClassicMachine`` in
+``tests/classic_oracle.py``), outside the ``repro`` package, so no
+command can build it.  The two differ only in *host* wall-clock: every simulated
 observable — cycles including float cost-accumulation order, instruction
 counts, metrics snapshots, observe-profiles, and fault-fire sites — is
 asserted **bit-identical** between them over every registered benchmark,
